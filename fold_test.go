@@ -1,0 +1,180 @@
+package nvmwear
+
+import (
+	"fmt"
+	"testing"
+
+	"nvmwear/internal/fault"
+	"nvmwear/internal/lifetime"
+	"nvmwear/internal/trace"
+)
+
+// foldFaults is the fault configuration of the faults-on fold cases.
+var foldFaults = fault.Config{
+	TransientWriteRate: 0.002, StuckAtRate: 0.0005, ReadDisturbRate: 0.003,
+	MetadataRate: 0.002, Seed: 11,
+}
+
+// foldCase is one fold-vs-unfold comparison: a scheme from the catalogue,
+// faults on or off, a base workload (BPA or a 70%-write uniform mix)
+// stretched into repeated runs by a run-length pattern, and a write budget.
+type foldCase struct {
+	scheme  uint8  // index into Schemes(), modulo its length
+	faults  bool   // inject foldFaults
+	uniform bool   // uniform base workload instead of BPA
+	seed    uint64 // workload seed
+	budget  uint32 // demand-write budget, modulo 200001, at least 1
+	runs    []byte // request i repeats 1+4*runs[i%len(runs)] times; empty = as generated
+}
+
+// foldSeeds are the catalogue-wide cases: every scheme, faults off and on,
+// BPA and uniform, on the unmodified workloads with a 120k-write budget.
+func foldSeeds() []foldCase {
+	var cs []foldCase
+	for i := range Schemes() {
+		for _, faults := range []bool{false, true} {
+			for _, uniform := range []bool{false, true} {
+				cs = append(cs, foldCase{scheme: uint8(i), faults: faults, uniform: uniform, seed: 9, budget: 120_000})
+			}
+		}
+	}
+	return cs
+}
+
+// TestBatchScalarEquivalence runs the catalogue-wide FuzzFold cases under
+// readable names: every registered scheme, with and without fault
+// injection, on a run-heavy workload (BPA) and a mixed read/write one
+// (uniform). Endurance is low enough that some combinations kill the
+// device mid-run, so the death orderings of nvm.WriteRun/ReadRun are
+// exercised too.
+func TestBatchScalarEquivalence(t *testing.T) {
+	for _, c := range foldSeeds() {
+		cfg, w := c.system()
+		_, wname, err := w.Build(cfg.Lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("%s/fault=%v/%s", cfg.Scheme, c.faults, wname), func(t *testing.T) {
+			checkFold(t, c)
+		})
+	}
+}
+
+// FuzzFold pins the folded access path to the per-request one. The fold
+// path is lifetime.Run, which hands whole request refills to AccessBatch;
+// the unfold path calls Access once per request with a liveness check
+// before each. wl.Stats, nvm.Stats and the per-line wear vector — which
+// every lifetime.Result field is computed from — must match exactly.
+// Repeated runs cross the schemes' trigger boundaries, and the write budget
+// and device death land mid-run.
+func FuzzFold(f *testing.F) {
+	for _, c := range foldSeeds() {
+		f.Add(c.scheme, c.faults, c.uniform, c.seed, c.budget, c.runs)
+	}
+	for i := range Schemes() {
+		f.Add(uint8(i), i%2 == 1, i%3 == 0, uint64(i), uint32(31_337+i), []byte{200, 0, 63, 255, 7, 1})
+	}
+	f.Fuzz(func(t *testing.T, scheme uint8, faults, uniform bool, seed uint64, budget uint32, runs []byte) {
+		checkFold(t, foldCase{scheme, faults, uniform, seed, budget, runs})
+	})
+}
+
+// system returns the case's system configuration and base workload.
+func (c foldCase) system() (SystemConfig, WorkloadSpec) {
+	schemes := Schemes()
+	cfg := SystemConfig{
+		Scheme:     schemes[int(c.scheme)%len(schemes)],
+		Lines:      1 << 12,
+		SpareLines: 48,
+		Endurance:  60,
+		Period:     8,
+		Regions:    64,
+		CMTEntries: 256,
+		// Tight adaptation windows so SAWL actually cycles through merge
+		// and split modes within the run.
+		ObservationWindow: 20000,
+		SettlingWindow:    10000,
+		CheckEvery:        5000,
+		Seed:              7,
+	}
+	if c.faults {
+		cfg.Fault = foldFaults
+	}
+	w := WorkloadSpec{Kind: WorkloadBPA, Seed: c.seed}
+	if c.uniform {
+		w = WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 0.7, Seed: c.seed}
+	}
+	return cfg, w
+}
+
+// checkFold runs the case down both paths on fresh systems and compares
+// everything they expose.
+func checkFold(t *testing.T, c foldCase) {
+	t.Helper()
+	maxWrites := max(1, uint64(c.budget)%200_001)
+	fold, stream := c.build(t)
+	lifetime.Run(fold.dev, fold.lv, stream, lifetime.Options{MaxWrites: maxWrites, NoTiming: true})
+	unfold, stream := c.build(t)
+	for writes := uint64(0); writes < maxWrites && unfold.dev.Alive(); {
+		r := stream.Next()
+		unfold.lv.Access(r.Op, r.Addr)
+		if r.Op == trace.Write {
+			writes++
+		}
+	}
+
+	if a, b := fold.lv.Stats(), unfold.lv.Stats(); a != b {
+		t.Errorf("scheme stats diverge:\n fold  : %+v\n unfold: %+v", a, b)
+	}
+	if a, b := fold.dev.Stats(), unfold.dev.Stats(); a != b {
+		t.Errorf("device stats diverge:\n fold  : %+v\n unfold: %+v", a, b)
+	}
+	fw, uw := fold.dev.WearCounts(), unfold.dev.WearCounts()
+	if len(fw) != len(uw) {
+		t.Fatalf("wear vector length %d vs %d", len(fw), len(uw))
+	}
+	for i := range fw {
+		if fw[i] != uw[i] {
+			t.Fatalf("wear diverges at line %d: fold %d, unfold %d", i, fw[i], uw[i])
+		}
+	}
+}
+
+// build creates a fresh system and the case's request stream.
+func (c foldCase) build(t *testing.T) (*System, trace.Stream) {
+	t.Helper()
+	cfg, w := c.system()
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	stream, _, err := w.Build(cfg.Lines)
+	if err != nil {
+		t.Fatalf("Build workload: %v", err)
+	}
+	if len(c.runs) > 0 {
+		stream = &runStream{base: stream, runs: c.runs}
+	}
+	return sys, stream
+}
+
+// runStream stretches a base stream into long repeated runs: the i-th base
+// request is issued 1+4*runs[i%len(runs)] times in a row.
+type runStream struct {
+	base trace.Stream
+	runs []byte
+	i    int
+	cur  trace.Request
+	left int
+}
+
+// Next implements trace.Stream.
+func (s *runStream) Next() trace.Request {
+	if s.left == 0 {
+		s.cur = s.base.Next()
+		s.left = 1 + 4*int(s.runs[s.i%len(s.runs)])
+		s.i++
+	}
+	s.left--
+	return s.cur
+}

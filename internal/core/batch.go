@@ -4,11 +4,14 @@ import (
 	"nvmwear/internal/trace"
 )
 
-// This file implements the batched epoch-stepped access path for the tiered
-// engine (wl.BatchLeveler). The contract is byte-identity with the scalar
-// Access loop: batching folds the arithmetic of repeated accesses, it never
-// changes which device writes, RNG draws, trigger firings or adaptation
-// decisions happen, nor their order.
+// This file implements the folded access path for the tiered engine — the
+// one documented override of wl.Driver. The tiered engine's reads do
+// bookkeeping too (the CMT lookup, the observation window, the CheckEvery
+// adaptation), so it cannot be reduced to the Translate/Headroom/Commit
+// kernel. The contract is wl.Leveler's: byte-identity with the per-request
+// Access loop. Folding changes the arithmetic of repeated accesses, never
+// which device writes, RNG draws, trigger firings or adaptation decisions
+// happen, nor their order.
 //
 // The fold rests on three facts about the scalar path:
 //
@@ -23,33 +26,7 @@ import (
 //     at the nearest boundary and then running the boundary's scalar-shaped
 //     code reproduces the scalar sequence exactly.
 
-// Advance implements wl.BatchLeveler: epochs sized from the swap interval
-// of an initial-granularity region (ψ*P demand writes).
-func (s *Scheme) Advance(k int) int {
-	return clampEpoch(s.cfg.Period*s.p, k)
-}
-
-// clampEpoch mirrors wl.ClampEpoch (core cannot import wl's helper without
-// widening the existing one-way dependency surface beyond interfaces).
-func clampEpoch(interval uint64, k int) int {
-	const lo, hi = 64, 4096
-	e := hi
-	if interval < hi/16 {
-		e = int(interval) * 16
-	}
-	if e < lo {
-		e = lo
-	}
-	if k < e {
-		e = k
-	}
-	if e < 1 {
-		e = 1
-	}
-	return e
-}
-
-// AccessBatch implements wl.BatchLeveler: requests are served in order, with
+// AccessBatch implements wl.Leveler: requests are served in order, with
 // maximal runs of identical (op, lma) folded through repeatAccess. The
 // first access of each run goes through the full scalar Access — it may
 // miss the CMT, trigger an exchange, or apply a merge/split — so the folded
@@ -137,17 +114,7 @@ func (s *Scheme) repeatAccess(op trace.Op, lma uint64, k int) int {
 		s.cache.RepeatHits(applied)
 		s.stats.CMTHits += applied
 		if op == trace.Write {
-			s.ctr[e.Base] += uint32(applied)
-			if uint64(s.ctr[e.Base]) >= s.cfg.Period*q {
-				s.ctr[e.Base] = 0
-				if s.mode == ModeMerge {
-					if !s.tryMerge(e.Base) {
-						s.exchange(e.Base)
-					}
-				} else {
-					s.exchange(e.Base)
-				}
-			}
+			s.commit(e.Base, q, applied)
 		}
 		s.window.RecordRun(true, applied)
 		s.requests += applied

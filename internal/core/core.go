@@ -336,23 +336,27 @@ func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
 	} else {
 		s.stats.DataWrites++
 		s.dev.Write(pma)
-		s.ctr[e.Base]++
-		if uint64(s.ctr[e.Base]) >= s.cfg.Period*q {
-			s.ctr[e.Base] = 0
-			// Sec 3.2 item 3: a pending region-merge is performed together
-			// with the wear-leveling trigger, so merge traffic is bounded
-			// by the swapping period instead of the miss rate.
-			if s.mode == ModeMerge {
-				if !s.tryMerge(e.Base) {
-					s.exchange(e.Base)
-				}
-			} else {
-				s.exchange(e.Base)
-			}
-		}
+		s.commit(e.Base, q, 1)
 	}
 	s.adapt(hit, lrn0)
 	return pma
+}
+
+// commit adds n demand writes to the region based at base (q lines) and
+// fires the data exchange when its counter reaches ψ*Q — the one trigger
+// both Access and the folded repeatAccess path go through.
+func (s *Scheme) commit(base, q, n uint64) {
+	s.ctr[base] += uint32(n)
+	if uint64(s.ctr[base]) < s.cfg.Period*q {
+		return
+	}
+	s.ctr[base] = 0
+	// Sec 3.2 item 3: a pending region-merge is performed together with the
+	// wear-leveling trigger, so merge traffic is bounded by the swapping
+	// period instead of the miss rate.
+	if s.mode != ModeMerge || !s.tryMerge(base) {
+		s.exchange(base)
+	}
 }
 
 // adapt drives the observation window, the mode state machine, and the

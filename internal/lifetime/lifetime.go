@@ -71,17 +71,10 @@ type Options struct {
 	// sharded decomposition — whose Elapsed is discarded by the merge — set
 	// it so short runs do not charge time.Now pairs on the hot path.
 	NoTiming bool
-	// DisableBatch forces the scalar request loop even for schemes that
-	// implement wl.BatchLeveler. The cross-path equivalence tests use it to
-	// pin the batched path to the scalar path's exact results.
-	DisableBatch bool
 }
 
 // Run pumps requests from the stream through the scheme until the device
-// dies or the write budget is exhausted. Schemes implementing
-// wl.BatchLeveler are driven in batched epochs by default — observably
-// identical to the scalar loop (see wl.BatchLeveler's contract), just
-// faster.
+// dies or the write budget is exhausted.
 func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Result {
 	maxWrites := opts.MaxWrites
 	if maxWrites == 0 {
@@ -91,18 +84,7 @@ func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Resu
 	if !opts.NoTiming {
 		start = time.Now()
 	}
-	if bl, ok := lv.(wl.BatchLeveler); ok && !opts.DisableBatch {
-		runBatched(dev, bl, stream, maxWrites)
-	} else {
-		var writes uint64
-		for writes < maxWrites && dev.Alive() {
-			r := stream.Next()
-			lv.Access(r.Op, r.Addr)
-			if r.Op == trace.Write {
-				writes++
-			}
-		}
-	}
+	serve(dev, lv, stream, maxWrites)
 	var elapsed time.Duration
 	if !opts.NoTiming {
 		elapsed = time.Since(start)
@@ -133,49 +115,33 @@ func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Resu
 	return res
 }
 
-// maxEpoch bounds how many requests are prefetched from the stream and
-// handed to a scheme per AccessBatch call. Prefetching ahead of consumption
-// is unobservable: streams are exclusively owned by the run and a Result
-// never depends on the stream's final position.
-const maxEpoch = 4096
+// refill is how many requests are pulled from the stream and handed to the
+// scheme per AccessBatch call. Prefetching ahead of consumption is
+// unobservable: streams are exclusively owned by the run and a Result never
+// depends on the stream's final position.
+const refill = 4096
 
-// runBatched is the batched twin of the scalar request loop: it refills a
-// request buffer with trace.FillBatch, slices epochs off it at the scheme's
-// preferred size, truncates the final epoch right after the write that
-// exhausts the budget (requests past that write are never applied — exactly
-// where the scalar loop stops), and exits on device death just like the
-// scalar loop's per-request liveness check.
-func runBatched(dev *nvm.Device, bl wl.BatchLeveler, stream trace.Stream, maxWrites uint64) {
-	ops := make([]trace.Op, maxEpoch)
-	addrs := make([]uint64, maxEpoch)
+// serve refills a request buffer with trace.FillBatch and hands each whole
+// refill to AccessBatch, which is observably the per-request Access loop
+// with a liveness check before every request. The refill holding the write
+// that exhausts the budget is cut right after that write, so requests past
+// it are never applied. A short AccessBatch means the device died, which
+// ends the loop.
+func serve(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites uint64) {
+	ops := make([]trace.Op, refill)
+	addrs := make([]uint64, refill)
 	var writes uint64
-	buffered, used := 0, 0
 	for writes < maxWrites && dev.Alive() {
-		if used == buffered {
-			buffered = trace.FillBatch(stream, ops, addrs)
-			used = 0
-		}
-		k := bl.Advance(buffered - used)
-		if k < 1 {
-			k = 1
-		}
-		if k > buffered-used {
-			k = buffered - used
-		}
-		o := ops[used : used+k]
-		a := addrs[used : used+k]
+		n := trace.FillBatch(stream, ops, addrs)
+		o, a := ops[:n], addrs[:n]
 		w := countWrites(o)
 		if writes+w > maxWrites {
 			cut := cutAfterWrites(o, maxWrites-writes)
 			o, a = o[:cut], a[:cut]
 			w = maxWrites - writes
 		}
-		n := bl.AccessBatch(o, a)
-		if n < len(o) {
-			w = countWrites(o[:n]) // device died mid-epoch; recount the prefix
-		}
+		lv.AccessBatch(o, a)
 		writes += w
-		used += n
 	}
 }
 

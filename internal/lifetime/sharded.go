@@ -84,8 +84,7 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 			Workload:  opts.Workload,
 			// The merge discards per-shard Elapsed; never charge the inner
 			// loops for it.
-			NoTiming:     true,
-			DisableBatch: opts.DisableBatch,
+			NoTiming: true,
 		})
 		return shardOutcome{res: res, st: sh.Lv.Stats(), ds: sh.Dev.Stats()}, nil
 	})

@@ -113,7 +113,7 @@ type Device struct {
 	writes    []uint32
 	endurance []uint32 // nil when uniform
 	data      []uint64
-	inj       *fault.Injector // nil when Config.Fault is disabled
+	inj       *fault.Injector  // nil when Config.Fault is disabled
 	retired   func(pma uint64) // nil unless SetRetireHook was called
 
 	sparesUsed  uint64
@@ -289,7 +289,7 @@ func (d *Device) Write(pma uint64) bool {
 //
 // With fault injection enabled the run falls back to per-write calls so the
 // injector's RNG draw order is untouched; the clean path folds whole
-// endurance spans arithmetically, which is what makes batched epochs fast.
+// endurance spans arithmetically, which is what makes folded runs fast.
 func (d *Device) WriteRun(pma, n uint64) uint64 {
 	if d.inj != nil {
 		for i := uint64(0); i < n; i++ {

@@ -6,11 +6,15 @@ package store
 // for the lockfile.
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentReadersNoQuarantineFalsePositives: goroutines hammering Get
@@ -79,7 +83,7 @@ func TestConcurrentReadersNoQuarantineFalsePositives(t *testing.T) {
 }
 
 // TestConcurrentOpenSingleWinner: N racing Opens of one directory admit
-// exactly one holder (the link(2) lockfile is the arbiter); after the
+// exactly one holder (the lockfile's flock is the arbiter); after the
 // winner closes, the lock is free again for the next claimant.
 func TestConcurrentOpenSingleWinner(t *testing.T) {
 	dir := t.TempDir()
@@ -158,4 +162,58 @@ func TestBusyErrorWhileHeldThenReclaimAfterClose(t *testing.T) {
 	if b, ok := successor.Get("k"); !ok || string(b) != "v" {
 		t.Fatalf("successor read %q/%v, want the holder's entry", b, ok)
 	}
+}
+
+// holdEnv makes the test binary a lock holder: TestKilledHolderReleasesLock
+// re-executes itself with this set to a store directory.
+const holdEnv = "STORE_TEST_HOLD_DIR"
+
+// TestKilledHolderReleasesLock goes through the real mechanism: a holder
+// subprocess opens the store and is SIGKILLed without closing it. While it
+// lives, Open fails busy and names its PID; once it is dead, the kernel has
+// dropped its flock and the next Open wins.
+func TestKilledHolderReleasesLock(t *testing.T) {
+	if dir := os.Getenv(holdEnv); dir != "" {
+		s, err := Open(dir)
+		if err != nil {
+			fmt.Println(err)
+			os.Exit(2)
+		}
+		fmt.Println("locked")
+		time.Sleep(time.Hour) // until the parent kills this process
+		s.Close()
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestKilledHolderReleasesLock$")
+	cmd.Env = append(os.Environ(), holdEnv+"="+dir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	if line, _ := bufio.NewReader(out).ReadString('\n'); line != "locked\n" {
+		t.Fatalf("holder did not lock the store: %q", line)
+	}
+
+	_, err = Open(dir)
+	var busy *BusyError
+	if !errors.As(err, &busy) {
+		t.Fatalf("Open while the holder lives = %v, want *BusyError", err)
+	}
+	if busy.PID != cmd.Process.Pid {
+		t.Errorf("BusyError pid %d, want the holder's %d", busy.PID, cmd.Process.Pid)
+	}
+
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after the holder was killed: %v", err)
+	}
+	s.Close()
 }

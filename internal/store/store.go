@@ -16,10 +16,11 @@
 //     verification on load, is moved to the store's corrupt/ directory
 //     with a logged warning, and reads as a miss — the caller recomputes.
 //     Corruption is never trusted and never fatal.
-//   - A per-store lockfile (atomic exclusive creation + stale-PID
-//     detection) keeps
-//     concurrent processes from sharing one store: a live holder makes
-//     Open fail with *BusyError, a dead holder's lock is reclaimed.
+//   - An exclusive flock(2) on the store's lockfile, held for the Store's
+//     lifetime, keeps concurrent openers — other processes or other Opens
+//     in the same process — from sharing one store: a live holder makes
+//     Open fail with *BusyError. The kernel drops the lock when its holder
+//     dies, so a killed process never leaves the store locked.
 //
 // Keys are arbitrary strings; the store addresses entries by their SHA-256
 // digest, so callers can use readable canonical key strings without
@@ -49,14 +50,15 @@ const (
 	// headerLen is magic (4) + payload length (8) + SHA-256 (32).
 	headerLen = 4 + 8 + sha256.Size
 
-	lockName    = "lock"
-	objectsDir  = "objects"
-	corruptDir  = "corrupt"
-	tmpPrefix   = ".tmp-"
-	lockRetries = 16
+	lockName   = "lock"
+	objectsDir = "objects"
+	corruptDir = "corrupt"
+	tmpPrefix  = ".tmp-"
 )
 
-// BusyError reports a store whose lockfile is held by a live process.
+// BusyError reports a store whose lockfile is held by a live process. PID
+// is the holder's process ID as recorded in the lockfile, or 0 when the
+// holder has not written it yet.
 type BusyError struct {
 	Dir string
 	PID int
@@ -79,11 +81,12 @@ type Stats struct {
 // goroutines of one process; cross-process exclusion is enforced by the
 // lockfile taken at Open.
 type Store struct {
-	dir string
+	dir  string
+	lock *os.File // the flocked lockfile, held until Close
 
-	// Logf receives warnings (quarantined entries, reclaimed stale locks,
-	// failed durability syscalls). Defaults to log.Printf; set to nil to
-	// silence.
+	// Logf receives warnings (quarantined entries, locks left by killed
+	// holders, failed durability syscalls). Defaults to log.Printf; set to
+	// nil to silence.
 	Logf func(format string, args ...any)
 
 	tmpSeq atomic.Uint64
@@ -93,9 +96,9 @@ type Store struct {
 }
 
 // Open creates (if needed) and locks the store rooted at dir. It fails
-// with *BusyError if another live process holds the store's lock; a lock
-// left behind by a dead process is reclaimed. Leftover temp files from
-// crashed writers are removed. Call Close to release the lock.
+// with *BusyError while another Open — in this process or another — holds
+// the store's lock. Leftover temp files from crashed writers are removed.
+// Call Close to release the lock.
 func Open(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, corruptDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -110,63 +113,52 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// acquireLock takes the store's lockfile, reclaiming it when the recorded
-// holder PID is dead or unreadable. The lock is created by linking a
-// private PID file into place, so it becomes visible atomically *with* its
-// content — a concurrent opener can never observe a half-written lock and
-// mistake it for stale.
+// acquireLock takes a non-blocking exclusive flock on the store's lockfile
+// and records this process's PID in it, for the BusyError message of later
+// openers. Every Open opens the file afresh, and flock locks belong to the
+// open file, so two Opens in one process conflict just like two processes.
+// The file is never removed: a second opener always locks the same inode.
 func (s *Store) acquireLock() error {
 	path := filepath.Join(s.dir, lockName)
-	tmp := fmt.Sprintf("%s.%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d\n", os.Getpid())), 0o644); err != nil {
-		return fmt.Errorf("store: writing lockfile: %w", err)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: opening lockfile: %w", err)
 	}
-	defer os.Remove(tmp)
-	for attempt := 0; attempt < lockRetries; attempt++ {
-		err := os.Link(tmp, path)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return fmt.Errorf("store: creating lockfile: %w", err)
-		}
-		pid, perr := readLockPID(path)
-		if perr == nil && processAlive(pid) {
+	if err := lock(f); err != nil {
+		pid, _ := lockHolder(f)
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
 			return &BusyError{Dir: s.dir, PID: pid}
 		}
-		// Holder is dead (or the lock is garbage): reclaim and retry the
-		// exclusive create — another process may legitimately win the race.
+		return fmt.Errorf("store: locking %s: %w", path, err)
+	}
+	// Close empties the file, so a recorded PID means its holder was killed
+	// while holding the store.
+	if pid, recorded := lockHolder(f); recorded {
 		s.logf("store: reclaiming stale lock %s (holder pid %d is gone)", path, pid)
-		os.Remove(path)
 	}
-	return fmt.Errorf("store: could not acquire lock %s after %d attempts", path, lockRetries)
+	if err := f.Truncate(0); err == nil {
+		_, err = f.WriteAt([]byte(fmt.Sprintf("%d\n", os.Getpid())), 0)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("store: writing lockfile: %w", err)
+	}
+	s.lock = f
+	return nil
 }
 
-// readLockPID parses the holder PID out of a lockfile.
-func readLockPID(path string) (int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
+// lockHolder reads the holder recorded in an open lockfile: whether it
+// records anything, and the PID it parses to (0 when it is not a valid
+// PID).
+func lockHolder(f *os.File) (pid int, recorded bool) {
+	buf := make([]byte, 32)
+	n, _ := f.ReadAt(buf, 0)
+	pid, err := strconv.Atoi(strings.TrimSpace(string(buf[:n])))
+	if err != nil || pid < 0 {
+		pid = 0
 	}
-	pid, err := strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil || pid <= 0 {
-		return 0, fmt.Errorf("store: malformed lockfile %s: %q", path, data)
-	}
-	return pid, nil
-}
-
-// processAlive reports whether a process with the given PID exists
-// (signal 0 probe; EPERM still means "exists").
-func processAlive(pid int) bool {
-	if pid <= 0 {
-		return false
-	}
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	err = p.Signal(syscall.Signal(0))
-	return err == nil || errors.Is(err, os.ErrPermission)
+	return pid, n > 0
 }
 
 // sweepTemps removes temp files abandoned by crashed writers. Safe because
@@ -186,12 +178,21 @@ func (s *Store) sweepTemps() {
 	}
 }
 
-// Close releases the store's lock. The Store must not be used afterwards.
+// Close releases the store's lock. It empties the lockfile but never
+// removes it: removal would let a third opener lock a fresh inode while a
+// second still holds the old one. The Store must not be used afterwards.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	return os.Remove(filepath.Join(s.dir, lockName))
+	err := s.lock.Truncate(0)
+	if uerr := unlock(s.lock); err == nil {
+		err = uerr
+	}
+	if cerr := s.lock.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -22,7 +22,6 @@ import (
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -53,6 +52,7 @@ type migration struct {
 
 // Scheme is an MWSR instance bound to a device.
 type Scheme struct {
+	wl.Driver
 	cfg     Config
 	dev     *nvm.Device
 	q       uint64
@@ -105,10 +105,11 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		s.table[i].prn = uint32(i)
 		s.migOf[i] = -1
 	}
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 {
 	lrn := lma / s.q
 	lao := lma & (s.q - 1)
@@ -131,27 +132,31 @@ func (s *Scheme) Translate(lma uint64) uint64 {
 	return uint64(e.prn)*s.q + (lao ^ uint64(e.key))
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
+// Headroom implements wl.Kernel. A settled region's mapping only changes
+// when its own counter triggers a migration. While the region migrates,
+// any write may step the migration and move one line pair, so the headroom
+// is a single write.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	lrn := lma / s.q
+	if s.migOf[lrn] >= 0 {
+		return 1
 	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
+	return s.trigger - uint64(s.counter[lrn])
+}
 
+// Commit implements wl.Kernel. A write to a migrating region (n == 1, see
+// Headroom) first advances the migration by one step every ψ/2 writes.
+func (s *Scheme) Commit(lma, n uint64) {
 	lrn := lma / s.q
 	if mi := s.migOf[lrn]; mi >= 0 {
 		m := s.migs[mi]
-		m.writeCtr++
+		m.writeCtr += n
 		if m.writeCtr >= s.advance {
 			m.writeCtr = 0
 			s.step(int(mi))
 		}
 	}
-	s.counter[lrn]++
+	s.counter[lrn] += uint32(n)
 	if uint64(s.counter[lrn]) >= s.trigger {
 		if s.migOf[lrn] >= 0 {
 			// A round cannot start while the region is still migrating;
@@ -162,64 +167,7 @@ func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
 			s.begin(lrn)
 		}
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. A settled region's mapping only
-// changes when its own counter triggers a migration, so runs of identical
-// writes fold into one nvm.WriteRun bounded by the trigger distance. While
-// the written region is migrating its mapping can shift on any write (each
-// step moves one line pair), so those writes take the scalar path
-// unchanged.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		lrn := lma / s.q
-		if s.migOf[lrn] >= 0 {
-			s.Access(op, lma)
-			i++
-			continue
-		}
-		if d := s.trigger - uint64(s.counter[lrn]); d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		s.counter[lrn] += uint32(applied)
-		if uint64(s.counter[lrn]) >= s.trigger {
-			// The region is settled (checked above), so the round starts
-			// unless begin defers on a migrating partner — same as scalar.
-			s.counter[lrn] = 0
-			s.begin(lrn)
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the migration step
-// interval ψ/2 (the finest-grained state change).
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.advance, k) }
 
 // begin starts a migration for region r with a random partner. If the
 // chosen partner is already migrating the trigger is deferred by one write.

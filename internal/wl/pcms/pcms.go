@@ -19,7 +19,6 @@ import (
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -39,6 +38,7 @@ type entry struct {
 
 // Scheme is a PCM-S instance bound to a device.
 type Scheme struct {
+	wl.Driver
 	cfg     Config
 	dev     *nvm.Device
 	q       uint64
@@ -84,82 +84,33 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 	for i := uint64(0); i < regions; i++ {
 		s.table[i].prn = uint32(i)
 	}
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 {
 	lrn := lma / s.q
 	e := s.table[lrn]
 	return uint64(e.prn)*s.q + ((lma & (s.q - 1)) ^ uint64(e.key))
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
-	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
+// Headroom implements wl.Kernel: a region's mapping only changes at an
+// exchange, and only writes to a region advance its counter, so lma's
+// mapping holds until its own region's trigger.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	return s.trigger - uint64(s.counter[lma/s.q])
+}
+
+// Commit implements wl.Kernel.
+func (s *Scheme) Commit(lma, n uint64) {
 	lrn := lma / s.q
-	s.counter[lrn]++
+	s.counter[lrn] += uint32(n)
 	if uint64(s.counter[lrn]) >= s.trigger {
 		s.counter[lrn] = 0
 		s.exchange(lrn)
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. A region's mapping only changes
-// at an exchange, and mid-run no other region's exchange can fire (only
-// writes to a region advance its counter), so a run of identical writes
-// folds into one nvm.WriteRun bounded by the region's distance to its next
-// exchange trigger.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		lrn := lma / s.q
-		if d := s.trigger - uint64(s.counter[lrn]); d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		s.counter[lrn] += uint32(applied)
-		if uint64(s.counter[lrn]) >= s.trigger {
-			s.counter[lrn] = 0
-			s.exchange(lrn)
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the per-region
-// exchange interval ψ*Q.
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.trigger, k) }
 
 // exchange swaps region r with a uniformly random region and re-keys both.
 func (s *Scheme) exchange(r uint64) {

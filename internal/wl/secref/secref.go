@@ -27,7 +27,6 @@ import (
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -63,6 +62,7 @@ func (s *sr) translate(m uint64) uint64 {
 
 // Scheme is a (two-level) Security Refresh instance bound to a device.
 type Scheme struct {
+	wl.Driver
 	cfg          Config
 	dev          *nvm.Device
 	k            uint64 // lines per region
@@ -106,6 +106,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		s.inner[i].n = k
 	}
 	s.outer.n = cfg.Regions
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
@@ -122,7 +123,7 @@ func (s *Scheme) newKey(n, prev uint64) uint64 {
 	}
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 {
 	ms, mi := lma/s.k, lma%s.k
 	ps := s.outer.translate(ms)
@@ -130,94 +131,34 @@ func (s *Scheme) Translate(lma uint64) uint64 {
 	return ps*s.k + pi
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
+// Headroom implements wl.Kernel: a line's mapping only changes at an inner
+// or outer refresh step, so it holds until the nearer of the two triggers.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	h := s.cfg.InnerPeriod - s.inner[lma/s.k].writes
+	if s.cfg.Regions > 1 {
+		h = min(h, s.outerTrigger-s.outerCounter)
 	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
+	return h
+}
 
+// Commit implements wl.Kernel. At a shared boundary the inner step runs
+// before the outer one.
+func (s *Scheme) Commit(lma, n uint64) {
 	ms := lma / s.k
 	in := &s.inner[ms]
-	in.writes++
+	in.writes += n
 	if in.writes >= s.cfg.InnerPeriod {
 		in.writes = 0
 		s.innerStep(ms)
 	}
 	if s.cfg.Regions > 1 {
-		s.outerCounter++
+		s.outerCounter += n
 		if s.outerCounter >= s.outerTrigger {
 			s.outerCounter = 0
 			s.outerStep()
 		}
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. A line's mapping only changes at
-// an inner or outer refresh step, so a run of identical writes folds into
-// one nvm.WriteRun bounded by the distance to the next step of either
-// level; the step order at a shared boundary (inner, then outer) matches
-// the scalar path.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		ms := lma / s.k
-		in := &s.inner[ms]
-		if d := s.cfg.InnerPeriod - in.writes; d < c {
-			c = d
-		}
-		if s.cfg.Regions > 1 {
-			if d := s.outerTrigger - s.outerCounter; d < c {
-				c = d
-			}
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		in.writes += applied
-		if in.writes >= s.cfg.InnerPeriod {
-			in.writes = 0
-			s.innerStep(ms)
-		}
-		if s.cfg.Regions > 1 {
-			s.outerCounter += applied
-			if s.outerCounter >= s.outerTrigger {
-				s.outerCounter = 0
-				s.outerStep()
-			}
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the inner refresh
-// period (the finer of the two trigger intervals).
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.cfg.InnerPeriod, k) }
 
 // innerStep performs one refresh step of region ms's inner instance,
 // swapping one physical line pair inside the physical subregion currently

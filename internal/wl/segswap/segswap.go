@@ -13,7 +13,6 @@ package segswap
 
 import (
 	"nvmwear/internal/nvm"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -26,6 +25,7 @@ type Config struct {
 
 // Scheme is a Segment Swapping instance.
 type Scheme struct {
+	wl.Driver
 	cfg  Config
 	dev  *nvm.Device
 	segs uint64
@@ -63,80 +63,32 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		s.logToPhys[i] = uint32(i)
 		s.physToLog[i] = uint32(i)
 	}
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 {
 	seg := lma / s.cfg.SegmentLines
 	off := lma % s.cfg.SegmentLines
 	return uint64(s.logToPhys[seg])*s.cfg.SegmentLines + off
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
-	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
-	pseg := pma / s.cfg.SegmentLines
-	s.wearCount[pseg]++
-	s.sinceSwap[pseg]++
+// Headroom implements wl.Kernel: the segment table only changes at a swap,
+// so lma's mapping holds until its physical segment reaches the period.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	return s.cfg.Period - s.sinceSwap[s.logToPhys[lma/s.cfg.SegmentLines]]
+}
+
+// Commit implements wl.Kernel.
+func (s *Scheme) Commit(lma, n uint64) {
+	pseg := uint64(s.logToPhys[lma/s.cfg.SegmentLines])
+	s.wearCount[pseg] += n
+	s.sinceSwap[pseg] += n
 	if s.sinceSwap[pseg] >= s.cfg.Period {
 		s.swap(pseg)
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. The segment table only changes at
-// a swap, so a run of identical writes folds into one nvm.WriteRun bounded
-// by the physical segment's distance to its next swap trigger.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		pma := s.Translate(lma)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(pma, c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		pseg := pma / s.cfg.SegmentLines
-		if d := s.cfg.Period - s.sinceSwap[pseg]; d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(pma, c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		s.wearCount[pseg] += applied
-		s.sinceSwap[pseg] += applied
-		if s.sinceSwap[pseg] >= s.cfg.Period {
-			s.swap(pseg)
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the swapping period.
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.cfg.Period, k) }
 
 // swap exchanges the data of hot physical segment with the least-worn
 // physical segment (linear scan; the table-based scheme pays this cost in

@@ -24,7 +24,6 @@ package softwear
 import (
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -38,6 +37,7 @@ type Config struct {
 
 // Scheme is a softwear instance bound to a device.
 type Scheme struct {
+	wl.Driver
 	cfg    Config
 	dev    *nvm.Device
 	q      uint64 // lines per page
@@ -92,91 +92,38 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		s.perm[i] = uint32(i)
 		s.inv[i] = uint32(i)
 	}
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler: pages relocate whole, line offsets
+// Translate implements wl.Kernel: pages relocate whole, line offsets
 // within a page are identity (software cannot scramble a hardware row).
 func (s *Scheme) Translate(lma uint64) uint64 {
 	return uint64(s.perm[lma/s.q])*s.q + (lma & (s.q - 1))
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
-	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
-	s.g++
-	if s.g%s.sample == 0 {
-		lpn := lma / s.q
-		s.count[lpn]++
-		s.wear[s.perm[lpn]]++
-		if s.count[lpn] >= s.trig {
-			s.rotate(lpn)
-		}
-	}
-	return pma
+// Headroom implements wl.Kernel. Sampling charges only the written page,
+// so the mapping holds until this page's own trigger: sample number
+// g/S + (T - count), which lands on demand write (g/S + (T-count))*S.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	return (s.g/s.sample+uint64(s.trig-s.count[lma/s.q]))*s.sample - s.g
 }
 
-// AccessBatch implements wl.BatchLeveler. Sampling charges only the written
-// page, so mid-run no other page's counter can move and the mapping is
-// stable until this run's own trigger; a run of identical writes folds into
-// one nvm.WriteRun clamped at the write whose sample completes the trigger.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		lpn := lma / s.q
-		// The sample that fires the trigger is sample number
-		// g/S + (T - count); it lands on demand write (g/S + (T-count))*S,
-		// i.e. d writes from here. Writes beyond d belong to the next
-		// mapping epoch.
-		if d := (s.g/s.sample+uint64(s.trig-s.count[lpn]))*s.sample - s.g; d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		samples := (s.g+applied)/s.sample - s.g/s.sample
-		s.g += applied
-		if samples > 0 {
-			s.count[lpn] += uint32(samples)
-			s.wear[s.perm[lpn]] += uint32(samples)
-			if s.count[lpn] >= s.trig {
-				s.rotate(lpn)
-			}
-		}
-		i += int(applied)
+// Commit implements wl.Kernel: every S-th demand write is a sample charged
+// to the written page's epoch counter and to its frame's wear estimate.
+func (s *Scheme) Commit(lma, n uint64) {
+	samples := (s.g+n)/s.sample - s.g/s.sample
+	s.g += n
+	if samples == 0 {
+		return
 	}
-	return n
+	lpn := lma / s.q
+	s.count[lpn] += uint32(samples)
+	s.wear[s.perm[lpn]] += uint32(samples)
+	if s.count[lpn] >= s.trig {
+		s.rotate(lpn)
+	}
 }
-
-// Advance implements wl.BatchLeveler: a hot page triggers a swap per S*T
-// demand writes to it, so epochs size from that interval.
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.sample*uint64(s.trig), k) }
 
 // rotate moves hot page `hot` to the least-worn physical frame (minimum
 // cumulative wear estimate, lowest frame number on ties, the hot page's own

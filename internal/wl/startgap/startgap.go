@@ -18,7 +18,6 @@ package startgap
 
 import (
 	"nvmwear/internal/nvm"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -41,6 +40,7 @@ type region struct {
 // lines (one gap line per region); region r occupies the physical range
 // [r*(K+1), (r+1)*(K+1)) where K = Lines/Regions.
 type Scheme struct {
+	wl.Driver
 	cfg     Config
 	dev     *nvm.Device
 	k       uint64 // logical lines per region
@@ -68,10 +68,11 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 	for i := range s.regions {
 		s.regions[i].gap = k // gap starts at the spare slot after the data
 	}
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 {
 	r := lma / s.k
 	la := lma % s.k
@@ -86,73 +87,22 @@ func (s *Scheme) Translate(lma uint64) uint64 {
 	return r*(s.k+1) + p
 }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
-	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
+// Headroom implements wl.Kernel: a region's mapping only changes at a gap
+// movement, so lma's mapping holds until its region reaches the period.
+func (s *Scheme) Headroom(lma uint64) uint64 {
+	return s.cfg.Period - s.regions[lma/s.k].writes
+}
+
+// Commit implements wl.Kernel.
+func (s *Scheme) Commit(lma, n uint64) {
 	r := lma / s.k
 	reg := &s.regions[r]
-	reg.writes++
+	reg.writes += n
 	if reg.writes >= s.cfg.Period {
 		reg.writes = 0
 		s.moveGap(r)
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. A region's mapping only changes
-// at a gap movement, so a run of identical writes folds into one
-// nvm.WriteRun bounded by the region's distance to its next movement; the
-// translation is computed once per chunk instead of once per request.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		r := lma / s.k
-		reg := &s.regions[r]
-		if d := s.cfg.Period - reg.writes; d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		reg.writes += applied
-		if reg.writes >= s.cfg.Period {
-			reg.writes = 0
-			s.moveGap(r)
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the gap-movement
-// period.
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.cfg.Period, k) }
 
 // moveGap performs one gap movement in region r: one line copies into the
 // gap slot (one device write).

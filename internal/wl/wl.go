@@ -1,6 +1,8 @@
 // Package wl defines the interface every wear-leveling scheme in this
-// repository implements, the shared accounting they report, and the trivial
-// identity scheme (the paper's "Baseline" without any wear leveling).
+// repository implements, the shared accounting they report, the access
+// driver that serves requests for a scheme's trigger rule (Driver over a
+// Kernel), and the trivial identity scheme (the paper's "Baseline" without
+// any wear leveling).
 //
 // A wear-leveling scheme is a time-varying bijection from logical line
 // addresses (what the application sees) to physical line addresses (where
@@ -14,6 +16,7 @@ package wl
 
 import (
 	"fmt"
+	"math"
 
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/trace"
@@ -26,6 +29,16 @@ type Leveler interface {
 	// access triggers, and returns the physical address the demand access
 	// landed on.
 	Access(op trace.Op, lma uint64) (pma uint64)
+
+	// AccessBatch serves ops[i]/addrs[i] in order and returns how many
+	// requests were processed: len(ops) normally, fewer when the device
+	// died mid-batch (the killing access still completes its bookkeeping,
+	// and counts). The contract is absolute: AccessBatch must be observably
+	// identical to calling Access once per request with a device-liveness
+	// check between requests. Folding repeated accesses may change how
+	// state is stepped, never the modeled outcome: every counter, RNG draw
+	// and death ordering matches the per-request sequence bit for bit.
+	AccessBatch(ops []trace.Op, addrs []uint64) int
 
 	// Translate returns the current mapping of lma without side effects.
 	Translate(lma uint64) (pma uint64)
@@ -44,52 +57,91 @@ type Leveler interface {
 	OverheadBits() uint64
 }
 
-// BatchLeveler marks schemes that can serve whole request batches per call
-// — the batched epoch-stepped hot path. The contract is absolute:
-// AccessBatch must be observably identical to calling Access once per
-// request with a device-liveness check between requests, exactly as the
-// scalar lifetime loop does. Batching may change how state is stepped
-// (folding repeated accesses, deferring counter arithmetic to a swap
-// boundary), never the modeled outcome: every counter, RNG draw and death
-// ordering must match the scalar path bit for bit.
-type BatchLeveler interface {
-	Leveler
+// Kernel is the per-scheme half of the access path: the trigger rule every
+// scheme in the catalogue follows — count demand writes, remap when the
+// count reaches the swapping period (Sec 2.1). Driver supplies the rest.
+type Kernel interface {
+	// Translate returns the current mapping of lma without side effects.
+	Translate(lma uint64) uint64
 
-	// AccessBatch serves ops[i]/addrs[i] in order and returns how many
-	// requests were processed: len(ops) normally, fewer when the device
-	// died mid-batch (the killing access still completes its bookkeeping,
-	// and counts, exactly like the scalar loop).
-	AccessBatch(ops []trace.Op, addrs []uint64) int
+	// Headroom returns how many demand writes to lma can land, from the
+	// current state, before lma's mapping may change: the writes up to and
+	// including the one whose Commit fires the next trigger. It is >= 1.
+	Headroom(lma uint64) uint64
 
-	// Advance reports the scheme's preferred epoch length given k buffered
-	// requests: how many requests the driver should hand to the next
-	// AccessBatch call, derived from the scheme's swap interval so an epoch
-	// spans a useful number of scheme steps without the driver outrunning
-	// the request generator. Must return a value in [1, k] for k >= 1.
-	Advance(k int) int
+	// Commit advances the scheme's counters by n demand writes to lma
+	// (1 <= n <= Headroom(lma)), all landed on Translate(lma), and fires
+	// the trigger when the n-th write reaches it.
+	Commit(lma, n uint64)
 }
 
-// ClampEpoch derives a batched-epoch length from a scheme's swap interval
-// (in demand writes): enough requests to span several scheme steps, bounded
-// above so the driver never prefetches unreasonably far ahead of the
-// request generator, and never more than the k requests available. It is
-// the shared Advance implementation for interval-triggered schemes.
-func ClampEpoch(interval uint64, k int) int {
-	const lo, hi = 64, 4096
-	e := hi
-	if interval < hi/16 {
-		e = int(interval) * 16
+// Driver derives Access and AccessBatch from a Kernel. Schemes embed it, so
+// the liveness check, run detection, read folding, headroom clamping, the
+// killing-write rule and the demand counters are written once for the
+// whole catalogue.
+type Driver struct {
+	dev   *nvm.Device
+	k     Kernel
+	stats *Stats
+}
+
+// NewDriver binds a scheme's kernel to its device; the driver charges
+// demand reads and writes to *stats.
+func NewDriver(dev *nvm.Device, k Kernel, stats *Stats) Driver {
+	return Driver{dev: dev, k: k, stats: stats}
+}
+
+// Access implements Leveler: a run of one, through the device's
+// single-access primitives.
+func (d *Driver) Access(op trace.Op, lma uint64) uint64 {
+	pma := d.k.Translate(lma)
+	if op == trace.Read {
+		d.stats.DataReads++
+		d.dev.Read(pma)
+		return pma
 	}
-	if e < lo {
-		e = lo
+	d.stats.DataWrites++
+	d.dev.Write(pma)
+	d.k.Commit(lma, 1)
+	return pma
+}
+
+// AccessBatch implements Leveler. Each maximal run of identical (op, lma)
+// is found once. Reads never move a mapping, so a read run is one ReadRun.
+// A write run goes in chunks clamped at the kernel's headroom,
+// re-translated after every Commit; the write that kills the device still
+// commits, as it would have per request.
+func (d *Driver) AccessBatch(ops []trace.Op, addrs []uint64) int {
+	n := len(ops)
+	for i := 0; i < n; {
+		if !d.dev.Alive() {
+			return i
+		}
+		op, lma := ops[i], addrs[i]
+		j := i + 1
+		for j < n && ops[j] == op && addrs[j] == lma {
+			j++
+		}
+		if op == trace.Read {
+			issued := d.dev.ReadRun(d.k.Translate(lma), uint64(j-i))
+			d.stats.DataReads += issued
+			i += int(issued)
+			continue
+		}
+		for i < j && d.dev.Alive() {
+			chunk := uint64(j - i)
+			if chunk > 1 { // every write has headroom for itself
+				chunk = min(chunk, d.k.Headroom(lma))
+			}
+			if served := d.dev.WriteRun(d.k.Translate(lma), chunk); served < chunk {
+				chunk = served + 1
+			}
+			d.stats.DataWrites += chunk
+			d.k.Commit(lma, chunk)
+			i += int(chunk)
+		}
 	}
-	if k < e {
-		e = k
-	}
-	if e < 1 {
-		e = 1
-	}
-	return e
+	return n
 }
 
 // Partitionable marks schemes that can run as one independent instance per
@@ -184,66 +236,27 @@ func (s Stats) String() string {
 // address. Its lifetime under any non-uniform workload is the paper's
 // "Baseline" bar in Fig 16.
 type Identity struct {
-	dev   *nvm.Device
+	Driver
 	lines uint64
 	stats Stats
 }
 
 // NewIdentity creates the baseline over the device's full line space.
 func NewIdentity(dev *nvm.Device) *Identity {
-	return &Identity{dev: dev, lines: dev.Lines()}
+	l := &Identity{lines: dev.Lines()}
+	l.Driver = NewDriver(dev, l, &l.stats)
+	return l
 }
 
-// Access implements Leveler.
-func (l *Identity) Access(op trace.Op, lma uint64) uint64 {
-	if op == trace.Write {
-		l.stats.DataWrites++
-		l.dev.Write(lma)
-	} else {
-		l.stats.DataReads++
-		l.dev.Read(lma)
-	}
-	return lma
-}
-
-// AccessBatch implements BatchLeveler: with no mapping to maintain, runs of
-// repeated requests fold directly into the device's run primitives.
-func (l *Identity) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !l.dev.Alive() {
-			return i
-		}
-		op, a := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == a {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Write {
-			served := l.dev.WriteRun(a, c)
-			applied := c
-			if served < c {
-				applied = served + 1 // the killing write's access still counts
-			}
-			l.stats.DataWrites += applied
-			i += int(applied)
-		} else {
-			issued := l.dev.ReadRun(a, c)
-			l.stats.DataReads += issued
-			i += int(issued)
-		}
-	}
-	return n
-}
-
-// Advance implements BatchLeveler. The baseline has no swap interval, so any
-// epoch length works; take everything buffered.
-func (l *Identity) Advance(k int) int { return k }
-
-// Translate implements Leveler.
+// Translate implements Kernel.
 func (l *Identity) Translate(lma uint64) uint64 { return lma }
+
+// Headroom implements Kernel: with no mapping to maintain, a whole run
+// folds into one device run.
+func (l *Identity) Headroom(uint64) uint64 { return math.MaxUint64 }
+
+// Commit implements Kernel: the baseline has no trigger.
+func (l *Identity) Commit(uint64, uint64) {}
 
 // Lines implements Leveler.
 func (l *Identity) Lines() uint64 { return l.lines }

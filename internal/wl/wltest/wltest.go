@@ -132,10 +132,10 @@ func benchRequests(lines uint64, n int) ([]trace.Op, []uint64) {
 }
 
 // BenchAccess benchmarks a scheme's request path on the BPA request shape
-// (64-write runs to random lines): once through the scalar Access loop and,
-// when the scheme implements wl.BatchLeveler, once through AccessBatch in
-// scheme-preferred epochs. mk must return a fresh scheme on a wear-proof
-// device (BenchDevice), so the run never dies.
+// (64-write runs to random lines): once through the per-request Access loop
+// and once through one AccessBatch call over the whole request slice. mk
+// must return a fresh scheme on a wear-proof device (BenchDevice), so the
+// run never dies.
 func BenchAccess(b *testing.B, mk func() wl.Leveler) {
 	b.Run("scalar", func(b *testing.B) {
 		lv := mk()
@@ -147,25 +147,10 @@ func BenchAccess(b *testing.B, mk func() wl.Leveler) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		lv := mk()
-		bl, ok := lv.(wl.BatchLeveler)
-		if !ok {
-			b.Skipf("%s does not implement wl.BatchLeveler", lv.Name())
-		}
 		ops, addrs := benchRequests(lv.Lines(), b.N)
 		b.ResetTimer()
-		for used := 0; used < len(ops); {
-			k := bl.Advance(len(ops) - used)
-			if k < 1 {
-				k = 1
-			}
-			if k > len(ops)-used {
-				k = len(ops) - used
-			}
-			n := bl.AccessBatch(ops[used:used+k], addrs[used:used+k])
-			if n == 0 {
-				b.Fatalf("%s: AccessBatch made no progress (device died?)", lv.Name())
-			}
-			used += n
+		if n := lv.AccessBatch(ops, addrs); n != len(ops) {
+			b.Fatalf("%s: AccessBatch served %d of %d requests (device died?)", lv.Name(), n, len(ops))
 		}
 	})
 }

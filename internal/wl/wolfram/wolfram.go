@@ -24,7 +24,6 @@ import (
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
-	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
@@ -37,6 +36,7 @@ type Config struct {
 
 // Scheme is a wolfram instance bound to a device.
 type Scheme struct {
+	wl.Driver
 	cfg Config
 	dev *nvm.Device
 
@@ -75,74 +75,25 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 	// leveler uses: count them as decoder remaps rather than modeling a
 	// second indirection over the spare area.
 	dev.SetRetireHook(func(uint64) { s.stats.Remaps++ })
+	s.Driver = wl.NewDriver(dev, s, &s.stats)
 	return s
 }
 
-// Translate implements wl.Leveler.
+// Translate implements wl.Kernel.
 func (s *Scheme) Translate(lma uint64) uint64 { return uint64(s.perm[lma]) }
 
-// Access implements wl.Leveler.
-func (s *Scheme) Access(op trace.Op, lma uint64) uint64 {
-	pma := s.Translate(lma)
-	if op == trace.Read {
-		s.stats.DataReads++
-		s.dev.Read(pma)
-		return pma
-	}
-	s.stats.DataWrites++
-	s.dev.Write(pma)
-	s.counter++
+// Headroom implements wl.Kernel: the mapping only changes at a swap, and
+// the swap interval is a global write counter.
+func (s *Scheme) Headroom(uint64) uint64 { return s.cfg.Period - s.counter }
+
+// Commit implements wl.Kernel.
+func (s *Scheme) Commit(lma, n uint64) {
+	s.counter += n
 	if s.counter >= s.cfg.Period {
 		s.counter = 0
 		s.swap(lma)
 	}
-	return pma
 }
-
-// AccessBatch implements wl.BatchLeveler. The mapping only changes at a
-// swap, and the swap interval is a global write counter, so a run of
-// identical writes folds into one nvm.WriteRun bounded by the distance to
-// the next swap.
-func (s *Scheme) AccessBatch(ops []trace.Op, addrs []uint64) int {
-	n := len(ops)
-	i := 0
-	for i < n {
-		if !s.dev.Alive() {
-			return i
-		}
-		op, lma := ops[i], addrs[i]
-		j := i + 1
-		for j < n && ops[j] == op && addrs[j] == lma {
-			j++
-		}
-		c := uint64(j - i)
-		if op == trace.Read {
-			issued := s.dev.ReadRun(s.Translate(lma), c)
-			s.stats.DataReads += issued
-			i += int(issued)
-			continue
-		}
-		if d := s.cfg.Period - s.counter; d < c {
-			c = d
-		}
-		served := s.dev.WriteRun(s.Translate(lma), c)
-		applied := c
-		if served < c {
-			applied = served + 1 // the killing write's bookkeeping still runs
-		}
-		s.stats.DataWrites += applied
-		s.counter += applied
-		if s.counter >= s.cfg.Period {
-			s.counter = 0
-			s.swap(lma)
-		}
-		i += int(applied)
-	}
-	return n
-}
-
-// Advance implements wl.BatchLeveler: epochs sized from the swap interval.
-func (s *Scheme) Advance(k int) int { return wl.ClampEpoch(s.cfg.Period, k) }
 
 // swap exchanges the just-written logical line with a uniformly random
 // partner by reprogramming their two decoder entries. A self-partner draw
