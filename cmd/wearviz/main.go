@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"nvmwear"
 )
@@ -21,7 +22,11 @@ import (
 var shades = []byte(" .:-=+*#%@")
 
 func main() {
-	scheme := flag.String("scheme", "sawl", "scheme: baseline|segswap|startgap|rbsg|tlsr|pcms|mwsr|nwl|sawl")
+	var kinds []string
+	for _, k := range nvmwear.Schemes() {
+		kinds = append(kinds, string(k))
+	}
+	scheme := flag.String("scheme", "sawl", "scheme: "+strings.Join(kinds, "|"))
 	workloadKind := flag.String("workload", "raa", "workload: raa|bpa|uniform|sequential|spec")
 	name := flag.String("name", "gcc", "SPEC profile (workload=spec)")
 	n := flag.Uint64("n", 1<<21, "requests to run")

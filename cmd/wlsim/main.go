@@ -134,9 +134,10 @@ func main() {
 	default:
 		sc.Shards = *shards
 	}
-	// -wear is validated up front — both the CLI and serve paths inherit the
-	// checked name, so a typo fails fast instead of erroring per sweep job.
-	if err := nvmwear.CheckWearModel(*wearModel); err != nil {
+	// -wear and -scheme are validated up front — both the CLI and serve
+	// paths inherit the checked names, so a typo fails fast instead of
+	// erroring per sweep job.
+	if err := errors.Join(nvmwear.CheckWearModel(*wearModel), nvmwear.CheckScheme(*sweepScheme)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -341,10 +342,6 @@ func parseDevices(s string) (base int, overrides map[nvmwear.SchemeKind]int, err
 	if s == "" {
 		return 0, nil, nil
 	}
-	known := make(map[nvmwear.SchemeKind]bool)
-	for _, k := range nvmwear.Schemes() {
-		known[k] = true
-	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -360,7 +357,7 @@ func parseDevices(s string) (base int, overrides map[nvmwear.SchemeKind]int, err
 			continue
 		}
 		kind := nvmwear.SchemeKind(strings.TrimSpace(name))
-		if !known[kind] {
+		if kind == "" || nvmwear.CheckScheme(string(kind)) != nil {
 			return 0, nil, fmt.Errorf("-devices: unknown scheme %q (see `wlsim list`)", name)
 		}
 		n, err := strconv.Atoi(strings.TrimSpace(val))

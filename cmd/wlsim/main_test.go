@@ -389,6 +389,17 @@ func TestDevicesFlagValidatedViaCLI(t *testing.T) {
 	}
 }
 
+// An unknown -scheme is a usage error caught before any sweep job runs.
+func TestSchemeFlagValidatedViaCLI(t *testing.T) {
+	_, stderr, err := wlsim(t, nil, "-scale", "tiny", "-scheme", "bogus", "sweep")
+	if ee, ok := err.(*osexec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("unknown -scheme: err = %v, want exit 2; stderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(stderr, `unknown scheme "bogus"`) {
+		t.Errorf("no unknown-scheme diagnostic on stderr:\n%s", stderr)
+	}
+}
+
 // TestFleetPoisonQuarantinesViaCLI drives the quarantine path through the
 // real binary: WLSIM_FLEET_POISON panics one device job mid-sweep, and the
 // process must still exit 0 with the device reported in the quarantine

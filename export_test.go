@@ -5,6 +5,8 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"testing"
+
+	"nvmwear/internal/fault"
 )
 
 func demoSeries() []Series {
@@ -124,5 +126,36 @@ func TestCrashRecoveryFacade(t *testing.T) {
 	// Corrupted checkpoint refused at the facade too.
 	if _, err := RecoverSystem(sys, ckpt[:10]); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
+	}
+}
+
+// A recovered controller keeps the original system's metadata-fault
+// injection armed: NewSystem and RecoverSystem build the tiered engine from
+// one configuration.
+func TestRecoverSystemKeepsFaultInjection(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{
+		Scheme: SAWL, Lines: 1 << 12, SpareLines: 1, Endurance: 1 << 30,
+		Period: 8, CMTEntries: 256, Seed: 3,
+		Fault: fault.Config{MetadataRate: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := func(s *System) {
+		for i := uint64(0); i < 50000; i++ {
+			s.Write(i * 2654435761 % (1 << 12))
+		}
+	}
+	writes(sys)
+	if sys.Stats().MetaFaults == 0 {
+		t.Fatal("no metadata faults injected before the checkpoint")
+	}
+	rec, err := RecoverSystem(sys, sys.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes(rec)
+	if rec.Stats().MetaFaults == 0 {
+		t.Fatal("recovered system injected no metadata faults")
 	}
 }

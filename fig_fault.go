@@ -55,12 +55,12 @@ func init() {
 			// Linear X: the rate sweep starts at the fault-free control
 			// point 0, which a log axis cannot place.
 			gl := SVG{Name: "fault",
-				Title:  "Fault sweep: normalized lifetime (%) vs injected fault rate, uniform 50% writes",
-				XName:  "rate", YName: "value", Series: fr.Life,
+				Title: "Fault sweep: normalized lifetime (%) vs injected fault rate, uniform 50% writes",
+				XName: "rate", YName: "value", Series: fr.Life,
 			}
 			gd := SVG{Name: "fault-loss",
-				Title:  "Fault sweep: uncorrectable losses per 1M reads vs injected fault rate",
-				XName:  "rate", YName: "value", Series: fr.Loss,
+				Title: "Fault sweep: uncorrectable losses per 1M reads vs injected fault rate",
+				XName: "rate", YName: "value", Series: fr.Loss,
 			}
 			rec := Table{
 				Title: "Fault recovery counters",

@@ -31,9 +31,10 @@ import (
 // instead of failing the sweep.
 
 // FleetSchemes are the schemes the fleet sweep populates: the complete
-// catalogue. Every scheme is wl.Partitionable (exact or bank-local, see
-// DESIGN.md §15), so under -shards a population run decomposes every
-// device across the bank geometry — no scheme-level serial fallback.
+// catalogue. Every scheme shards on a divisible geometry (exact or
+// bank-local, see DESIGN.md §15), so under -shards a population run
+// decomposes every device across the bank geometry — no scheme-level
+// serial fallback.
 var FleetSchemes = Schemes()
 
 // fleetDefaultDevices is the per-scheme population when Scale.FleetDevices
@@ -154,7 +155,7 @@ func init() {
 // RunFleet runs the fleet population sweep. Every device is one pool job:
 // it draws its parameters from its seed substreams, builds the system and
 // tenant workload, and runs to device death (or the 4x-ideal write budget)
-// under the sweep's shard policy. With the whole catalogue Partitionable,
+// under the sweep's shard policy. With every catalogue entry shardable,
 // every scheme's devices decompose across the bank geometry under -shards;
 // only workload-level fallbacks (RAA, file traces) run serial, logged once,
 // never failing the sweep. Device failures (errors or
@@ -431,4 +432,3 @@ func renderFleet(r Result) ([]Table, []SVG) {
 	}
 	return tables, nil
 }
-

@@ -107,7 +107,7 @@ func TestFleetQuarantinesPoisonedDevice(t *testing.T) {
 }
 
 // TestFleetShardsWholeCatalogue runs the fleet under -shards: with every
-// scheme in the catalogue Partitionable and the fleet geometry divisible,
+// scheme in the catalogue shardable and the fleet geometry divisible,
 // every device of every scheme must decompose — zero scheme-level serial
 // fallbacks logged — and every row must complete cleanly.
 func TestFleetShardsWholeCatalogue(t *testing.T) {
@@ -126,7 +126,7 @@ func TestFleetShardsWholeCatalogue(t *testing.T) {
 		}
 	}
 	if strings.Contains(logs.String(), "runs serial") {
-		t.Fatalf("fully Partitionable catalogue still fell back to serial:\n%s", logs.String())
+		t.Fatalf("fully shardable catalogue still fell back to serial:\n%s", logs.String())
 	}
 }
 

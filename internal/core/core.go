@@ -500,16 +500,6 @@ func (s *Scheme) OverheadBits() uint64 {
 	return uint64(s.cfg.CMTEntries)*entryBits + s.dir.OverheadBits()
 }
 
-// Partitions implements wl.Partitionable: data exchange and region merging
-// stay inside one maximum-granularity region (p << maxLevel lines), so the
-// scheme is a product of independent units at that granularity. Sharding is
-// exact when these units divide evenly across shards (each shard gets its
-// own CMT/GTD — the per-bank-controller model).
-func (s *Scheme) Partitions() uint64 { return s.cfg.Lines / (s.p << s.maxLevel) }
-
-// PartitionExact implements wl.Partitionable: see Partitions.
-func (s *Scheme) PartitionExact() bool { return true }
-
 // Table exposes the IMT (read-only use by tests and the verifier).
 func (s *Scheme) Table() *imt.Table { return s.table }
 

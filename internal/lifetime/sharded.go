@@ -2,12 +2,13 @@
 // geometry into independent per-shard runs on the exec pool, with wear and
 // accounting merged back into a single Result.
 //
-// The decomposition is exact for wl.Partitionable schemes whose partition
-// units divide evenly across shards: each shard is a closed system (its own
-// device slice, scheme instance and trace substream), so the union of shard
-// trajectories is a trajectory of the whole device under a bank-interleaved
-// request order. Callers are responsible for that gating — this runner just
-// executes whatever shard list it is handed.
+// The decomposition is exact for schemes whose leveling never crosses a
+// partition unit, when those units divide evenly across shards: each shard
+// is a closed system (its own device slice, scheme instance and trace
+// substream), so the union of shard trajectories is a trajectory of the
+// whole device under a bank-interleaved request order. Callers are
+// responsible for that gating (the root package's scheme catalogue) — this
+// runner just executes whatever shard list it is handed.
 package lifetime
 
 import (

@@ -49,6 +49,9 @@ func (s *Server) resolve(spec Spec) (*run, *admitError) {
 			fmt.Sprintf("shards %d out of range [1,%d]", shards, nvmwear.MaxShards), false}
 	}
 	sc.Shards = shards
+	if err := nvmwear.CheckScheme(spec.Scheme); err != nil {
+		return nil, &admitError{http.StatusBadRequest, err.Error(), false}
+	}
 	sc.SweepScheme = nvmwear.SchemeKind(spec.Scheme)
 	wear := spec.Wear
 	if wear == "" {

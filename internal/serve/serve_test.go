@@ -407,6 +407,7 @@ func TestAdmissionValidation(t *testing.T) {
 		{map[string]any{"experiment": "serve-test-quick", "timeout": "soon"}, http.StatusBadRequest},
 		{map[string]any{"experiment": "serve-test-quick", "format": "yaml"}, http.StatusBadRequest},
 		{map[string]any{"experiment": "serve-test-quick", "shards": 9999}, http.StatusBadRequest},
+		{map[string]any{"experiment": "serve-test-quick", "scheme": "bogus"}, http.StatusBadRequest},
 		{map[string]any{"experiment": "serve-test-quick", "bogus": true}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

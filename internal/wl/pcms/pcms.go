@@ -171,16 +171,6 @@ func (s *Scheme) OverheadBits() uint64 {
 	return s.regions * (rBits + qBits + counterBits)
 }
 
-// Partitions implements wl.Partitionable: the mapping is region-granular,
-// so a device slice aligned to region boundaries is a closed address space.
-func (s *Scheme) Partitions() uint64 { return s.regions }
-
-// PartitionExact implements wl.Partitionable: exchange partners are drawn
-// uniformly over the whole instance's regions, so per-bank instances draw
-// partners from their own bank's regions and their own seed substream — the
-// bank-local modeling variant (DESIGN.md §15), not an exact decomposition.
-func (s *Scheme) PartitionExact() bool { return false }
-
 // EntryBits returns the on-chip bits of one mapping entry (without the
 // counter) — used by the Fig 5 cache-budget experiment.
 func EntryBits(regions, regionLines uint64) uint64 {

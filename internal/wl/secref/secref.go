@@ -239,13 +239,3 @@ func (s *Scheme) OverheadBits() uint64 {
 	per := 3*kBits + counterBits
 	return s.cfg.Regions*per + 3*rBits + counterBits
 }
-
-// Partitions implements wl.Partitionable: inner refreshes are confined to
-// one region, so regions are the instance's natural partition units.
-func (s *Scheme) Partitions() uint64 { return s.cfg.Regions }
-
-// PartitionExact implements wl.Partitionable: the outer level migrates
-// subregions across the whole instance, so per-bank instances run the outer
-// refresh over their own bank's regions only — the bank-local modeling
-// variant (DESIGN.md §15), not an exact decomposition.
-func (s *Scheme) PartitionExact() bool { return false }

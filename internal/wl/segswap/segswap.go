@@ -149,13 +149,3 @@ func (s *Scheme) OverheadBits() uint64 {
 	const counterBits = 32
 	return s.segs * (segBits + 2*counterBits)
 }
-
-// Partitions implements wl.Partitionable: the mapping is segment-granular,
-// so a device slice aligned to segment boundaries is a closed address space.
-func (s *Scheme) Partitions() uint64 { return s.segs }
-
-// PartitionExact implements wl.Partitionable: the coldest-segment scan
-// ranges over the whole instance, so per-bank instances scan only their own
-// bank — the bank-local modeling variant (DESIGN.md §15), not an exact
-// decomposition of the device-wide scan.
-func (s *Scheme) PartitionExact() bool { return false }

@@ -174,13 +174,3 @@ func (s *Scheme) Pages() uint64 { return s.pages }
 // counters live in ordinary DRAM managed by software — SoftWear's whole
 // premise is that the memory controller carries no wear-leveling state.
 func (s *Scheme) OverheadBits() uint64 { return 0 }
-
-// Partitions implements wl.Partitionable: the mapping is page-granular, so
-// a device slice aligned to page boundaries is a closed address space.
-func (s *Scheme) Partitions() uint64 { return s.pages }
-
-// PartitionExact implements wl.Partitionable: the coldest-page scan ranges
-// over the whole instance, so per-bank instances pick bank-local victims
-// and sample their own bank's write stream — the bank-local modeling
-// variant (DESIGN.md §15), not an exact decomposition.
-func (s *Scheme) PartitionExact() bool { return false }

@@ -72,9 +72,6 @@ func TestNoHardwareOverhead(t *testing.T) {
 	if s.Name() != "SoftWear" || s.Lines() != 256 {
 		t.Fatal("metadata")
 	}
-	if s.Partitions() != s.Pages() || s.PartitionExact() {
-		t.Fatal("partitioning contract")
-	}
 }
 
 func TestConstructorPanics(t *testing.T) {

@@ -150,14 +150,3 @@ func (s *Scheme) OverheadBits() uint64 {
 	const counterBits = 32
 	return s.cfg.Regions * (2*lineBits + counterBits)
 }
-
-// Partitions implements wl.Partitionable: each region keeps its own gap and
-// start registers and never exchanges lines with another region.
-func (s *Scheme) Partitions() uint64 { return s.cfg.Regions }
-
-// PartitionExact implements wl.Partitionable. Multi-region instances (RBSG)
-// decompose exactly at region boundaries. A single-region instance
-// (StartGap) has one device-global gap; its sharded form runs one
-// independent gap per bank — the bank-local modeling variant (DESIGN.md
-// §15).
-func (s *Scheme) PartitionExact() bool { return s.cfg.Regions > 1 }

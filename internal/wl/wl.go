@@ -144,38 +144,6 @@ func (d *Driver) AccessBatch(ops []trace.Op, addrs []uint64) int {
 	return n
 }
 
-// Partitionable marks schemes that can run as one independent instance per
-// bank of a sliced device — the contract behind sharded lifetime runs.
-// Partitions reports the number of independent units the instance's own
-// leveling decomposes into (regions for region-local schemes, segments for
-// segment swapping, lines for Identity); shard gating divides the device at
-// unit boundaries.
-//
-// PartitionExact distinguishes the two decomposition models:
-//
-//   - Exact (true): leveling decisions never cross a partition boundary, so
-//     a union of per-bank instances takes the same decisions as one
-//     whole-device instance under a bank-interleaved request order
-//     (Identity, RBSG, the tiered NWL/SAWL controllers).
-//   - Bank-local (false): the whole-device instance has globally-coupled
-//     state — segment swapping's coldest-segment scan, TLSR's outer
-//     refresh, PCM-S/MWSR's device-wide random exchange partners, a single
-//     start-gap region — and the per-bank instances restrict that state's
-//     scope to their own bank. This is a deliberate, documented modeling
-//     change (DESIGN.md §15): each bank levels itself the way a
-//     per-bank-controller device would, with exchange randomness drawn from
-//     per-shard seed substreams, and sharded results match serial within a
-//     tolerance rather than byte for byte.
-//
-// Either way, every scheme in the catalogue implements this interface; only
-// geometry (unit counts that do not divide across shards) or workloads with
-// global state force a serial fallback.
-type Partitionable interface {
-	Leveler
-	Partitions() uint64
-	PartitionExact() bool
-}
-
 // Stats is the shared accounting every scheme reports.
 type Stats struct {
 	DataWrites  uint64 // demand writes served
@@ -269,10 +237,3 @@ func (l *Identity) Stats() Stats { return l.stats }
 
 // OverheadBits implements Leveler.
 func (l *Identity) OverheadBits() uint64 { return 0 }
-
-// Partitions implements Partitionable: every line is independent.
-func (l *Identity) Partitions() uint64 { return l.lines }
-
-// PartitionExact implements Partitionable: with no mapping at all, any
-// slicing is exact.
-func (l *Identity) PartitionExact() bool { return true }

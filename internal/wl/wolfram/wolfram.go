@@ -127,13 +127,3 @@ func (s *Scheme) Stats() wl.Stats { return s.stats }
 // decoder, not in a table the controller must carry; the only conventional
 // state is the swap counter and period register.
 func (s *Scheme) OverheadBits() uint64 { return 64 }
-
-// Partitions implements wl.Partitionable: the decoder remaps single lines,
-// so any line-aligned device slice is a closed address space.
-func (s *Scheme) Partitions() uint64 { return s.cfg.Lines }
-
-// PartitionExact implements wl.Partitionable: swap partners are drawn
-// uniformly over the whole instance's lines, so per-bank instances draw
-// bank-local partners from their own seed substream — the bank-local
-// modeling variant (DESIGN.md §15), not an exact decomposition.
-func (s *Scheme) PartitionExact() bool { return false }

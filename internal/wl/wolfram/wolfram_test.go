@@ -82,9 +82,6 @@ func TestLowOverheadMetadata(t *testing.T) {
 	if s.Name() != "WoLFRaM" || s.Lines() != 256 {
 		t.Fatal("metadata")
 	}
-	if s.Partitions() != 256 || s.PartitionExact() {
-		t.Fatal("partitioning contract")
-	}
 }
 
 func TestConstructorPanics(t *testing.T) {

@@ -37,13 +37,6 @@ import (
 	"nvmwear/internal/sim"
 	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
-	"nvmwear/internal/wl/mwsr"
-	"nvmwear/internal/wl/pcms"
-	"nvmwear/internal/wl/secref"
-	"nvmwear/internal/wl/segswap"
-	"nvmwear/internal/wl/softwear"
-	"nvmwear/internal/wl/startgap"
-	"nvmwear/internal/wl/wolfram"
 	"nvmwear/internal/workload"
 )
 
@@ -64,13 +57,6 @@ const (
 	SoftWear    SchemeKind = "softwear" // software-only sampled page remapping [PAPERS.md]
 	WoLFRaM     SchemeKind = "wolfram"  // programmable-address-decoder swaps [PAPERS.md]
 )
-
-// Schemes lists every scheme kind in evaluation order. The related-work
-// schemes (softwear, wolfram) follow the paper's original catalogue so the
-// historical figure orderings — and their goldens — are unchanged.
-func Schemes() []SchemeKind {
-	return []SchemeKind{Baseline, SegmentSwap, StartGap, RBSG, TLSR, PCMS, MWSR, NWL, SAWL, SoftWear, WoLFRaM}
-}
 
 // WearModels lists the selectable wear-model names, in flag-help order.
 func WearModels() []string { return nvm.WearModelNames() }
@@ -203,40 +189,19 @@ type System struct {
 // NewSystem builds the device and scheme described by cfg.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	cfg = cfg.withDefaults()
-	var coreCfg core.Config
-	extra := uint64(0)
-	switch cfg.Scheme {
-	case StartGap:
-		extra = 1
-	case RBSG:
-		extra = cfg.Regions
-	case NWL, SAWL:
-		coreCfg = core.Config{
-			Lines:             cfg.Lines,
-			InitGran:          cfg.InitGran,
-			MaxGranLines:      cfg.MaxGranLines,
-			Period:            cfg.Period,
-			CMTEntries:        cfg.CMTEntries,
-			Adaptive:          cfg.Scheme == SAWL,
-			LowThreshold:      cfg.LowThreshold,
-			HighThreshold:     cfg.HighThreshold,
-			SubQueueThreshold: cfg.SubQueueThreshold,
-			ObservationWindow: cfg.ObservationWindow,
-			SettlingWindow:    cfg.SettlingWindow,
-			CheckEvery:        cfg.CheckEvery,
-			Seed:              cfg.Seed,
-			Fault:             cfg.Fault,
-			OnSample:          cfg.OnSample,
-		}
-		extra = coreCfg.DeviceLines() - cfg.Lines
+	e, err := lookupScheme(cfg.Scheme)
+	if err != nil {
+		return nil, err
 	}
-
 	var wear nvm.WearModel // nil = the historical Variation-driven default
 	if cfg.Wear != "" {
-		var err error
 		if wear, err = nvm.WearModelByName(cfg.Wear); err != nil {
 			return nil, fmt.Errorf("nvmwear: %w", err)
 		}
+	}
+	extra := uint64(0)
+	if e.extra != nil {
+		extra = e.extra(cfg)
 	}
 
 	dev := nvm.New(nvm.Config{
@@ -251,53 +216,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		ECCBits:      cfg.ECCBits,
 		WriteRetries: cfg.WriteRetries,
 	})
-
-	var lv wl.Leveler
-	switch cfg.Scheme {
-	case Baseline:
-		lv = wl.NewIdentity(dev)
-	case SegmentSwap:
-		lv = segswap.New(dev, segswap.Config{
-			Lines: cfg.Lines, SegmentLines: cfg.RegionLines, Period: cfg.Period,
-		})
-	case StartGap:
-		lv = startgap.New(dev, startgap.Config{
-			Lines: cfg.Lines, Regions: 1, Period: cfg.Period,
-		})
-	case RBSG:
-		lv = startgap.New(dev, startgap.Config{
-			Lines: cfg.Lines, Regions: cfg.Regions, Period: cfg.Period,
-		})
-	case TLSR:
-		lv = secref.New(dev, secref.Config{
-			Lines: cfg.Lines, Regions: cfg.Regions,
-			InnerPeriod: cfg.Period, OuterPeriod: cfg.OuterPeriod, Seed: cfg.Seed,
-		})
-	case PCMS:
-		lv = pcms.New(dev, pcms.Config{
-			Lines: cfg.Lines, RegionLines: cfg.RegionLines,
-			Period: cfg.Period, Seed: cfg.Seed,
-		})
-	case MWSR:
-		lv = mwsr.New(dev, mwsr.Config{
-			Lines: cfg.Lines, RegionLines: cfg.RegionLines,
-			Period: cfg.Period, Seed: cfg.Seed,
-		})
-	case NWL, SAWL:
-		lv = core.New(dev, coreCfg)
-	case SoftWear:
-		lv = softwear.New(dev, softwear.Config{
-			Lines: cfg.Lines, PageLines: cfg.RegionLines,
-			SamplePeriod: cfg.SamplePeriod, Trigger: cfg.Period,
-		})
-	case WoLFRaM:
-		lv = wolfram.New(dev, wolfram.Config{
-			Lines: cfg.Lines, Period: cfg.Period, Seed: cfg.Seed,
-		})
-	default:
-		return nil, fmt.Errorf("nvmwear: unknown scheme %q", cfg.Scheme)
-	}
-	return &System{cfg: cfg, dev: dev, lv: lv}, nil
+	return &System{cfg: cfg, dev: dev, lv: e.build(dev, cfg)}, nil
 }
 
 // Config returns the (defaulted) configuration.
@@ -565,31 +484,14 @@ func (s *System) Checkpoint() []byte {
 // the last checkpoint. cfg must describe the same geometry as the original
 // system. Only NWL/SAWL systems support recovery.
 func RecoverSystem(old *System, checkpoint []byte) (*System, error) {
-	cfg := old.cfg
-	if cfg.Scheme != NWL && cfg.Scheme != SAWL {
-		return nil, fmt.Errorf("nvmwear: scheme %q does not support recovery", cfg.Scheme)
+	if old.coreScheme() == nil {
+		return nil, fmt.Errorf("nvmwear: scheme %q does not support recovery", old.cfg.Scheme)
 	}
-	coreCfg := core.Config{
-		Lines:             cfg.Lines,
-		InitGran:          cfg.InitGran,
-		MaxGranLines:      cfg.MaxGranLines,
-		Period:            cfg.Period,
-		CMTEntries:        cfg.CMTEntries,
-		Adaptive:          cfg.Scheme == SAWL,
-		LowThreshold:      cfg.LowThreshold,
-		HighThreshold:     cfg.HighThreshold,
-		SubQueueThreshold: cfg.SubQueueThreshold,
-		ObservationWindow: cfg.ObservationWindow,
-		SettlingWindow:    cfg.SettlingWindow,
-		CheckEvery:        cfg.CheckEvery,
-		Seed:              cfg.Seed,
-		OnSample:          cfg.OnSample,
-	}
-	sch, err := core.Recover(old.dev, coreCfg, checkpoint)
+	sch, err := core.Recover(old.dev, coreConfig(old.cfg), checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg, dev: old.dev, lv: sch}, nil
+	return &System{cfg: old.cfg, dev: old.dev, lv: sch}, nil
 }
 
 // EnergyPJ returns the device's total dynamic access energy in picojoules

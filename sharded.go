@@ -8,7 +8,6 @@ import (
 	"nvmwear/internal/lifetime"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
-	"nvmwear/internal/wl"
 )
 
 // MaxShards caps how finely a single lifetime run decomposes — the device's
@@ -26,19 +25,20 @@ type ShardPlan struct {
 }
 
 // PlanShards decides whether the (cfg, w) run can shard `requested` ways.
-// The rule: a shard must be a closed system. Every scheme in the catalogue
-// is wl.Partitionable; what varies is the decomposition model (see
-// wl.Partitionable and DESIGN.md §15). Exact schemes (Baseline, RBSG,
+// The rule: a shard must be a closed system. One generic rule checks that
+// against the scheme's catalogue entry (schemes.go): the lines must divide
+// into the shards and the spares must cover them; each shard must align to
+// the scheme's partition unit and keep at least its minimum units per
+// bank; and the scheme's per-bank config split (RBSG/TLSR regions, the
+// tiered CMT) must succeed. What a shard then simulates depends on the
+// entry's decomposition model (DESIGN.md §15): exact schemes (Baseline, RBSG,
 // NWL/SAWL) shard without changing what is simulated; bank-local schemes
-// (start-gap, segment swap, TLSR, PCM-S, MWSR) shard by confining their
-// globally-scoped state — coldest-segment scan, outer refresh, the gap,
-// random exchange partners — to each bank, an explicit modeling change
-// pinned within tolerance by the sharded test suite. Either way the split
-// must keep each shard's invariants: unit counts that divide evenly, enough
-// partner units inside a bank, at least one spare line per shard, a CMT
-// slice per tiered controller. Workloads with global state (RAA's single
-// hot address, file traces with one replay order) always fall back to
-// serial with a reason rather than silently simulating something else.
+// shard by confining their device-wide state — coldest-segment scan, outer
+// refresh, the gap, random exchange partners — to each bank, an explicit
+// modeling change pinned within tolerance by the sharded test suite.
+// Workloads with global state (RAA's single hot address, file traces with
+// one replay order) always fall back to serial with a reason rather than
+// silently simulating something else.
 func PlanShards(cfg SystemConfig, w WorkloadSpec, requested int) ShardPlan {
 	if requested <= 1 {
 		return ShardPlan{Shards: 1}
@@ -62,87 +62,33 @@ func PlanShards(cfg SystemConfig, w WorkloadSpec, requested int) ShardPlan {
 	if cfg.SpareLines < s {
 		return serial(fmt.Sprintf("%d spare lines cannot cover %d shards", cfg.SpareLines, s))
 	}
-	perShard := cfg.Lines / s
-
-	switch cfg.Scheme {
-	case Baseline:
-		// Identity: every line independent; divisibility already checked.
-	case StartGap:
-		// Bank-local gap: each shard is its own single-region start-gap
-		// instance with its own gap line, so any line-divisible slice works.
-	case RBSG:
-		if cfg.Regions%s != 0 {
-			return serial(fmt.Sprintf("%d RBSG regions do not divide into %d shards", cfg.Regions, s))
+	e, err := lookupScheme(cfg.Scheme)
+	if err != nil {
+		return serial(err.Error())
+	}
+	perShard, unit := cfg.Lines/s, e.unit(cfg)
+	switch {
+	case unit == 0:
+		return serial(fmt.Sprintf("%s has a 0-line %s", cfg.Scheme, e.unitName))
+	case perShard%unit != 0:
+		return serial(fmt.Sprintf("shard of %d lines does not align to the %d-line %s", perShard, unit, e.unitName))
+	case perShard/unit < e.minUnits:
+		return serial(fmt.Sprintf("a %d-%s bank needs at least %d %ss", perShard/unit, e.unitName, e.minUnits, e.unitName))
+	}
+	if e.split != nil {
+		if err := e.split(&cfg, s); err != nil {
+			return serial(err.Error())
 		}
-	case SegmentSwap:
-		// Bank-local coldest-segment scan: shards must align to segment
-		// boundaries and keep at least two segments so a bank's hottest
-		// segment still has a cold partner to swap with.
-		if perShard%cfg.RegionLines != 0 {
-			return serial(fmt.Sprintf("shard of %d lines does not align to the %d-line segment", perShard, cfg.RegionLines))
-		}
-		if perShard/cfg.RegionLines < 2 {
-			return serial(fmt.Sprintf("a %d-segment bank has no swap partner", perShard/cfg.RegionLines))
-		}
-	case TLSR:
-		// Bank-local outer refresh: each shard runs a two-level instance
-		// over Regions/s subregions, so the split must keep at least two
-		// regions per bank (a one-region bank would degenerate to
-		// single-level SR and change the scheme under measurement).
-		if cfg.Regions%s != 0 {
-			return serial(fmt.Sprintf("%d TLSR regions do not divide into %d shards", cfg.Regions, s))
-		}
-		if cfg.Regions/s < 2 {
-			return serial(fmt.Sprintf("%d TLSR regions leave no outer level across %d banks", cfg.Regions, s))
-		}
-	case PCMS, MWSR:
-		// Bank-local random exchanges: shards must align to region
-		// boundaries and keep at least two regions so the per-bank partner
-		// draw (from the shard's own seed substream) has somewhere to go.
-		if perShard%cfg.RegionLines != 0 {
-			return serial(fmt.Sprintf("shard of %d lines does not align to the %d-line region", perShard, cfg.RegionLines))
-		}
-		if perShard/cfg.RegionLines < 2 {
-			return serial(fmt.Sprintf("a %d-region bank has no exchange partner", perShard/cfg.RegionLines))
-		}
-	case NWL, SAWL:
-		// Tiered schemes partition at maximum-granularity-region boundaries;
-		// each shard runs its own controller (CMT + GTD) over its bank — the
-		// per-bank-controller model.
-		if perShard%cfg.MaxGranLines != 0 {
-			return serial(fmt.Sprintf("shard of %d lines does not align to the %d-line max region", perShard, cfg.MaxGranLines))
-		}
-		if uint64(cfg.CMTEntries) < s {
-			return serial(fmt.Sprintf("%d CMT entries cannot split %d ways", cfg.CMTEntries, s))
-		}
-	case SoftWear:
-		// Bank-local sampling and coldest-frame scans: shards must align to
-		// page boundaries and keep at least two pages so a bank's hot page
-		// still has a cold frame to move to.
-		if perShard%cfg.RegionLines != 0 {
-			return serial(fmt.Sprintf("shard of %d lines does not align to the %d-line page", perShard, cfg.RegionLines))
-		}
-		if perShard/cfg.RegionLines < 2 {
-			return serial(fmt.Sprintf("a %d-page bank has no swap victim", perShard/cfg.RegionLines))
-		}
-	case WoLFRaM:
-		// Bank-local decoder swaps at line granularity: any line-divisible
-		// slice with at least two lines keeps a partner to swap with.
-		if perShard < 2 {
-			return serial(fmt.Sprintf("a %d-line bank has no swap partner", perShard))
-		}
-	default:
-		return serial(fmt.Sprintf("scheme %q has no shard analysis", cfg.Scheme))
 	}
 	return ShardPlan{Shards: requested}
 }
 
 // Shard decomposition models, as reported by SchemeShardability and
 // rendered by `wlsim list`: "exact" means a sharded run takes the same
-// leveling decisions as a serial one (wl.Partitionable.PartitionExact);
-// "bank-local" means the scheme's globally-scoped state is confined to each
-// bank — a documented modeling change (DESIGN.md §15) pinned within
-// tolerance, not byte-identical to serial.
+// leveling decisions as a serial one; "bank-local" means the scheme's
+// device-wide state is confined to each bank — a documented modeling
+// change (DESIGN.md §15) pinned within tolerance, not byte-identical to
+// serial. The scheme's catalogue entry says which.
 const (
 	ShardModelExact     = "exact"
 	ShardModelBankLocal = "bank-local"
@@ -151,45 +97,39 @@ const (
 // SchemeShardability reports whether a scheme's lifetime runs can
 // decompose across the bank geometry at all, which decomposition model they
 // use (ShardModelExact or ShardModelBankLocal), and PlanShards' reason when
-// they cannot shard. It probes the scheme on a representative divisible
-// geometry (default-sized device, uniform workload), so a "yes" means the
-// scheme is wl.Partitionable — a concrete run can still fall back serial
-// when its own geometry does not divide. `wlsim list` renders this per
-// scheme.
+// they cannot shard. It plans the scheme on a representative divisible
+// geometry (default-sized device, uniform workload), so a concrete run can
+// still fall back serial when its own geometry does not divide. `wlsim
+// list` renders this per scheme.
 func SchemeShardability(kind SchemeKind) (ok bool, model, reason string) {
 	probe := SystemConfig{Scheme: kind, Lines: 1 << 15}
 	plan := PlanShards(probe, WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 0.5}, MaxShards)
 	if plan.Shards <= 1 {
 		return false, "", plan.Reason
 	}
-	model = ShardModelExact
-	if sys, err := NewSystem(probe); err == nil {
-		if p, isP := sys.lv.(wl.Partitionable); isP && !p.PartitionExact() {
-			model = ShardModelBankLocal
-		}
+	if e, _ := lookupScheme(kind); e.exact {
+		return true, ShardModelExact, ""
 	}
-	return true, model, ""
+	return true, ShardModelBankLocal, ""
 }
 
 // shardSystemConfig derives shard `bank`'s system configuration from the
-// defaulted whole-device configuration: a 1/banks slice of lines and
-// regions, a ShareLines share of the spare pool, per-shard CMT capacity,
-// and seed substreams (device variation and fault injection) so shards
-// never share randomness. Adaptation windows and periods are deliberately
-// NOT scaled: each shard models one bank's controller keeping the paper's
-// time constants, not a 1/banks-speed miniature.
+// defaulted whole-device configuration: a 1/banks slice of lines, a
+// ShareLines share of the spare pool, the scheme's own per-bank split
+// (regions, CMT capacity), and seed substreams (device variation and fault
+// injection) so shards never share randomness. Adaptation windows and
+// periods are deliberately NOT scaled: each shard models one bank's
+// controller keeping the paper's time constants, not a 1/banks-speed
+// miniature.
 func shardSystemConfig(cfg SystemConfig, bank, banks uint64) SystemConfig {
 	sub := cfg
 	sub.Lines = cfg.Lines / banks
 	sub.SpareLines = nvm.ShareLines(cfg.SpareLines, bank, banks)
 	sub.Seed = rng.SeedStream(cfg.Seed, bank)
-	if cfg.Scheme == RBSG || cfg.Scheme == TLSR {
-		sub.Regions = cfg.Regions / banks
-	}
-	if cfg.Scheme == NWL || cfg.Scheme == SAWL {
-		if sub.CMTEntries = cfg.CMTEntries / int(banks); sub.CMTEntries < 1 {
-			sub.CMTEntries = 1
-		}
+	// PlanShards has already refused unknown schemes and configs that do
+	// not split, so the split cannot fail here.
+	if e, err := lookupScheme(cfg.Scheme); err == nil && e.split != nil {
+		_ = e.split(&sub, banks)
 	}
 	if cfg.Fault.Enabled() {
 		sub.Fault.Seed = rng.SeedStream(cfg.Fault.Seed, bank)
@@ -239,11 +179,6 @@ func RunShardedLifetime(cfg SystemConfig, w WorkloadSpec, maxWrites uint64, opts
 		sys, err := NewSystem(scfg)
 		if err != nil {
 			return LifetimeResult{}, plan, fmt.Errorf("shard %d/%d: %w", b, banks, err)
-		}
-		if _, ok := sys.lv.(wl.Partitionable); !ok && b == 0 {
-			// PlanShards and the scheme registry must agree; catching a
-			// mismatch here keeps a future scheme from sharding by accident.
-			return LifetimeResult{}, plan, fmt.Errorf("nvmwear: scheme %q planned for sharding but is not wl.Partitionable", dcfg.Scheme)
 		}
 		wb := w
 		wb.Seed = rng.SeedStream(w.Seed, b)

@@ -5,13 +5,11 @@ import (
 	"os"
 	"sync"
 	"testing"
-
-	"nvmwear/internal/wl"
 )
 
 // This file holds the sharded-execution guarantees at the system level:
-// PlanShards' gating must agree with the scheme registry's Partitionable
-// capability, -shards 1 must stay byte-identical to the serial goldens, a
+// PlanShards' generic rule must gate each scheme's catalogue entry
+// correctly, -shards 1 must stay byte-identical to the serial goldens, a
 // fixed shard count must be fully deterministic, and sharded runs of
 // every scheme in the catalogue — exact and bank-local alike — must
 // reproduce the serial lifetime within tolerance (see DESIGN.md Sec 10
@@ -72,6 +70,8 @@ func TestPlanShards(t *testing.T) {
 		{"softwear one-page bank", SystemConfig{Scheme: SoftWear, Lines: 1 << 10, SpareLines: 64, Endurance: 100, RegionLines: 128}, bpaSpec(), 8, 1, true},
 		{"softwear misaligned page", SystemConfig{Scheme: SoftWear, Lines: 1 << 12, SpareLines: 64, Endurance: 100, RegionLines: 384}, bpaSpec(), 4, 1, true},
 		{"wolfram shards bank-local swaps", attackConfig(WoLFRaM), bpaSpec(), 4, 4, false},
+		{"unknown scheme", SystemConfig{Scheme: "bogus", Lines: 1 << 12, SpareLines: 64, Endurance: 100}, bpaSpec(), 4, 1, true},
+		{"tlsr zero-line region", SystemConfig{Scheme: TLSR, Lines: 1 << 10, SpareLines: 64, Endurance: 100, Regions: 1 << 11}, bpaSpec(), 4, 1, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -83,28 +83,6 @@ func TestPlanShards(t *testing.T) {
 				t.Fatalf("Reason = %q, want fallback reason: %v", plan.Reason, c.serial)
 			}
 		})
-	}
-}
-
-// PlanShards' per-scheme gating and the scheme registry's Partitionable
-// capability must never disagree: a scheme planned for sharding whose
-// instance cannot partition would simulate something else entirely (the
-// runner double-checks at build time; this pins the table itself).
-func TestPlanShardsAgreesWithPartitionable(t *testing.T) {
-	for _, scheme := range Schemes() {
-		cfg := attackConfig(scheme)
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, partitionable := sys.lv.(wl.Partitionable)
-		planned := PlanShards(cfg, bpaSpec(), 4).Shards > 1
-		if planned && !partitionable {
-			t.Errorf("%s: planned for sharding but the scheme is not wl.Partitionable", scheme)
-		}
-		if !planned && partitionable {
-			t.Errorf("%s: wl.Partitionable but PlanShards refuses a friendly geometry", scheme)
-		}
 	}
 }
 
@@ -226,8 +204,8 @@ func TestShardedLifetimeWithinToleranceOfSerial(t *testing.T) {
 
 // A workload that cannot split (RAA's single global hot address) must run
 // serial under -shards — and produce exactly the serial result, reason
-// attached. With every scheme Partitionable, workload-level fallbacks are
-// the only ones left.
+// attached. With every scheme shardable on a divisible geometry,
+// workload-level fallbacks are the only ones left.
 func TestShardedFallbackIsExactlySerial(t *testing.T) {
 	cfg := attackConfig(Baseline)
 	w := WorkloadSpec{Kind: WorkloadRAA, Seed: 7}
