@@ -1,14 +1,11 @@
 package nvmwear
 
-// This file is the benchmark harness required by DESIGN.md: one testing.B
-// benchmark per data-bearing table and figure of the paper, each running
-// the corresponding experiment at the small scale and reporting the
-// headline quantities as custom metrics. `go test -bench=. -benchmem`
-// regenerates every result; cmd/wlsim runs the larger-scale counterparts.
-//
-// Benchmarks report the measured values via b.ReportMetric so the bench
-// log doubles as the experiment record (see EXPERIMENTS.md for the
-// paper-vs-measured comparison).
+// This file holds the root package's benchmarks: the parallel engine and
+// sharded-lifetime speed benchmarks CI runs, per-scheme access throughput,
+// crash recovery, the Table 1 and Sec 4.5 arithmetic, and the RAA and
+// ablation measurements EXPERIMENTS.md quotes, reported via b.ReportMetric.
+// The figures themselves are regenerated by `wlsim -scale small <fig>`;
+// end-to-end timing lives in nvmbench.
 
 import (
 	"fmt"
@@ -21,35 +18,9 @@ import (
 	"nvmwear/internal/trace"
 )
 
-// benchScale is the scale every figure bench runs at.
+// benchScale is the scale the experiment benchmarks run at.
 func benchScale() Scale {
 	return ScaleSmall
-}
-
-// reportSeries emits each series' final Y value (the paper's headline
-// point) as a custom metric.
-func reportSeries(b *testing.B, series []Series, unit string) {
-	b.Helper()
-	for _, s := range series {
-		if len(s.Y) == 0 {
-			continue
-		}
-		b.ReportMetric(s.Y[len(s.Y)-1], sanitize(s.Label)+"_"+unit)
-	}
-}
-
-// sanitize makes a series label usable as a metric name.
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			out = append(out, r)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }
 
 // BenchmarkTable1_Config renders the simulated-system configuration. It is
@@ -58,19 +29,6 @@ func BenchmarkTable1_Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if RunTable1().Render() == "" {
 			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig3_TLSRLifetime regenerates Fig 3: TLSR normalized lifetime
-// under BPA vs number of regions, swapping periods 8-64, two endurance
-// levels.
-func BenchmarkFig3_TLSRLifetime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig3(sc))
-		if i == b.N-1 {
-			reportSeries(b, series, "pctLife")
 		}
 	}
 }
@@ -101,142 +59,6 @@ func BenchmarkParallelFig3(b *testing.B) {
 			}
 			b.ReportMetric(float64(jobs), "jobs")
 		})
-	}
-}
-
-// BenchmarkFig4_HybridLifetime regenerates Fig 4: PCM-S and MWSR lifetime
-// under BPA vs number of regions.
-func BenchmarkFig4_HybridLifetime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig4(sc))
-		if i == b.N-1 {
-			reportSeries(b, series, "pctLife")
-		}
-	}
-}
-
-// BenchmarkFig5_CacheBudget regenerates Fig 5: hybrid lifetime vs on-chip
-// cache budget.
-func BenchmarkFig5_CacheBudget(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig5(sc))
-		if i == b.N-1 {
-			reportSeries(b, series, "pctLife")
-		}
-	}
-}
-
-// BenchmarkFig12_ObservationWindow regenerates Fig 12: the hit-rate trace
-// under soplex for four observation-window sizes. The reported metric is
-// the hit-rate fluctuation (stddev), which the paper's panels contrast.
-func BenchmarkFig12_ObservationWindow(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig12(sc))
-		if i == b.N-1 {
-			for _, s := range series {
-				// Sample-to-sample fluctuation: the paper's Fig 12 point is
-				// that small observation windows make the measured hit rate
-				// jitter; slow drift from adaptation is not noise.
-				var jitter float64
-				for j := 1; j < len(s.Y); j++ {
-					d := s.Y[j] - s.Y[j-1]
-					if d < 0 {
-						d = -d
-					}
-					jitter += d
-				}
-				if len(s.Y) > 1 {
-					jitter /= float64(len(s.Y) - 1)
-				}
-				b.ReportMetric(jitter, sanitize(s.Label)+"_jitterPct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig13_SettlingWindow regenerates Fig 13: the region-size
-// trajectory under soplex for four settling-window sizes, reporting each
-// run's average hit rate (the paper's per-panel annotation).
-func BenchmarkFig13_SettlingWindow(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		_, avg, err := RunFig13(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for label, v := range avg {
-				b.ReportMetric(v, sanitize(label)+"_avgHitPct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig14_HitRates regenerates Fig 14: NWL-4 / NWL-64 / SAWL
-// average CMT hit rates for bzip2, cactusADM and gcc.
-func BenchmarkFig14_HitRates(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		res := must(RunFig14(sc))
-		if i == b.N-1 {
-			for _, r := range res {
-				b.ReportMetric(r.AvgNWL4, r.Bench+"_NWL4_hitPct")
-				b.ReportMetric(r.AvgNWL64, r.Bench+"_NWL64_hitPct")
-				b.ReportMetric(r.AvgSAWL, r.Bench+"_SAWL_hitPct")
-			}
-		}
-	}
-}
-
-// BenchmarkFig15_BPALifetime regenerates Fig 15: PCM-S / MWSR / SAWL
-// normalized lifetime under BPA vs swapping period.
-func BenchmarkFig15_BPALifetime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig15(sc))
-		if i == b.N-1 {
-			reportSeries(b, series, "pctLife")
-		}
-	}
-}
-
-// BenchmarkFig16_SpecLifetime regenerates Fig 16: normalized lifetime of
-// Baseline / RBSG / TLSR / SAWL under the 14 SPEC-like applications, both
-// region configurations. The reported metrics are the harmonic means (the
-// paper's Hmean bars).
-func BenchmarkFig16_SpecLifetime(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		for _, coarse := range []bool{true, false} {
-			series := must(RunFig16(sc, coarse))
-			if i == b.N-1 {
-				suffix := "_fine_HmeanPct"
-				if coarse {
-					suffix = "_coarse_HmeanPct"
-				}
-				for _, s := range series {
-					b.ReportMetric(s.Y[len(s.Y)-1], sanitize(s.Label)+suffix)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig17_IPC regenerates Fig 17: IPC degradation of BWL / NWL-4 /
-// SAWL relative to the no-wear-leveling baseline, harmonic mean across the
-// 14 applications.
-func BenchmarkFig17_IPC(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		series := must(RunFig17(sc))
-		if i == b.N-1 {
-			for _, s := range series {
-				b.ReportMetric(s.Y[len(s.Y)-1], sanitize(s.Label)+"_degrPct")
-			}
-		}
 	}
 }
 

@@ -78,27 +78,52 @@ func TestSIGINTFlushesPartialTable(t *testing.T) {
 // TestTimeoutFlushesPartialTable is -timeout's contract: the deadline
 // cancels the sweep through the same path as SIGINT — completed points
 // flush as a partial table and the process exits 130 — with no signal
-// involved, so it holds on any platform and under any supervisor.
+// involved, so it holds on any platform and under any supervisor. attack
+// must flush only the schemes it scored, never zero rows for the rest.
 func TestTimeoutFlushesPartialTable(t *testing.T) {
-	// The per-job delay stretches the 48-job fig3 sweep well past the
-	// 1.5s deadline; -j1 keeps the completed prefix contiguous.
-	env := []string{"WLSIM_JOB_DELAY_MS=300"}
-	stdout, stderr, err := wlsim(t, env, "-scale", "small", "-j", "1", "-q", "-timeout", "1500ms", "fig3")
-	ee, ok := err.(*osexec.ExitError)
-	if !ok {
-		t.Fatalf("expected nonzero exit after -timeout, got err=%v; stdout:\n%s", err, stdout)
+	cases := []struct {
+		exp, title string
+		maxRows    int // most table rows a partial run may print; 0 = unchecked
+	}{
+		{exp: "fig3", title: "Fig 3"},
+		{exp: "attack", title: "Attack resilience", maxRows: len(nvmwear.AttackKinds) - 1},
 	}
-	if code := ee.ExitCode(); code != 130 {
-		t.Fatalf("exit code %d, want 130; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "Fig 3") {
-		t.Errorf("partial table missing from stdout:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "timed out") {
-		t.Errorf("stderr does not report the timeout cause:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "partial results flushed") {
-		t.Errorf("no partial-flush notice on stderr:\n%s", stderr)
+	for _, c := range cases {
+		t.Run(c.exp, func(t *testing.T) {
+			// The per-job delay stretches the sweep well past the 1.5s
+			// deadline; -j1 keeps the completed prefix contiguous.
+			env := []string{"WLSIM_JOB_DELAY_MS=300"}
+			stdout, stderr, err := wlsim(t, env, "-scale", "small", "-j", "1", "-q", "-timeout", "1500ms", c.exp)
+			ee, ok := err.(*osexec.ExitError)
+			if !ok {
+				t.Fatalf("expected nonzero exit after -timeout, got err=%v; stdout:\n%s", err, stdout)
+			}
+			if code := ee.ExitCode(); code != 130 {
+				t.Fatalf("exit code %d, want 130; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stdout, c.title) {
+				t.Errorf("partial table missing from stdout:\n%s", stdout)
+			}
+			if !strings.Contains(stderr, "timed out") {
+				t.Errorf("stderr does not report the timeout cause:\n%s", stderr)
+			}
+			if !strings.Contains(stderr, "partial results flushed") {
+				t.Errorf("no partial-flush notice on stderr:\n%s", stderr)
+			}
+			if c.maxRows > 0 {
+				rows := 0
+				for _, line := range strings.Split(stdout, "\n") {
+					for _, k := range nvmwear.AttackKinds {
+						if strings.HasPrefix(line, string(k)+" ") {
+							rows++
+						}
+					}
+				}
+				if rows > c.maxRows {
+					t.Errorf("%d scheme rows flushed by an interrupted run, want at most %d:\n%s", rows, c.maxRows, stdout)
+				}
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"nvmwear/internal/exec"
@@ -469,6 +468,11 @@ func (sc Scale) lowAttackEndurance() uint32 {
 	return e
 }
 
+// attackEndurances are the two endurance panels of the attack figures.
+func (sc Scale) attackEndurances() []uint32 {
+	return []uint32{sc.AttackEndurance, sc.lowAttackEndurance()}
+}
+
 // traceLines returns the logical space for fixed-length trace experiments.
 func (sc Scale) traceLines() uint64 {
 	if sc.TraceLines != 0 {
@@ -477,10 +481,53 @@ func (sc Scale) traceLines() uint64 {
 	return sc.SpecLines
 }
 
-// pool builds the scale's experiment engine: Parallelism workers and
-// per-job seeds derived from Seed.
-func (sc Scale) pool() *exec.Pool {
-	p := &exec.Pool{Workers: sc.Parallelism, BaseSeed: sc.Seed, Context: sc.Context, SoftContext: sc.Drain}
+// ErrInterrupted marks a sweep cut short by Scale.Context (SIGINT in
+// cmd/wlsim). Runners that return it also return every series point whose
+// job completed, so callers can flush a partial table before exiting.
+var ErrInterrupted = errors.New("nvmwear: sweep interrupted")
+
+// jobOpts are runJobs' optional per-sweep refinements; the zero value runs
+// a plain sweep.
+type jobOpts[T any] struct {
+	// cost is a longest-job-first hint (exec.Pool.Cost): jobs dispatch in
+	// descending cost order while results keep submission order.
+	cost func(i int) float64
+	// onJob observes each job's result as it lands (cache hits included, in
+	// completion order), so runners can stream series to Scale.SeriesDone
+	// while the sweep is still running. Calls are serialized by the pool.
+	onJob func(i int, v T)
+	// quarantine isolates per-job failures (exec.Pool.Quarantine): a job
+	// that errors or panics is reported here, never fires onJob, and leaves
+	// a zero slot instead of aborting the sweep — the fleet experiment's
+	// poisoned-device containment.
+	quarantine func(i int, err error)
+}
+
+// runJobs fans n experiment jobs out on the scale's worker pool and returns
+// their results in submission order. Every sweep in the package runs
+// through it. fig is the sweep's cache identity (see cacheKey): it must be
+// unique per figure and must encode every sweep parameter that is not
+// already part of Scale. If the scale's context is cancelled or drained
+// mid-sweep, the longest completed prefix of results is returned together
+// with an error wrapping ErrInterrupted that counts every completed job;
+// any other job error is returned as-is with the earliest-dispatched
+// failing job winning (deterministic regardless of scheduling).
+//
+// Seeding convention: lifetime sweeps pass the job's derived seed into the
+// workload and scheme they build (lifetimeSweep does so for every point),
+// giving every point an independent random stream regardless of worker
+// count. Fixed-length trace figures (12-14, 17) instead keep sc.Seed so all
+// panels of one figure observe the identical request stream — those
+// figures compare configurations on the same trace. sharded declares
+// whether the sweep's lifetime runs go through the intra-run sharder; it
+// must match the registering experiment's Sharded capability flag, which
+// decides the cache keys' shard salting (cacheKey).
+func runJobs[T any](sc Scale, fig string, sharded bool, n int, o jobOpts[T], fn func(i int, seed uint64) (T, error)) ([]T, error) {
+	p := &exec.Pool{
+		Workers: sc.Parallelism, BaseSeed: sc.Seed,
+		Context: sc.Context, SoftContext: sc.Drain,
+		Cost: o.cost, Quarantine: o.quarantine,
+	}
 	if sc.Progress != nil || sc.JobTime != nil {
 		p.OnDone = func(done, total int, elapsed time.Duration) {
 			if sc.Progress != nil {
@@ -491,153 +538,30 @@ func (sc Scale) pool() *exec.Pool {
 			}
 		}
 	}
-	return p
-}
-
-// cachedPool is pool() plus the sweep-level refinements: the disk result
-// cache keyed under the figure identity (when Scale.Cache is open) and an
-// optional longest-job-first cost hint. sharded is the sweep's cache-key
-// shard salting, see cacheKey.
-func (sc Scale) cachedPool(fig string, sharded bool, cost func(i int) float64) *exec.Pool {
-	p := sc.pool()
-	p.Cost = cost
+	if o.onJob != nil {
+		p.OnJob = func(i int, v any, _ time.Duration) {
+			if tv, ok := v.(T); ok {
+				o.onJob(i, tv)
+			}
+		}
+	}
 	if sc.Cache != nil && fig != "" {
 		p.Store = sc.Cache
 		p.Key = func(i int) string { return sc.cacheKey(fig, sharded, i) }
 	}
-	return p
-}
-
-// ErrInterrupted marks a sweep cut short by Scale.Context (SIGINT in
-// cmd/wlsim). Runners that return it also return every series point whose
-// job completed, so callers can flush a partial table before exiting.
-var ErrInterrupted = errors.New("nvmwear: sweep interrupted")
-
-// runJobs fans n experiment jobs out on the scale's pool and returns their
-// results in submission order. fig is the sweep's cache identity (see
-// cacheKey): it must be unique per figure and must encode every sweep
-// parameter that is not already part of Scale. If the scale's context is
-// cancelled mid-sweep, the longest completed prefix of results is returned
-// together with an error wrapping ErrInterrupted; any other job error is
-// returned as-is with the earliest-dispatched failing job winning
-// (deterministic regardless of scheduling).
-//
-// Seeding convention: lifetime sweeps pass the job's derived seed into the
-// workload and scheme they build, giving every point an independent random
-// stream regardless of worker count. Fixed-length trace figures (12-14, 17)
-// instead keep sc.Seed so all panels of one figure observe the identical
-// request stream — those figures compare configurations on the same trace.
-// sharded declares whether the sweep's lifetime runs go through the
-// intra-run sharder; it must match the registering experiment's Sharded
-// capability flag, which decides the cache keys' shard salting (cacheKey).
-func runJobs[T any](sc Scale, fig string, sharded bool, n int, fn func(i int, seed uint64) (T, error)) ([]T, error) {
-	return runJobsCost(sc, fig, sharded, nil, n, fn)
-}
-
-// runJobsCost is runJobs with a longest-job-first cost hint: jobs are
-// dispatched in descending cost order while results keep submission order.
-func runJobsCost[T any](sc Scale, fig string, sharded bool, cost func(i int) float64, n int, fn func(i int, seed uint64) (T, error)) ([]T, error) {
-	return runJobsStream(sc, fig, sharded, cost, n, nil, fn)
-}
-
-// runJobsStream is runJobsCost plus a per-job completion hook: onJob, when
-// non-nil, observes each job's result as it lands (cache hits included, in
-// completion order) so runners can stream series to Scale.SeriesDone while
-// the sweep is still running. onJob calls are serialized by the pool.
-func runJobsStream[T any](sc Scale, fig string, sharded bool, cost func(i int) float64, n int, onJob func(i int, v T), fn func(i int, seed uint64) (T, error)) ([]T, error) {
-	p := sc.cachedPool(fig, sharded, cost)
-	if onJob != nil {
-		p.OnJob = func(i int, v any, _ time.Duration) {
-			if tv, ok := v.(T); ok {
-				onJob(i, tv)
-			}
-		}
-	}
 	out, err := exec.Map(p, n, fn)
 	var ce *exec.CanceledError
 	if errors.As(err, &ce) {
-		done := 0
-		for done < len(ce.Done) && ce.Done[done] {
-			done++
-		}
-		return out[:done], fmt.Errorf("%w after %d/%d jobs (%v)", ErrInterrupted, done, n, ce.Err)
-	}
-	return out, err
-}
-
-// runJobsIsolated is runJobs with per-job failure isolation
-// (exec.Pool.Quarantine): a job that errors or panics is reported through
-// the quarantine callback and leaves a zero-valued result slot instead of
-// aborting the sweep — the fleet experiment's poisoned-device containment.
-// Because quarantined slots can sit anywhere, results are returned
-// full-length together with a validity mask rather than as a truncated
-// prefix: valid == nil means every non-quarantined slot is live; on
-// cancellation the mask marks the jobs that completed and the error wraps
-// ErrInterrupted (quarantined jobs read as not-done in the mask too — the
-// caller's quarantine records tell the two apart).
-func runJobsIsolated[T any](sc Scale, fig string, sharded bool, cost func(i int) float64, n int, quarantine func(i int, err error), fn func(i int, seed uint64) (T, error)) ([]T, []bool, error) {
-	p := sc.cachedPool(fig, sharded, cost)
-	p.Quarantine = quarantine
-	out, err := exec.Map(p, n, fn)
-	var ce *exec.CanceledError
-	if errors.As(err, &ce) {
-		done := 0
-		for _, d := range ce.Done {
+		prefix, done := 0, 0
+		for i, d := range ce.Done {
 			if d {
 				done++
+				if prefix == i {
+					prefix++
+				}
 			}
 		}
-		return out, ce.Done, fmt.Errorf("%w after %d/%d jobs (%v)", ErrInterrupted, done, n, ce.Err)
+		return out[:prefix], fmt.Errorf("%w after %d/%d jobs (%v)", ErrInterrupted, done, n, ce.Err)
 	}
-	return out, nil, err
-}
-
-// seriesStreamer assembles per-job results into labeled curves as jobs
-// finish and fires Scale.SeriesDone the moment a curve's last point lands.
-// Runners declare every series (label + point count) up front, then report
-// points from the pool's per-job hook; a sweep interrupted mid-series
-// simply never fires that series. A nil streamer (SeriesDone unset) makes
-// every method a no-op, so runners call it unconditionally.
-type seriesStreamer struct {
-	sc   Scale
-	fig  string
-	mu   sync.Mutex
-	ser  []Series
-	left []int
-}
-
-// newSeriesStreamer returns a streamer for the sweep, or nil when the scale
-// has no SeriesDone sink.
-func newSeriesStreamer(sc Scale, fig string) *seriesStreamer {
-	if sc.SeriesDone == nil {
-		return nil
-	}
-	return &seriesStreamer{sc: sc, fig: fig}
-}
-
-// series declares a labeled curve with n points and returns its id.
-func (st *seriesStreamer) series(label string, n int) int {
-	if st == nil {
-		return -1
-	}
-	st.ser = append(st.ser, Series{Label: label, X: make([]float64, n), Y: make([]float64, n)})
-	st.left = append(st.left, n)
-	return len(st.ser) - 1
-}
-
-// point records point p of series s; the last point fires SeriesDone.
-func (st *seriesStreamer) point(s, p int, x, y float64) {
-	if st == nil || s < 0 {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.ser[s].X[p] = x
-	st.ser[s].Y[p] = y
-	if st.left[s]--; st.left[s] == 0 {
-		out := Series{Label: st.ser[s].Label}
-		out.X = append(out.X, st.ser[s].X...)
-		out.Y = append(out.Y, st.ser[s].Y...)
-		st.sc.SeriesDone(st.fig, out)
-	}
+	return out, err
 }

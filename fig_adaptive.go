@@ -79,11 +79,11 @@ func runTrace(sc Scale, bench string, sow, ssw uint64) (hit, size Series, avgHit
 func RunFig12(sc Scale) ([]Series, error) {
 	windows := scaledWindows(sc)
 	// Each job produces one complete series, so streaming is per-job.
-	var onJob func(i int, s Series)
+	var o jobOpts[Series]
 	if sc.SeriesDone != nil {
-		onJob = func(_ int, s Series) { sc.SeriesDone("fig12", s) }
+		o.onJob = func(_ int, s Series) { sc.SeriesDone("fig12", s) }
 	}
-	return runJobsStream(sc, "fig12", false, nil, len(windows), onJob, func(i int, _ uint64) (Series, error) {
+	return runJobs(sc, "fig12", false, len(windows), o, func(i int, _ uint64) (Series, error) {
 		sow := windows[i]
 		hit, _, _, err := runTrace(sc, "soplex", sow, sc.Requests/4)
 		if err != nil {
@@ -106,11 +106,11 @@ func RunFig13(sc Scale) ([]Series, map[string]float64, error) {
 		Size   Series
 		AvgHit float64
 	}
-	var onJob func(i int, p point)
+	var o jobOpts[point]
 	if sc.SeriesDone != nil {
-		onJob = func(_ int, p point) { sc.SeriesDone("fig13", p.Size) }
+		o.onJob = func(_ int, p point) { sc.SeriesDone("fig13", p.Size) }
 	}
-	res, err := runJobsStream(sc, "fig13", false, nil, len(windows), onJob, func(i int, _ uint64) (point, error) {
+	res, err := runJobs(sc, "fig13", false, len(windows), o, func(i int, _ uint64) (point, error) {
 		ssw := windows[i]
 		_, size, avgHit, err := runTrace(sc, "soplex", sc.Requests/8, ssw)
 		if err != nil {
@@ -285,7 +285,7 @@ func RunFig14(sc Scale) ([]Fig14Result, error) {
 		Avg       float64
 		Hit, Size Series
 	}
-	res, err := runJobs(sc, "fig14", false, perBench*len(benches), func(i int, _ uint64) (measure, error) {
+	res, err := runJobs(sc, "fig14", false, perBench*len(benches), jobOpts[measure]{}, func(i int, _ uint64) (measure, error) {
 		bench := benches[i/perBench]
 		switch i % perBench {
 		case 0:

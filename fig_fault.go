@@ -126,7 +126,7 @@ func RunFault(sc Scale) (life, loss []Series, rec []FaultRecovery, err error) {
 		Recovery FaultRecovery
 	}
 	sh := newSharder(sc)
-	res, err := runJobs(sc, fig, true, len(schemes)*len(rates), func(i int, seed uint64) (point, error) {
+	res, err := runJobs(sc, fig, true, len(schemes)*len(rates), jobOpts[point]{}, func(i int, seed uint64) (point, error) {
 		scheme, rate := schemes[i/len(rates)], rates[i%len(rates)]
 		cfg := SystemConfig{
 			Scheme: scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),

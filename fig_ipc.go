@@ -80,7 +80,8 @@ func RunFig17(sc Scale) ([]Series, error) {
 	// spread), so it is the longest-job-first hint; the layout is
 	// benchmark-major within each scheme row, which metrics.CycleCost
 	// assumes.
-	results, err := runJobsCost(sc, "fig17", false, metrics.CycleCost(workload.Footprints(names)), (1+len(schemes))*len(names),
+	results, err := runJobs(sc, "fig17", false, (1+len(schemes))*len(names),
+		jobOpts[TimingResult]{cost: metrics.CycleCost(workload.Footprints(names))},
 		func(i int, _ uint64) (TimingResult, error) {
 			scheme, name := Baseline, names[i%len(names)]
 			if i >= len(names) {

@@ -1,37 +1,131 @@
 package nvmwear
 
 import (
+	"cmp"
 	"fmt"
 
 	"nvmwear/internal/analysis"
-	"nvmwear/internal/exec"
 	"nvmwear/internal/metrics"
 	"nvmwear/internal/wl/mwsr"
 	"nvmwear/internal/wl/pcms"
 	"nvmwear/internal/workload"
 )
 
-// This file implements the lifetime experiments: Figs 3, 4, 5, 15 and 16.
-// Every runner returns Series of normalized lifetime (percent of ideal).
+// This file implements the lifetime experiments: Figs 3, 4, 5, 15 and 16,
+// the generic `sweep`, and the Sec 2.2 `attack` verdicts. Every figure
+// runner returns Series of normalized lifetime (percent of ideal).
 //
 // Each figure is a sweep of independent lifetime measurements (one fresh
-// device + leveler per point), so the runners build a flat job list and
-// fan it out on the scale's worker pool (internal/exec). Points land in
-// their series in submission order, which keeps the emitted tables
-// byte-identical whatever Scale.Parallelism is. Each measurement goes
-// through the sweep's sharder, so under Scale.Shards a single run further
-// decomposes across the bank geometry where the scheme allows it.
+// device + leveler per point). A figure only declares its points as a
+// lifetimeSweep; the sweep plans them for the registry, fans them out on
+// the scale's worker pool (runJobs), streams and assembles the series.
+// Points land in their series in declaration order, which keeps the emitted
+// tables byte-identical whatever Scale.Parallelism is. Each measurement
+// goes through the sweep's sharder, so under Scale.Shards a single run
+// further decomposes across the bank geometry where the scheme allows it.
+
+// lifetimePoint is one measurement of a lifetime sweep: its series, its X
+// value, and the system and workload it runs to device death.
+type lifetimePoint struct {
+	series int
+	x      float64
+	cfg    SystemConfig
+	w      WorkloadSpec
+}
+
+// lifetimeSweep is a lifetime figure declared as data: ordered points
+// grouped into labeled series. Point i is job i under the cache identity
+// fig, so declaration order fixes every job's seed and cache key.
+type lifetimeSweep struct {
+	fig    string
+	labels []string
+	points []lifetimePoint
+	// cost is an optional longest-job-first hint per point.
+	cost func(i int) float64
+	// hmean appends each series' harmonic mean at x = its point count (the
+	// paper's "Hmean" bar); a series missing any point stays empty.
+	hmean bool
+}
+
+// series starts the next labeled curve; later points join it.
+func (s *lifetimeSweep) series(label string) { s.labels = append(s.labels, label) }
+
+// point declares one measurement of the current series at x.
+func (s *lifetimeSweep) point(x float64, cfg SystemConfig, w WorkloadSpec) {
+	s.points = append(s.points, lifetimePoint{len(s.labels) - 1, x, cfg, w})
+}
+
+// plan is the sweep's job list (Experiment.Plan).
+func (s *lifetimeSweep) plan() []JobSpec { return planJobs(s.fig, len(s.points)) }
+
+// run measures every point, y = 100·Normalized. Both the system and the
+// workload take the job's derived seed (the seeding convention of runJobs).
+// Each series streams to Scale.SeriesDone as soon as its last point lands;
+// an interrupted sweep returns its completed prefix of points together with
+// an error wrapping ErrInterrupted.
+func (s *lifetimeSweep) run(sc Scale) ([]Series, error) {
+	o := jobOpts[float64]{cost: s.cost}
+	if sc.SeriesDone != nil {
+		ys := make([]float64, len(s.points))
+		left := make([]int, len(s.labels))
+		for _, p := range s.points {
+			left[p.series]++
+		}
+		o.onJob = func(i int, y float64) {
+			ys[i] = y
+			si := s.points[i].series
+			if left[si]--; left[si] == 0 {
+				sc.SeriesDone(s.fig, s.curve(si, ys))
+			}
+		}
+	}
+	sh := newSharder(sc)
+	ys, err := runJobs(sc, s.fig, true, len(s.points), o, func(i int, seed uint64) (float64, error) {
+		p := s.points[i]
+		p.cfg.Seed, p.w.Seed = seed, seed
+		res, err := sh.run(p.cfg, p.w, 0)
+		if err != nil {
+			return 0, err
+		}
+		return 100 * res.Normalized, nil
+	})
+	out := make([]Series, len(s.labels))
+	for si := range out {
+		out[si] = s.curve(si, ys)
+	}
+	return out, err
+}
+
+// curve assembles series si from per-point values ys, which may cover only
+// a completed prefix of the points.
+func (s *lifetimeSweep) curve(si int, ys []float64) Series {
+	c := Series{Label: s.labels[si]}
+	n := 0
+	for i, p := range s.points {
+		if p.series != si {
+			continue
+		}
+		n++
+		if i < len(ys) {
+			c.Append(p.x, ys[i])
+		}
+	}
+	if s.hmean {
+		if len(c.Y) < n {
+			return Series{Label: c.Label}
+		}
+		c.Append(float64(n), metrics.HarmonicMean(c.Y))
+	}
+	return c
+}
 
 // bpaAttack is the BPA workload of the attack figures. The attacker writes
 // each randomly selected address "precisely" (Sec 2.2): `repeats` is tuned
 // to the scheme's remap trigger, so every burst deposits one full swap
 // period of wear on a single physical line before the scheme can move it —
 // the worst case the paper evaluates.
-func bpaAttack(seed, repeats uint64) WorkloadSpec {
-	if repeats == 0 {
-		repeats = 1
-	}
-	return WorkloadSpec{Kind: WorkloadBPA, Seed: seed, Repeats: repeats}
+func bpaAttack(repeats uint64) WorkloadSpec {
+	return WorkloadSpec{Kind: WorkloadBPA, Repeats: max(repeats, 1)}
 }
 
 // regionSweep returns the paper-shaped region-count sweep for a device:
@@ -53,174 +147,80 @@ func regionSweep(lines uint64) []uint64 {
 	return out
 }
 
-// sweepPoint ties one sweep job to its destination: series index and X
-// value. appendPoints replays the pool's ordered results into the series,
-// reproducing exactly what the serial nested loops appended. ys may be a
-// completed prefix of pts (interrupted sweep); the remaining points are
-// simply absent from the partial table.
-type sweepPoint struct {
-	series int
-	x      float64
-}
-
-func appendPoints(out []Series, pts []sweepPoint, ys []float64) {
-	for i, y := range ys {
-		p := pts[i]
-		out[p.series].Append(p.x, y)
-	}
-}
-
-// streamSweep wires a sweepPoint job list into the scale's series streamer:
-// it declares every series (labels must already be set on out) with its
-// point count and returns the per-job completion hook, or nil when the
-// scale has no SeriesDone sink.
-func streamSweep(st *seriesStreamer, out []Series, pts []sweepPoint) func(i int, y float64) {
-	if st == nil {
-		return nil
-	}
-	counts := make([]int, len(out))
-	pidx := make([]int, len(pts))
-	for i, p := range pts {
-		pidx[i] = counts[p.series]
-		counts[p.series]++
-	}
-	for si := range out {
-		st.series(out[si].Label, counts[si])
-	}
-	return func(i int, y float64) {
-		st.point(pts[i].series, pidx[i], pts[i].x, y)
-	}
-}
-
 // RunFig3 reproduces Fig 3: normalized lifetime of TLSR under BPA as a
 // function of the number of regions, for inner swapping periods 8-64 and
 // two endurance levels (outer period fixed at 32, as in Sec 2.2).
-func RunFig3(sc Scale) ([]Series, error) {
-	type job struct {
-		endurance uint32
-		period    uint64
-		regions   uint64
-	}
-	var out []Series
-	var jobs []job
-	var pts []sweepPoint
-	for _, endurance := range []uint32{sc.AttackEndurance, sc.lowAttackEndurance()} {
+func RunFig3(sc Scale) ([]Series, error) { return fig3Sweep(sc).run(sc) }
+
+// fig3Sweep declares RunFig3's points.
+func fig3Sweep(sc Scale) *lifetimeSweep {
+	s := &lifetimeSweep{fig: "fig3"}
+	for _, endurance := range sc.attackEndurances() {
 		for _, period := range []uint64{8, 16, 32, 64} {
-			si := len(out)
-			out = append(out, Series{Label: fmt.Sprintf("Wmax=%d ψ=%d", endurance, period)})
+			s.series(fmt.Sprintf("Wmax=%d ψ=%d", endurance, period))
 			for _, regions := range regionSweep(sc.AttackLines) {
-				jobs = append(jobs, job{endurance, period, regions})
-				pts = append(pts, sweepPoint{si, float64(regions)})
+				s.point(float64(regions), SystemConfig{
+					Scheme: TLSR, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+					Endurance: endurance, Regions: regions,
+					Period: period, OuterPeriod: 32,
+				}, bpaAttack(period*(sc.AttackLines/regions)/2))
 			}
 		}
 	}
-	sh := newSharder(sc)
-	onJob := streamSweep(newSeriesStreamer(sc, "fig3"), out, pts)
-	norms, err := runJobsStream(sc, "fig3", true, nil, len(jobs), onJob, func(i int, seed uint64) (float64, error) {
-		j := jobs[i]
-		repeats := j.period * (sc.AttackLines / j.regions) / 2
-		res, err := sh.run(SystemConfig{
-			Scheme: TLSR, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-			Endurance: j.endurance, Regions: j.regions,
-			Period: j.period, OuterPeriod: 32, Seed: seed,
-		}, bpaAttack(seed, repeats), 0)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * res.Normalized, nil
-	})
-	appendPoints(out, pts, norms)
-	return out, err
+	return s
 }
 
 // RunFig4 reproduces Fig 4: normalized lifetime of the hybrid schemes
 // (PCM-S and MWSR) under BPA versus the number of regions, for swapping
 // periods 8-64 and two endurance levels.
-func RunFig4(sc Scale) ([]Series, error) {
-	type job struct {
-		endurance uint32
-		scheme    SchemeKind
-		period    uint64
-		regions   uint64
-	}
-	var out []Series
-	var jobs []job
-	var pts []sweepPoint
-	for _, endurance := range []uint32{sc.AttackEndurance, sc.lowAttackEndurance()} {
+func RunFig4(sc Scale) ([]Series, error) { return fig4Sweep(sc).run(sc) }
+
+// fig4Sweep declares RunFig4's points.
+func fig4Sweep(sc Scale) *lifetimeSweep {
+	s := &lifetimeSweep{fig: "fig4"}
+	for _, endurance := range sc.attackEndurances() {
 		for _, scheme := range []SchemeKind{PCMS, MWSR} {
 			for _, period := range []uint64{8, 16, 32, 64} {
-				si := len(out)
-				out = append(out, Series{Label: fmt.Sprintf("%s Wmax=%d ψ=%d", scheme, endurance, period)})
+				s.series(fmt.Sprintf("%s Wmax=%d ψ=%d", scheme, endurance, period))
 				for _, regions := range regionSweep(sc.AttackLines) {
-					jobs = append(jobs, job{endurance, scheme, period, regions})
-					pts = append(pts, sweepPoint{si, float64(regions)})
+					q := sc.AttackLines / regions
+					s.point(float64(regions), SystemConfig{
+						Scheme: scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+						Endurance: endurance, RegionLines: q, Period: period,
+					}, bpaAttack(period*q))
 				}
 			}
 		}
 	}
-	sh := newSharder(sc)
-	onJob := streamSweep(newSeriesStreamer(sc, "fig4"), out, pts)
-	norms, err := runJobsStream(sc, "fig4", true, nil, len(jobs), onJob, func(i int, seed uint64) (float64, error) {
-		j := jobs[i]
-		q := sc.AttackLines / j.regions
-		res, err := sh.run(SystemConfig{
-			Scheme: j.scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-			Endurance: j.endurance, RegionLines: q, Period: j.period, Seed: seed,
-		}, bpaAttack(seed, j.period*q), 0)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * res.Normalized, nil
-	})
-	appendPoints(out, pts, norms)
-	return out, err
+	return s
 }
+
+// fig5Budgets is the scaled on-chip SRAM budget sweep of Fig 5 (bytes).
+var fig5Budgets = []uint64{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15}
 
 // RunFig5 reproduces Fig 5: normalized lifetime of PCM-S and MWSR under
 // BPA as a function of the on-chip cache budget. A budget of B bytes
 // limits the number of regions each scheme can track (MWSR entries are
 // about twice the size of PCM-S entries, which is why it does worse at
 // equal budget). Budgets are scaled: the paper sweeps 64 KB-4 MB on 64 GB.
-// fig5Budgets is the scaled on-chip SRAM budget sweep of Fig 5 (bytes).
-var fig5Budgets = []uint64{1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14, 1 << 15}
+func RunFig5(sc Scale) ([]Series, error) { return fig5Sweep(sc).run(sc) }
 
-func RunFig5(sc Scale) ([]Series, error) {
-	budgets := fig5Budgets
-	type job struct {
-		endurance uint32
-		scheme    SchemeKind
-		budget    uint64
-	}
-	var out []Series
-	var jobs []job
-	var pts []sweepPoint
-	for _, endurance := range []uint32{sc.AttackEndurance, sc.lowAttackEndurance()} {
+// fig5Sweep declares RunFig5's points.
+func fig5Sweep(sc Scale) *lifetimeSweep {
+	s := &lifetimeSweep{fig: "fig5"}
+	for _, endurance := range sc.attackEndurances() {
 		for _, scheme := range []SchemeKind{PCMS, MWSR} {
-			si := len(out)
-			out = append(out, Series{Label: fmt.Sprintf("%s Wmax=%d", scheme, endurance)})
-			for _, budget := range budgets {
-				jobs = append(jobs, job{endurance, scheme, budget})
-				pts = append(pts, sweepPoint{si, float64(budget) / 1024}) // x in KB
+			s.series(fmt.Sprintf("%s Wmax=%d", scheme, endurance))
+			for _, budget := range fig5Budgets {
+				q := sc.AttackLines / regionsForBudget(scheme, budget, sc.AttackLines)
+				s.point(float64(budget)/1024, SystemConfig{ // x in KB
+					Scheme: scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+					Endurance: endurance, RegionLines: q, Period: 32,
+				}, bpaAttack(32*q))
 			}
 		}
 	}
-	sh := newSharder(sc)
-	onJob := streamSweep(newSeriesStreamer(sc, "fig5"), out, pts)
-	norms, err := runJobsStream(sc, "fig5", true, nil, len(jobs), onJob, func(i int, seed uint64) (float64, error) {
-		j := jobs[i]
-		regions := regionsForBudget(j.scheme, j.budget, sc.AttackLines)
-		q := sc.AttackLines / regions
-		res, err := sh.run(SystemConfig{
-			Scheme: j.scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-			Endurance: j.endurance, RegionLines: q, Period: 32, Seed: seed,
-		}, bpaAttack(seed, 32*q), 0)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * res.Normalized, nil
-	})
-	appendPoints(out, pts, norms)
-	return out, err
+	return s
 }
 
 // regionsForBudget returns the largest power-of-two region count whose
@@ -249,54 +249,35 @@ func regionsForBudget(scheme SchemeKind, budget uint64, lines uint64) uint64 {
 // table in NVM and wear-levels at the initial 4-line granularity with no
 // such bound, which is why it wins by the paper's 25-51% (50-78% at low
 // endurance).
-func RunFig15(sc Scale) ([]Series, error) {
-	type job struct {
-		endurance uint32
-		scheme    SchemeKind
-		period    uint64
-	}
-	var out []Series
-	var jobs []job
-	var pts []sweepPoint
-	for _, endurance := range []uint32{sc.AttackEndurance, sc.lowAttackEndurance()} {
+func RunFig15(sc Scale) ([]Series, error) { return fig15Sweep(sc).run(sc) }
+
+// fig15Sweep declares RunFig15's points.
+func fig15Sweep(sc Scale) *lifetimeSweep {
+	s := &lifetimeSweep{fig: "fig15"}
+	for _, endurance := range sc.attackEndurances() {
 		for _, scheme := range []SchemeKind{PCMS, MWSR, SAWL} {
-			si := len(out)
-			out = append(out, Series{Label: fmt.Sprintf("%s Wmax=%d", scheme, endurance)})
+			s.series(fmt.Sprintf("%s Wmax=%d", scheme, endurance))
 			for _, period := range []uint64{8, 16, 32, 64} {
-				jobs = append(jobs, job{endurance, scheme, period})
-				pts = append(pts, sweepPoint{si, float64(period)})
+				cfg := SystemConfig{
+					Scheme: scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+					Endurance: endurance, Period: period,
+				}
+				burst := uint64(4) // SAWL's initial granularity
+				switch scheme {
+				case SAWL:
+					cfg.CMTEntries = sc.CMTEntries
+				case PCMS:
+					// On-chip bound, scaled: PCM-S affords 16-line regions,
+					// MWSR (double-size entries) 32-line regions.
+					cfg.RegionLines, burst = 16, 16
+				case MWSR:
+					cfg.RegionLines, burst = 32, 32
+				}
+				s.point(float64(period), cfg, bpaAttack(period*burst))
 			}
 		}
 	}
-	sh := newSharder(sc)
-	onJob := streamSweep(newSeriesStreamer(sc, "fig15"), out, pts)
-	norms, err := runJobsStream(sc, "fig15", true, nil, len(jobs), onJob, func(i int, seed uint64) (float64, error) {
-		j := jobs[i]
-		cfg := SystemConfig{
-			Scheme: j.scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-			Endurance: j.endurance, Period: j.period, Seed: seed,
-		}
-		repeats := j.period * 4
-		switch j.scheme {
-		case SAWL:
-			cfg.CMTEntries = sc.CMTEntries
-		case PCMS:
-			// On-chip bound, scaled: PCM-S affords 16-line regions,
-			// MWSR (double-size entries) 32-line regions.
-			cfg.RegionLines = 16
-			repeats = j.period * 16
-		case MWSR:
-			cfg.RegionLines = 32
-			repeats = j.period * 32
-		}
-		res, err := sh.run(cfg, bpaAttack(seed, repeats), 0)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * res.Normalized, nil
-	})
-	appendPoints(out, pts, norms)
-	return out, err
+	return s
 }
 
 // fig16Schemes are the schemes Fig 16 compares across the SPEC suite.
@@ -308,105 +289,135 @@ var fig16Schemes = []SchemeKind{Baseline, RBSG, TLSR, SAWL}
 // final point of each series is the harmonic mean, the paper's "Hmean"
 // bar. X values index the benchmark in SpecBenchmarks() order (the Hmean
 // point is appended at index len(benchmarks)).
-func RunFig16(sc Scale, coarse bool) ([]Series, error) {
+func RunFig16(sc Scale, coarse bool) ([]Series, error) { return fig16Sweep(sc, coarse).run(sc) }
+
+// fig16Sweep declares RunFig16's points.
+func fig16Sweep(sc Scale, coarse bool) *lifetimeSweep {
 	// (a) coarse: 64-line regions (the paper's 4096-region config, where
 	// RBSG/TLSR regions are large); (b) fine: 8-line regions (the paper's
 	// 1M-region config).
-	var regions uint64
-	if coarse {
-		regions = sc.SpecLines / 64
-	} else {
-		regions = sc.SpecLines / 8
-	}
-	if regions < 4 {
-		regions = 4
-	}
-	gran := sc.SpecLines / regions
-
-	names := workload.Names()
-	schemes := fig16Schemes
-	out := make([]Series, len(schemes))
-	endurance := sc.SpecEndurance
-
-	fig := "fig16a"
+	fig, regions := "fig16a", sc.SpecLines/64
 	if !coarse {
-		fig = "fig16b"
+		fig, regions = "fig16b", sc.SpecLines/8
 	}
-	// Streaming: each scheme's series completes once its 14 benchmark
-	// points have landed; the Hmean point is computed and fired with them.
-	// The pool serializes onJob calls, so the accumulators need no lock.
-	var onJob func(i int, y float64)
-	if st := newSeriesStreamer(sc, fig); st != nil {
-		vals := make([][]float64, len(schemes))
-		left := make([]int, len(schemes))
-		for si, scheme := range schemes {
-			st.series(string(scheme), len(names)+1)
-			vals[si] = make([]float64, len(names))
-			left[si] = len(names)
-		}
-		onJob = func(i int, y float64) {
-			si, bi := i/len(names), i%len(names)
-			st.point(si, bi, float64(bi), y)
-			vals[si][bi] = y
-			if left[si]--; left[si] == 0 {
-				st.point(si, len(names), float64(len(names)), metrics.HarmonicMean(vals[si]))
+	regions = max(regions, 4)
+	names := workload.Names()
+	// One point per (scheme, benchmark), scheme-major. Benchmarks vary
+	// ~10x in run time with footprint, so the footprint is the
+	// longest-job-first hint that keeps the parallel tail short.
+	s := &lifetimeSweep{fig: fig, hmean: true, cost: metrics.CycleCost(workload.Footprints(names))}
+	for _, scheme := range fig16Schemes {
+		s.series(string(scheme))
+		for bi, name := range names {
+			cfg := SystemConfig{
+				Scheme: scheme, Lines: sc.SpecLines, SpareLines: sc.specSpares(),
+				Endurance: sc.SpecEndurance, Period: sc.SpecPeriod,
+				Regions: regions, InitGran: sc.SpecLines / regions, CMTEntries: sc.CMTEntries,
 			}
+			if scheme == SAWL {
+				// Sec 4.1: SAWL's initial wear-leveling granularity is a few
+				// memory lines regardless of the RBSG/TLSR region config;
+				// the region sweep only affects the algebraic schemes.
+				cfg.InitGran = 8
+			}
+			s.point(float64(bi), cfg, WorkloadSpec{Kind: WorkloadSPEC, Name: name})
 		}
 	}
+	return s
+}
+
+// SweepRegionLines and SweepPeriods are the default region-size x period
+// grid of the generic `sweep` experiment.
+var (
+	SweepRegionLines = []uint64{4, 16, 64, 256}
+	SweepPeriods     = []uint64{8, 16, 32, 64}
+)
+
+// RunSweep measures BPA lifetime for one scheme across region sizes and
+// swapping periods — the generic parameter exploration behind cmd/wlsim's
+// `sweep` experiment. Each series is one period; X is the region size in
+// lines.
+func RunSweep(sc Scale, kind SchemeKind, regionLines, periods []uint64) ([]Series, error) {
+	return gridSweep(sc, kind, regionLines, periods).run(sc)
+}
+
+// gridSweep declares RunSweep's points. The scheme and grid are sweep
+// parameters outside Scale, so they are part of the cache identity.
+func gridSweep(sc Scale, kind SchemeKind, regionLines, periods []uint64) *lifetimeSweep {
+	s := &lifetimeSweep{fig: fmt.Sprintf("sweep:%s:q%v:p%v", kind, regionLines, periods)}
+	for _, period := range periods {
+		s.series(fmt.Sprintf("%s ψ=%d", kind, period))
+		for _, q := range regionLines {
+			s.point(float64(q), SystemConfig{
+				Scheme: kind, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+				Endurance: sc.AttackEndurance, Period: period,
+				RegionLines: q, Regions: sc.AttackLines / q, InitGran: min(q, 64),
+				CMTEntries: sc.CMTEntries,
+			}, bpaAttack(period*q))
+		}
+	}
+	return s
+}
+
+// AttackKinds are the schemes the `attack` experiment scores — the full
+// registered catalogue, baseline first (Sec 2.2's resilience comparison).
+// The scheme list is part of the sweep's cache identity (attackFig), so
+// growing the catalogue re-keys the sweep rather than misreading old rows.
+var AttackKinds = Schemes()
+
+// attackFig is the attack sweep's cache identity: the scheme list is a
+// sweep parameter outside Scale, so it is part of the identity.
+func attackFig(kinds []SchemeKind) string { return fmt.Sprintf("attack:%v", kinds) }
+
+// RunAttackScores measures each scheme's normalized lifetime under RAA and
+// a trigger-aware BPA at the attack scale — one pool job per scheme,
+// returned in input order — for the Sec 2.2-style resilience verdicts. The
+// RAA half always runs serial (a workload-level shard fallback) while the
+// BPA half decomposes under -shards. An interrupted sweep returns the
+// completed prefix of scores together with an error wrapping
+// ErrInterrupted.
+func RunAttackScores(sc Scale, kinds []SchemeKind) ([]analysis.AttackScore, error) {
 	sh := newSharder(sc)
-	// One job per (scheme, benchmark) lifetime run, scheme-major so the
-	// results slice regroups directly into series. Benchmarks vary ~10x in
-	// run time with footprint, so the footprint is the longest-job-first
-	// hint that keeps the parallel tail short.
-	norms, err := runJobsStream(sc, fig, true, metrics.CycleCost(workload.Footprints(names)), len(schemes)*len(names), onJob, func(i int, seed uint64) (float64, error) {
-		scheme, name := schemes[i/len(names)], names[i%len(names)]
-		cfg := SystemConfig{
-			Scheme: scheme, Lines: sc.SpecLines, SpareLines: sc.specSpares(),
-			Endurance: endurance, Period: sc.SpecPeriod, Seed: seed,
-			Regions: regions, InitGran: gran, CMTEntries: sc.CMTEntries,
-		}
-		if scheme == SAWL {
-			// Sec 4.1: SAWL's initial wear-leveling granularity is a few
-			// memory lines regardless of the RBSG/TLSR region config;
-			// the region sweep only affects the algebraic schemes.
-			cfg.InitGran = 8
-		}
-		res, err := sh.run(cfg, WorkloadSpec{
-			Kind: WorkloadSPEC, Name: name, Seed: seed,
-		}, 0)
-		if err != nil {
-			return 0, err
-		}
-		return 100 * res.Normalized, nil
-	})
-	for si := range schemes {
-		out[si].Label = string(schemes[si])
-		if (si+1)*len(names) > len(norms) {
-			// Interrupted sweep: this scheme's row is incomplete, so its
-			// benchmark points and Hmean would be wrong — leave it empty.
-			continue
-		}
-		values := norms[si*len(names) : (si+1)*len(names)]
-		for bi, v := range values {
-			out[si].Append(float64(bi), v)
-		}
-		out[si].Append(float64(len(names)), metrics.HarmonicMean(values))
-	}
-	return out, err
+	return runJobs(sc, attackFig(kinds), true, len(kinds), jobOpts[analysis.AttackScore]{},
+		func(i int, seed uint64) (analysis.AttackScore, error) {
+			run := func(w WorkloadSpec) (float64, error) {
+				res, err := sh.run(SystemConfig{
+					Scheme: kinds[i], Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
+					Endurance: sc.AttackEndurance, Period: 8,
+					RegionLines: 64, Regions: 16, InitGran: 4,
+					CMTEntries: sc.CMTEntries, Seed: seed,
+				}, w, 0)
+				return res.Normalized, err
+			}
+			raa, err := run(WorkloadSpec{Kind: WorkloadRAA, Target: 99})
+			if err != nil {
+				return analysis.AttackScore{}, err
+			}
+			// Trigger-aware bursts: one swap period per remap unit, a
+			// 64-line region or the tiered schemes' 4-line granularity.
+			repeats := uint64(8 * 64)
+			if kinds[i] == SAWL || kinds[i] == NWL {
+				repeats = 8 * 4
+			}
+			bpa, err := run(WorkloadSpec{Kind: WorkloadBPA, Seed: seed, Repeats: repeats})
+			if err != nil {
+				return analysis.AttackScore{}, err
+			}
+			return analysis.AttackScore{RAANormalized: raa, BPANormalized: bpa}, nil
+		})
 }
 
 // Experiment registrations for this file's runners. The lifetime sweeps
 // all go through the intra-run sharder, so they carry the Sharded
-// capability flag (shard-salted cache keys).
+// capability flag (shard-salted cache keys). Each Plan is the same builder
+// its runner executes.
 func init() {
 	Register(Experiment{
 		Name:        "fig3",
 		Description: "TLSR lifetime vs number of regions (BPA)",
 		Figure:      "Fig 3",
 		Order:       30, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig3", 2*4*len(regionSweep(sc.AttackLines)))
-		},
+		Plan: func(sc Scale) []JobSpec { return fig3Sweep(sc).plan() },
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig3(sc)
 			return Result{s}, err
@@ -420,9 +431,7 @@ func init() {
 		Description: "PCM-S/MWSR lifetime vs number of regions (BPA)",
 		Figure:      "Fig 4",
 		Order:       40, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig4", 2*2*4*len(regionSweep(sc.AttackLines)))
-		},
+		Plan: func(sc Scale) []JobSpec { return fig4Sweep(sc).plan() },
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig4(sc)
 			return Result{s}, err
@@ -436,9 +445,7 @@ func init() {
 		Description: "hybrid lifetime vs on-chip cache budget (BPA)",
 		Figure:      "Fig 5",
 		Order:       50, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig5", 2*2*len(fig5Budgets))
-		},
+		Plan: func(sc Scale) []JobSpec { return fig5Sweep(sc).plan() },
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig5(sc)
 			return Result{s}, err
@@ -452,9 +459,7 @@ func init() {
 		Description: "PCM-S / MWSR / SAWL lifetime vs swapping period (BPA)",
 		Figure:      "Fig 15",
 		Order:       150, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig15", 2*3*4) // 2 panels x {PCMS,MWSR,SAWL} x 4 periods
-		},
+		Plan: func(sc Scale) []JobSpec { return fig15Sweep(sc).plan() },
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig15(sc)
 			return Result{s}, err
@@ -469,8 +474,7 @@ func init() {
 		Figure:      "Fig 16",
 		Order:       160, InAll: true, Sharded: true,
 		Plan: func(sc Scale) []JobSpec {
-			n := len(fig16Schemes) * len(workload.Names())
-			return append(planJobs("fig16a", n), planJobs("fig16b", n)...)
+			return append(fig16Sweep(sc, true).plan(), fig16Sweep(sc, false).plan()...)
 		},
 		Run: func(sc Scale) (Result, error) {
 			var p fig16Panels
@@ -498,18 +502,19 @@ func init() {
 		},
 		Render: renderAttack,
 	})
+	// The registered sweep explores Scale.SweepScheme (default PCMS) over
+	// the default grid.
 	Register(Experiment{
 		Name:        "sweep",
 		Description: "BPA lifetime over region-size x period grid (-scheme)",
 		Figure:      "-",
 		Order:       230, Sharded: true,
 		Plan: func(sc Scale) []JobSpec {
-			kind, regionLines, periods := sweepParams(sc)
-			return planJobs(sweepFig(kind, regionLines, periods), len(periods)*len(regionLines))
+			return gridSweep(sc, cmp.Or(sc.SweepScheme, PCMS), SweepRegionLines, SweepPeriods).plan()
 		},
 		Run: func(sc Scale) (Result, error) {
-			kind, regionLines, periods := sweepParams(sc)
-			s, err := RunSweep(sc, kind, regionLines, periods)
+			kind := cmp.Or(sc.SweepScheme, PCMS)
+			s, err := RunSweep(sc, kind, SweepRegionLines, SweepPeriods)
 			return Result{sweepResult{Kind: kind, Series: s}}, err
 		},
 		Render: func(r Result) ([]Table, []SVG) {
@@ -573,131 +578,4 @@ func renderAttack(r Result) ([]Table, []SVG) {
 		})
 	}
 	return []Table{t}, nil
-}
-
-// RunAttackScore measures one scheme's normalized lifetime under RAA and a
-// trigger-aware BPA at the attack scale, returning the Sec 2.2-style
-// resilience verdict.
-func RunAttackScore(sc Scale, kind SchemeKind) (analysis.AttackScore, error) {
-	return attackScore(sc, newSharder(sc), kind, sc.Seed)
-}
-
-// attackScore is RunAttackScore with an explicit seed, so parallel sweeps
-// can pass their per-job derived seed, and a shared sharder so the sweep's
-// -shards policy applies (the RAA half always falls back — a workload-level
-// reason — while the BPA half decomposes).
-func attackScore(sc Scale, sh *sharder, kind SchemeKind, seed uint64) (analysis.AttackScore, error) {
-	run := func(w WorkloadSpec) (float64, error) {
-		res, err := sh.run(SystemConfig{
-			Scheme: kind, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-			Endurance: sc.AttackEndurance, Period: 8,
-			RegionLines: 64, Regions: 16, InitGran: 4,
-			CMTEntries: sc.CMTEntries, Seed: seed,
-		}, w, 0)
-		if err != nil {
-			return 0, err
-		}
-		return res.Normalized, nil
-	}
-	raa, err := run(WorkloadSpec{Kind: WorkloadRAA, Target: 99})
-	if err != nil {
-		return analysis.AttackScore{}, err
-	}
-	repeats := uint64(8 * 64)
-	if kind == SAWL || kind == NWL {
-		repeats = 8 * 4
-	}
-	bpa, err := run(WorkloadSpec{Kind: WorkloadBPA, Seed: seed, Repeats: repeats})
-	if err != nil {
-		return analysis.AttackScore{}, err
-	}
-	return analysis.AttackScore{RAANormalized: raa, BPANormalized: bpa}, nil
-}
-
-// AttackKinds are the schemes the `attack` experiment scores — the full
-// registered catalogue, baseline first (Sec 2.2's resilience comparison).
-// The scheme list is part of the sweep's cache identity (attackFig), so
-// growing the catalogue re-keys the sweep rather than misreading old rows.
-var AttackKinds = Schemes()
-
-// attackFig is the attack sweep's cache identity: the scheme list is a
-// sweep parameter outside Scale, so it is part of the identity.
-func attackFig(kinds []SchemeKind) string { return fmt.Sprintf("attack:%v", kinds) }
-
-// RunAttackScores fans RunAttackScore out over the given schemes on the
-// scale's worker pool, returning one score per scheme in input order.
-func RunAttackScores(sc Scale, kinds []SchemeKind) ([]analysis.AttackScore, error) {
-	sh := newSharder(sc)
-	return exec.Map(sc.cachedPool(attackFig(kinds), true, nil), len(kinds), func(i int, seed uint64) (analysis.AttackScore, error) {
-		return attackScore(sc, sh, kinds[i], seed)
-	})
-}
-
-// SweepRegionLines and SweepPeriods are the default region-size x period
-// grid of the generic `sweep` experiment.
-var (
-	SweepRegionLines = []uint64{4, 16, 64, 256}
-	SweepPeriods     = []uint64{8, 16, 32, 64}
-)
-
-// sweepParams resolves the registered `sweep` experiment's parameters from
-// the scale: the selected scheme (Scale.SweepScheme, default PCMS) over the
-// default grid.
-func sweepParams(sc Scale) (SchemeKind, []uint64, []uint64) {
-	kind := sc.SweepScheme
-	if kind == "" {
-		kind = PCMS
-	}
-	return kind, SweepRegionLines, SweepPeriods
-}
-
-// sweepFig is the sweep's cache identity: scheme and grid are sweep
-// parameters outside Scale, so they are part of the identity.
-func sweepFig(kind SchemeKind, regionLines, periods []uint64) string {
-	return fmt.Sprintf("sweep:%s:q%v:p%v", kind, regionLines, periods)
-}
-
-// RunSweep measures BPA lifetime for one scheme across region sizes and
-// swapping periods — the generic parameter exploration behind cmd/wlsim's
-// `sweep` experiment. Each series is one period; X is the region size in
-// lines.
-func RunSweep(sc Scale, kind SchemeKind, regionLines, periods []uint64) ([]Series, error) {
-	fig := sweepFig(kind, regionLines, periods)
-	var onJob func(i int, y float64)
-	if st := newSeriesStreamer(sc, fig); st != nil {
-		for _, period := range periods {
-			st.series(fmt.Sprintf("%s ψ=%d", kind, period), len(regionLines))
-		}
-		onJob = func(i int, y float64) {
-			pi, qi := i/len(regionLines), i%len(regionLines)
-			st.point(pi, qi, float64(regionLines[qi]), y)
-		}
-	}
-	sh := newSharder(sc)
-	norms, err := runJobsStream(sc, fig, true, nil, len(periods)*len(regionLines), onJob,
-		func(i int, seed uint64) (float64, error) {
-			period, q := periods[i/len(regionLines)], regionLines[i%len(regionLines)]
-			res, err := sh.run(SystemConfig{
-				Scheme: kind, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
-				Endurance: sc.AttackEndurance, Period: period,
-				RegionLines: q, Regions: sc.AttackLines / q, InitGran: min(q, 64),
-				CMTEntries: sc.CMTEntries, Seed: seed,
-			}, bpaAttack(seed, period*q), 0)
-			if err != nil {
-				return 0, err
-			}
-			return 100 * res.Normalized, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Series, 0, len(periods))
-	for pi, period := range periods {
-		s := Series{Label: fmt.Sprintf("%s ψ=%d", kind, period)}
-		for qi, q := range regionLines {
-			s.Append(float64(q), norms[pi*len(regionLines)+qi])
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

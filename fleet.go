@@ -179,30 +179,37 @@ func RunFleet(sc Scale) (FleetResult, error) {
 		}
 	}
 
+	// Rows land by index as their jobs complete — quarantined jobs never
+	// do — so the population keeps full length, with holes where an
+	// interrupted sweep never ran a device. Both hooks run under the
+	// pool's lock.
+	rows := make([]FleetDevice, n)
+	quarantined := make(map[int]error, 1)
 	sh := newSharder(sc)
-	quarantined := make(map[int]error, 1) // written under the pool's lock
-	rows, _, err := runJobsIsolated(sc, fig, true, fleetCost(sc, schemes, schemeOf, deviceOf), n,
-		func(i int, qerr error) { quarantined[i] = qerr },
-		func(i int, seed uint64) (FleetDevice, error) {
-			desc, cfg, w := fleetDraw(sc, schemes[schemeOf[i]], deviceOf[i], seed)
-			if sc.FleetPoison == i+1 {
-				panic(fmt.Sprintf("poisoned device %s (WLSIM_FLEET_POISON test hook)", desc))
-			}
-			res, err := sh.run(cfg, w, 0)
-			if err != nil {
-				return FleetDevice{}, fmt.Errorf("device %s: %w", desc, err)
-			}
-			return FleetDevice{
-				Desc:          desc,
-				LifePct:       100 * res.Normalized,
-				Served:        res.Served,
-				SparesUsed:    res.SparesUsed,
-				FaultRemaps:   res.FaultRemaps,
-				Reads:         res.Reads,
-				Uncorrectable: res.Uncorrectable,
-				Cause:         string(res.Cause),
-			}, nil
-		})
+	_, err := runJobs(sc, fig, true, n, jobOpts[FleetDevice]{
+		cost:       fleetCost(sc, schemes, schemeOf, deviceOf),
+		onJob:      func(i int, row FleetDevice) { rows[i] = row },
+		quarantine: func(i int, qerr error) { quarantined[i] = qerr },
+	}, func(i int, seed uint64) (FleetDevice, error) {
+		desc, cfg, w := fleetDraw(sc, schemes[schemeOf[i]], deviceOf[i], seed)
+		if sc.FleetPoison == i+1 {
+			panic(fmt.Sprintf("poisoned device %s (WLSIM_FLEET_POISON test hook)", desc))
+		}
+		res, err := sh.run(cfg, w, 0)
+		if err != nil {
+			return FleetDevice{}, fmt.Errorf("device %s: %w", desc, err)
+		}
+		return FleetDevice{
+			Desc:          desc,
+			LifePct:       100 * res.Normalized,
+			Served:        res.Served,
+			SparesUsed:    res.SparesUsed,
+			FaultRemaps:   res.FaultRemaps,
+			Reads:         res.Reads,
+			Uncorrectable: res.Uncorrectable,
+			Cause:         string(res.Cause),
+		}, nil
+	})
 
 	out := FleetResult{Devices: counts, Rows: rows}
 	for _, s := range schemes {

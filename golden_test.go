@@ -3,6 +3,7 @@ package nvmwear
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 )
@@ -92,42 +93,73 @@ func TestFaultSweepDegrades(t *testing.T) {
 }
 
 // TestInterruptedSweepFlushesPrefix cancels a sweep mid-run through
-// Scale.Context and checks the library-level contract wlsim builds on:
-// the completed prefix of points comes back alongside an error wrapping
-// ErrInterrupted.
+// Scale.Context and checks the library-level contract wlsim builds on: the
+// completed prefix of points comes back alongside an error wrapping
+// ErrInterrupted, and it matches the same jobs of an uninterrupted run.
+// Each case flattens its runner's output to one string per job, in job
+// order.
 func TestInterruptedSweepFlushesPrefix(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	sc := tinyScale()
-	sc.Parallelism = 1
-	sc.Context = ctx
-	fired := false
-	sc.Progress = func(done, total int) {
-		if !fired && done >= 2 {
-			fired = true
-			cancel()
-		}
-	}
-	series, err := RunFig3(sc)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	points := 0
-	for _, s := range series {
-		points += len(s.Y)
-	}
-	// At least the two jobs that triggered cancellation flushed; the full
-	// figure (which must not have completed) has 56 points.
-	if points < 2 || points >= 56 {
-		t.Fatalf("%d points flushed from an interrupted 56-job sweep", points)
-	}
-	// The flushed prefix must match the same jobs of an uninterrupted run.
-	full := must(RunFig3(withParallelism(tinyScale(), 1)))
-	for si, s := range series {
-		for i, y := range s.Y {
-			if full[si].X[i] != s.X[i] || full[si].Y[i] != y {
-				t.Fatalf("series %d point %d: partial (%v,%v) != full (%v,%v)",
-					si, i, s.X[i], y, full[si].X[i], full[si].Y[i])
+	cases := []struct {
+		name string
+		run  func(Scale) ([]string, error)
+	}{
+		{"fig3", func(sc Scale) ([]string, error) { return seriesPoints(RunFig3(sc)) }},
+		{"sweep", func(sc Scale) ([]string, error) {
+			return seriesPoints(RunSweep(sc, PCMS, SweepRegionLines, SweepPeriods))
+		}},
+		{"attack", func(sc Scale) ([]string, error) {
+			scores, err := RunAttackScores(sc, AttackKinds)
+			var out []string
+			for i, s := range scores {
+				out = append(out, fmt.Sprintf("%s=%+v", AttackKinds[i], s))
 			}
+			return out, err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sc := withParallelism(tinyScale(), 1)
+			sc.Context = ctx
+			fired := false
+			sc.Progress = func(done, total int) {
+				if !fired && done >= 2 {
+					fired = true
+					cancel()
+				}
+			}
+			partial, err := c.run(sc)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("err = %v, want ErrInterrupted", err)
+			}
+			full, err := c.run(withParallelism(tinyScale(), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// At least the two jobs that triggered cancellation flushed;
+			// the full sweep must not have completed.
+			if len(partial) < 2 || len(partial) >= len(full) {
+				t.Fatalf("%d points flushed from an interrupted %d-job sweep", len(partial), len(full))
+			}
+			for i, p := range partial {
+				if p != full[i] {
+					t.Fatalf("job %d: partial %s != full %s", i, p, full[i])
+				}
+			}
+		})
+	}
+}
+
+// seriesPoints flattens a lifetime runner's series to one string per
+// point. Every lifetime sweep declares each series' points contiguously,
+// so series order is job order.
+func seriesPoints(series []Series, err error) ([]string, error) {
+	var out []string
+	for _, s := range series {
+		for i := range s.Y {
+			out = append(out, fmt.Sprintf("%s@%v=%v", s.Label, s.X[i], s.Y[i]))
 		}
 	}
+	return out, err
 }

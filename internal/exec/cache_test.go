@@ -35,7 +35,7 @@ func (s *mapStore) Put(key string, payload []byte) error {
 	return nil
 }
 
-func cachedPool(st Store, workers int) *Pool {
+func storePool(st Store, workers int) *Pool {
 	return &Pool{
 		Workers: workers,
 		Store:   st,
@@ -46,7 +46,7 @@ func cachedPool(st Store, workers int) *Pool {
 func TestMapCacheHitsBypassWorkers(t *testing.T) {
 	st := newMapStore()
 	square := func(i int, seed uint64) (int, error) { return i * i, nil }
-	first, err := Map(cachedPool(st, 4), 20, square)
+	first, err := Map(storePool(st, 4), 20, square)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMapCacheHitsBypassWorkers(t *testing.T) {
 		t.Fatalf("%d puts after cold run, want 20", st.puts)
 	}
 	// Second run: every result must come from the store, fn must not run.
-	second, err := Map(cachedPool(st, 4), 20, func(i int, seed uint64) (int, error) {
+	second, err := Map(storePool(st, 4), 20, func(i int, seed uint64) (int, error) {
 		t.Errorf("job %d recomputed despite cached result", i)
 		return 0, nil
 	})
@@ -73,11 +73,11 @@ func TestMapCacheHitsBypassWorkers(t *testing.T) {
 
 func TestMapCacheFiresOnDoneForHits(t *testing.T) {
 	st := newMapStore()
-	if _, err := Map(cachedPool(st, 2), 10, func(i int, seed uint64) (int, error) { return i, nil }); err != nil {
+	if _, err := Map(storePool(st, 2), 10, func(i int, seed uint64) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var calls, zeroElapsed int
-	p := cachedPool(st, 2)
+	p := storePool(st, 2)
 	p.OnDone = func(done, total int, elapsed time.Duration) {
 		calls++
 		if total != 10 {
@@ -111,7 +111,7 @@ func TestMapCachePartialResume(t *testing.T) {
 	}
 	ran := map[int]bool{}
 	var mu sync.Mutex
-	results, err := Map(cachedPool(st, 4), 10, func(i int, seed uint64) (int, error) {
+	results, err := Map(storePool(st, 4), 10, func(i int, seed uint64) (int, error) {
 		mu.Lock()
 		ran[i] = true
 		mu.Unlock()
@@ -143,7 +143,7 @@ func TestMapCacheUndecodablePayloadRecomputes(t *testing.T) {
 	st := newMapStore()
 	st.m["job-3"] = []byte("not gob at all")
 	ran := false
-	results, err := Map(cachedPool(st, 1), 4, func(i int, seed uint64) (int, error) {
+	results, err := Map(storePool(st, 1), 4, func(i int, seed uint64) (int, error) {
 		if i == 3 {
 			ran = true
 		}
@@ -322,9 +322,9 @@ func TestMapOnJobFiresForComputedAndCachedJobs(t *testing.T) {
 			}
 		}
 	}
-	check(collect(cachedPool(st, 4)), "cold run")
+	check(collect(storePool(st, 4)), "cold run")
 	// Second run: everything is a cache hit, served from the prepass.
-	check(collect(cachedPool(st, 4)), "cached run")
+	check(collect(storePool(st, 4)), "cached run")
 }
 
 // A cached-run OnJob reports zero elapsed; a computed job reports nonzero.
@@ -337,7 +337,7 @@ func TestMapOnJobElapsedDistinguishesCacheHits(t *testing.T) {
 	var mu sync.Mutex
 	elapsed := map[int]time.Duration{}
 	run := func() {
-		p := cachedPool(st, 2)
+		p := storePool(st, 2)
 		p.OnJob = func(i int, _ any, d time.Duration) {
 			mu.Lock()
 			elapsed[i] = d

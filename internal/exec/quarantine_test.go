@@ -102,7 +102,7 @@ func TestMapQuarantineCatchesPanics(t *testing.T) {
 
 func TestMapQuarantinedJobNotCached(t *testing.T) {
 	st := newMapStore()
-	p := cachedPool(st, 2)
+	p := storePool(st, 2)
 	p.Quarantine = func(i int, err error) {}
 	if _, err := Map(p, 6, func(i int, seed uint64) (int, error) {
 		if i == 2 {
@@ -120,7 +120,7 @@ func TestMapQuarantinedJobNotCached(t *testing.T) {
 	}
 	// A later run with the same store must re-attempt the quarantined job.
 	var reran atomic.Int64
-	p2 := cachedPool(st, 2)
+	p2 := storePool(st, 2)
 	p2.Quarantine = func(i int, err error) { t.Errorf("job %d quarantined on retry run", i) }
 	if _, err := Map(p2, 6, func(i int, seed uint64) (int, error) {
 		reran.Add(1)

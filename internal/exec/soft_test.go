@@ -64,7 +64,7 @@ func TestMapSoftCancelLetsInflightFinish(t *testing.T) {
 func TestMapSoftCancelPersistsInflightResults(t *testing.T) {
 	st := newMapStore()
 	soft, drain := context.WithCancelCause(context.Background())
-	p := cachedPool(st, 1)
+	p := storePool(st, 1)
 	p.SoftContext = soft
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})

@@ -35,8 +35,8 @@ func newCtrl(seed uint64, n int) *ctrl {
 	return c
 }
 
-// testPool builds the pool the way Scale.cachedPool does, wired to the
-// scale's cancellation and cache plumbing.
+// testPool builds the pool the way the root package's runJobs does, wired
+// to the scale's cancellation and cache plumbing.
 func testPool(name string, sc nvmwear.Scale) *exec.Pool {
 	p := &exec.Pool{Workers: sc.Parallelism, BaseSeed: sc.Seed, Context: sc.Context, SoftContext: sc.Drain}
 	if sc.Progress != nil {

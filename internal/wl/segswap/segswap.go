@@ -8,7 +8,7 @@
 // physical segment. The intra-segment offset never changes — the weakness
 // Sec 2.2 points out: a Repeated Address Attack keeps hitting the same
 // offset inside every segment it is bounced to, so the scheme fails under
-// RAA (reproduced by this package's tests and examples/attack).
+// RAA (reproduced by this package's tests and `wlsim attack`).
 package segswap
 
 import (

@@ -227,41 +227,55 @@ func TestShardedFallbackIsExactlySerial(t *testing.T) {
 
 // Streaming must deliver every series, each exactly equal to its final
 // returned form, as soon as it completes — the contract wlsim's partial-SVG
-// rendering builds on.
+// rendering builds on. fig16 covers the Hmean point streamed with its
+// series.
 func TestSeriesDoneStreamsFinalSeries(t *testing.T) {
-	sc := tinyScale()
-	sc.Parallelism = 4
-	var mu sync.Mutex
-	streamed := map[string]Series{}
-	sc.SeriesDone = func(fig string, s Series) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fig != "fig3" {
-			t.Errorf("SeriesDone fig = %q", fig)
-		}
-		if _, dup := streamed[s.Label]; dup {
-			t.Errorf("series %q streamed twice", s.Label)
-		}
-		streamed[s.Label] = s
+	cases := []struct {
+		name, fig string
+		run       func(Scale) ([]Series, error)
+	}{
+		{"fig3", "fig3", RunFig3},
+		{"fig16a", "fig16a", func(sc Scale) ([]Series, error) { return RunFig16(sc, true) }},
+		{"sweep", gridSweep(tinyScale(), PCMS, SweepRegionLines, SweepPeriods).fig, func(sc Scale) ([]Series, error) {
+			return RunSweep(sc, PCMS, SweepRegionLines, SweepPeriods)
+		}},
 	}
-	final := must(RunFig3(sc))
-	if len(streamed) != len(final) {
-		t.Fatalf("%d series streamed, %d returned", len(streamed), len(final))
-	}
-	for _, f := range final {
-		s, ok := streamed[f.Label]
-		if !ok {
-			t.Fatalf("series %q never streamed", f.Label)
-		}
-		if len(s.X) != len(f.X) {
-			t.Fatalf("series %q streamed with %d points, final has %d", f.Label, len(s.X), len(f.X))
-		}
-		for i := range f.X {
-			if s.X[i] != f.X[i] || s.Y[i] != f.Y[i] {
-				t.Fatalf("series %q point %d: streamed (%v,%v) != final (%v,%v)",
-					f.Label, i, s.X[i], s.Y[i], f.X[i], f.Y[i])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sc := withParallelism(tinyScale(), 4)
+			var mu sync.Mutex
+			streamed := map[string]Series{}
+			sc.SeriesDone = func(fig string, s Series) {
+				mu.Lock()
+				defer mu.Unlock()
+				if fig != c.fig {
+					t.Errorf("SeriesDone fig = %q", fig)
+				}
+				if _, dup := streamed[s.Label]; dup {
+					t.Errorf("series %q streamed twice", s.Label)
+				}
+				streamed[s.Label] = s
 			}
-		}
+			final := must(c.run(sc))
+			if len(streamed) != len(final) {
+				t.Fatalf("%d series streamed, %d returned", len(streamed), len(final))
+			}
+			for _, f := range final {
+				s, ok := streamed[f.Label]
+				if !ok {
+					t.Fatalf("series %q never streamed", f.Label)
+				}
+				if len(s.X) != len(f.X) {
+					t.Fatalf("series %q streamed with %d points, final has %d", f.Label, len(s.X), len(f.X))
+				}
+				for i := range f.X {
+					if s.X[i] != f.X[i] || s.Y[i] != f.Y[i] {
+						t.Fatalf("series %q point %d: streamed (%v,%v) != final (%v,%v)",
+							f.Label, i, s.X[i], s.Y[i], f.X[i], f.Y[i])
+					}
+				}
+			}
+		})
 	}
 }
 
