@@ -235,33 +235,3 @@ func TestWearModelSaltsCacheKeys(t *testing.T) {
 		t.Fatal("default re-run served no cache hits")
 	}
 }
-
-// TestOpenCacheWiring exercises Scale.OpenCache, the path wlsim uses.
-func TestOpenCacheWiring(t *testing.T) {
-	sc := tinyScale()
-	closer, err := sc.OpenCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Cache != nil {
-		t.Fatal("OpenCache with empty CacheDir attached a store")
-	}
-	if err := closer(); err != nil {
-		t.Fatal(err)
-	}
-
-	sc.CacheDir = t.TempDir()
-	closer, err = sc.OpenCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Cache == nil {
-		t.Fatal("OpenCache left Cache nil")
-	}
-	if _, err := store.Open(sc.CacheDir); err == nil {
-		t.Fatal("open cache dir not locked against concurrent use")
-	}
-	if err := closer(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -196,7 +196,6 @@ func main() {
 	// killed run resumes with only the missing jobs re-executed. The
 	// store's lockfile serializes whole processes; a lock left by a dead
 	// process (SIGKILL) is reclaimed automatically.
-	var cache *store.Store
 	if *cacheDir != "" {
 		if *cacheClear {
 			if err := store.Clear(*cacheDir); err != nil {
@@ -212,14 +211,12 @@ func main() {
 		st.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
-		cache = st
-		sc.CacheDir = *cacheDir
 		sc.Cache = st
 	}
 	closeCache := func() {
-		if cache != nil {
-			cache.Close()
-			cache = nil
+		if sc.Cache != nil {
+			sc.Cache.Close()
+			sc.Cache = nil
 		}
 	}
 	defer closeCache()
@@ -322,7 +319,7 @@ func main() {
 		// -max-run-jobs guards the CLI too: an oversized plan (say a fat
 		// -devices override) is rejected before any job runs, with the same
 		// message shape the serve admission check produces.
-		if *maxRunJobs > 0 && e.Plan != nil {
+		if *maxRunJobs > 0 {
 			if n := len(e.Plan(sc)); n > *maxRunJobs {
 				fmt.Fprintln(os.Stderr, nvmwear.PlanCapError(target, n, sc.Name, *maxRunJobs))
 				closeCache()

@@ -208,12 +208,16 @@ func (rs *runState) logf(format string, args ...any) {
 func (rs *runState) run(e *Experiment) error {
 	sc := rs.sc
 	start := time.Now()
-	var jobsDone, jobsTotal int
+	// Jobs count across every sweep of the experiment, against its whole
+	// plan; the sweep's own total covers a Run that dispatches around
+	// runJobs and so plans nothing.
+	jobsDone, jobsTotal := 0, len(e.Plan(sc))
 	var jobTimes []float64
-	sc.Progress = func(done, total int) {
-		jobsDone, jobsTotal = done, total
+	sc.Progress = func(_, sweepTotal int) {
+		jobsDone++
+		jobsTotal = max(jobsTotal, sweepTotal)
 		if rs.sinks.Progress != nil {
-			rs.sinks.Progress(e.Name, done, total)
+			rs.sinks.Progress(e.Name, jobsDone, jobsTotal)
 		}
 	}
 	// Per-job wall times for the summary percentiles (zero for cache hits,
@@ -230,9 +234,8 @@ func (rs *runState) run(e *Experiment) error {
 		rs.writePartial(fig, s)
 	}
 	var cacheBefore store.Stats
-	stats, hasStats := sc.Cache.(interface{ Stats() store.Stats })
-	if hasStats {
-		cacheBefore = stats.Stats()
+	if sc.Cache != nil {
+		cacheBefore = sc.Cache.Stats()
 	}
 
 	res, runErr := e.Run(sc)
@@ -252,10 +255,10 @@ func (rs *runState) run(e *Experiment) error {
 	// The full figures were emitted: the accumulated partials are superseded.
 	rs.removePartials()
 	elapsed := time.Since(start)
-	if jobsTotal > 0 {
+	if jobsDone > 0 {
 		cacheLine := ""
-		if hasStats {
-			cacheLine = cacheSummary(stats.Stats(), cacheBefore)
+		if sc.Cache != nil {
+			cacheLine = cacheSummary(sc.Cache.Stats(), cacheBefore)
 		}
 		fmt.Fprintf(rs.sinks.Out, "[%s completed in %v at scale %s: %d jobs, %.1f jobs/s%s, -j %d%s]\n\n",
 			e.Name, elapsed.Round(time.Millisecond), sc.Name,
@@ -343,7 +346,7 @@ func (rs *runState) removePartials() {
 }
 
 // RunAll executes every experiment registered with InAll, in catalogue
-// order. With a probing cache open it first logs the per-figure staleness
+// order. With a cache open it first logs the per-figure staleness
 // report, then skips — with a notice — each experiment whose entire job
 // plan is already cached (Force re-runs them anyway); emitted output is
 // exactly what running those experiments against the warm cache would have
@@ -391,8 +394,8 @@ func (d *Driver) runAll(list []*Experiment) error {
 
 // List writes the registered catalogue as a table — name, paper figure,
 // `all` membership, whether the experiment's lifetime runs shard under
-// -shards, job count at the driver's scale, cache freshness (with a
-// probing cache open), and description — followed by the per-scheme shard
+// -shards, job count at the driver's scale, cache freshness (with a cache
+// open), and description — followed by the per-scheme shard
 // analysis, so users can predict which experiments and schemes decompose
 // across banks before launching a large run.
 func (d *Driver) List() error {
@@ -401,9 +404,9 @@ func (d *Driver) List() error {
 		Columns: []string{"name", "figure", "all", "sharded", "jobs", "cached", "description"},
 	}
 	for _, e := range Experiments() {
+		plan := e.Plan(d.Scale)
 		jobs, cached := "-", "-"
-		if e.Plan != nil {
-			n := len(e.Plan(d.Scale))
+		if n := len(plan); n > 0 {
 			jobs = fmt.Sprintf("%d", n)
 			if fs := d.Scale.CacheFreshness(e.Name); fs != nil {
 				c := 0
@@ -417,8 +420,11 @@ func (d *Driver) List() error {
 		if e.InAll {
 			inAll = "*"
 		}
-		if e.Sharded {
-			sharded = "*"
+		for _, j := range plan {
+			if j.Sharded {
+				sharded = "*"
+				break
+			}
 		}
 		tab.Rows = append(tab.Rows, []string{e.Name, e.Figure, inAll, sharded, jobs, cached, e.Description})
 	}

@@ -195,21 +195,15 @@ type Scale struct {
 	// that abandons it. A nil Drain never drains.
 	Drain context.Context
 
-	// CacheDir, when non-empty, names the on-disk result store that
-	// memoizes completed sweep jobs across process lifetimes (cmd/wlsim's
-	// -cache flag). Call OpenCache to open it into Cache; runners consult
-	// only Cache, so a CacheDir that was never opened stays inert.
-	CacheDir string
-
-	// Cache is the opened result store. When non-nil, every sweep job is
-	// keyed by a digest of (results version salt, scale parameters,
-	// figure, job index, seed stream) and completed results are persisted
-	// write-atomically; a later run — including one resumed after SIGINT
-	// or SIGKILL — re-executes only the missing jobs. Cache hits bypass
-	// the workers but still drive Progress and JobTime, so telemetry
-	// stays truthful. See EXPERIMENTS.md for the keying/invalidation
-	// contract.
-	Cache ResultCache
+	// Cache is the opened result store (cmd/wlsim's -cache flag). When
+	// non-nil, every sweep job is keyed by a digest of (results version
+	// salt, scale parameters, figure, job index, seed stream) and completed
+	// results are persisted write-atomically; a later run — including one
+	// resumed after SIGINT or SIGKILL — re-executes only the missing jobs.
+	// Cache hits bypass the workers but still drive Progress and JobTime,
+	// so telemetry stays truthful. See EXPERIMENTS.md for the
+	// keying/invalidation contract.
+	Cache *store.Store
 
 	// JobTime, when non-nil, receives each completed sweep job's wall
 	// time after Progress (zero for cache hits). Calls are serialized by
@@ -273,6 +267,10 @@ type Scale struct {
 	// Deliberately excluded from cache identity: a poisoned job never
 	// produces a result, so it can never poison the cache either.
 	FleetPoison int
+
+	// plan, when non-nil, switches runJobs from dispatching to recording
+	// (Experiment.Plan).
+	plan *[]JobSpec
 }
 
 // ProjectParams sizes the `project` experiment: the full-scale device whose
@@ -301,31 +299,6 @@ func (p ProjectParams) withDefaults() ProjectParams {
 	return p
 }
 
-// ResultCache memoizes completed sweep jobs across runs. It mirrors
-// internal/exec.Store; internal/store.Store is the durable, crash-safe
-// implementation behind Scale.CacheDir.
-type ResultCache interface {
-	Get(key string) ([]byte, bool)
-	Put(key string, payload []byte) error
-}
-
-// OpenCache opens (creating it if needed) the crash-safe result store at
-// sc.CacheDir and installs it as sc.Cache, returning a close function that
-// releases the store's cross-process lock. A Scale without a CacheDir gets
-// a no-op closer. Opening fails with *store.BusyError while another live
-// process holds the same cache directory.
-func (sc *Scale) OpenCache() (func() error, error) {
-	if sc.CacheDir == "" {
-		return func() error { return nil }, nil
-	}
-	st, err := store.Open(sc.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	sc.Cache = st
-	return st.Close, nil
-}
-
 // resultsVersion salts every cache key with the simulation code version.
 // Bump it whenever a change alters any experiment's numeric output (new
 // RNG draws, changed defaults, fixed simulation bugs): entries under the
@@ -340,14 +313,13 @@ const resultsVersion = "wlsim-results-v2"
 // store content-addresses the string, so readability costs nothing.
 //
 // sharded declares whether the sweep's lifetime runs go through the
-// intra-run sharder — the per-experiment capability flag of the registry
-// (Experiment.Sharded), which now covers every lifetime experiment (figure
-// sweeps, sweep, fault, attack, fleet). Only those sweeps salt their keys
-// with the shard layout: the layout changes the simulated geometry
-// (per-bank devices and RNG substreams), so sharded results live under
-// their own keys, while runs the sharder never touches (the fixed-length
-// trace figures, overhead, table1) keep the same results — and the same
-// keys — at every -shards value.
+// intra-run sharder — every lifetime sweep does (figure sweeps, sweep,
+// fault, attack, fleet). Only those sweeps salt their keys with the shard
+// layout: the layout changes the simulated geometry (per-bank devices and
+// RNG substreams), so sharded results live under their own keys, while
+// runs the sharder never touches (the fixed-length trace figures) keep the
+// same results — and the same keys — at every -shards value. The sweep
+// states it once, in its runJobs call; Experiment.Plan records it.
 func (sc Scale) cacheKey(fig string, sharded bool, i int) string {
 	key := fmt.Sprintf(
 		"%s|fig=%s|job=%d|seed=%d|stream=%#x|attack=%d/%d|spec=%d/%d/%d|trace=%d|req=%d|cmt=%d|spare=%d",
@@ -519,10 +491,19 @@ type jobOpts[T any] struct {
 // count. Fixed-length trace figures (12-14, 17) instead keep sc.Seed so all
 // panels of one figure observe the identical request stream — those
 // figures compare configurations on the same trace. sharded declares
-// whether the sweep's lifetime runs go through the intra-run sharder; it
-// must match the registering experiment's Sharded capability flag, which
-// decides the cache keys' shard salting (cacheKey).
+// whether the sweep's lifetime runs go through the intra-run sharder,
+// which decides the cache keys' shard salting (cacheKey).
+//
+// runJobs is also the one statement of each experiment's job list: under
+// Experiment.Plan it records its n jobs and returns no results and no
+// error, so a Run that plans several sweeps goes on to plan them all.
 func runJobs[T any](sc Scale, fig string, sharded bool, n int, o jobOpts[T], fn func(i int, seed uint64) (T, error)) ([]T, error) {
+	if sc.plan != nil {
+		for i := 0; i < n; i++ {
+			*sc.plan = append(*sc.plan, JobSpec{Fig: fig, Index: i, Sharded: sharded})
+		}
+		return nil, nil
+	}
 	p := &exec.Pool{
 		Workers: sc.Parallelism, BaseSeed: sc.Seed,
 		Context: sc.Context, SoftContext: sc.Drain,

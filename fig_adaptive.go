@@ -159,17 +159,15 @@ func log2u(v uint64) int {
 }
 
 // Experiment registrations for the adaptive-behavior figures. These are
-// fixed-length trace runs the intra-run sharder never touches, so they
-// are not Sharded: their cache keys are the same at every -shards value.
+// fixed-length trace runs the intra-run sharder never touches, so their
+// runJobs calls are unsharded: their cache keys are the same at every
+// -shards value.
 func init() {
 	Register(Experiment{
 		Name:        "fig12",
 		Description: "hit rate vs runtime for observation-window sizes",
 		Figure:      "Fig 12",
 		Order:       120, InAll: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig12", len(scaledWindows(sc)))
-		},
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig12(sc)
 			return Result{s}, err
@@ -183,9 +181,6 @@ func init() {
 		Description: "region size vs runtime for settling-window sizes",
 		Figure:      "Fig 13",
 		Order:       130, InAll: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig13", len(scaledWindows(sc)))
-		},
 		Run: func(sc Scale) (Result, error) {
 			series, avg, err := RunFig13(sc)
 			return Result{fig13Result{Series: series, Avg: avg}}, err
@@ -197,9 +192,6 @@ func init() {
 		Description: "NWL-4 / NWL-64 / SAWL hit rates (bzip2, cactusADM, gcc)",
 		Figure:      "Fig 14",
 		Order:       140, InAll: true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs("fig14", 3*len(fig14Benches)) // NWL-4, NWL-64, SAWL per bench
-		},
 		Run: func(sc Scale) (Result, error) {
 			res, err := RunFig14(sc)
 			return Result{res}, err

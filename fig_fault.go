@@ -42,10 +42,6 @@ func init() {
 		Description: "fault-injection sweep: lifetime, data loss and recovery counters vs fault rate",
 		Figure:      "Sec 4.6",
 		Order:       210,
-		Sharded:     true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs(faultFig(), len(FaultSchemes)*len(FaultRates))
-		},
 		Run: func(sc Scale) (Result, error) {
 			life, loss, rec, err := RunFault(sc)
 			return Result{faultResult{Life: life, Loss: loss, Recovery: rec}}, err

@@ -24,10 +24,6 @@ func init() {
 		Description: "IPC degradation vs no-wear-leveling baseline",
 		Figure:      "Fig 17",
 		Order:       170, InAll: true,
-		Plan: func(sc Scale) []JobSpec {
-			// One baseline row plus one row per scheme, benchmark-major.
-			return planJobs("fig17", (1+len(Fig17Schemes))*len(workload.Names()))
-		},
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig17(sc)
 			return Result{s}, err

@@ -17,8 +17,9 @@ import (
 //
 // Each figure is a sweep of independent lifetime measurements (one fresh
 // device + leveler per point). A figure only declares its points as a
-// lifetimeSweep; the sweep plans them for the registry, fans them out on
-// the scale's worker pool (runJobs), streams and assembles the series.
+// lifetimeSweep; the sweep fans them out on the scale's worker pool
+// (runJobs, which also plans them for the registry), streams and assembles
+// the series.
 // Points land in their series in declaration order, which keeps the emitted
 // tables byte-identical whatever Scale.Parallelism is. Each measurement
 // goes through the sweep's sharder, so under Scale.Shards a single run
@@ -54,9 +55,6 @@ func (s *lifetimeSweep) series(label string) { s.labels = append(s.labels, label
 func (s *lifetimeSweep) point(x float64, cfg SystemConfig, w WorkloadSpec) {
 	s.points = append(s.points, lifetimePoint{len(s.labels) - 1, x, cfg, w})
 }
-
-// plan is the sweep's job list (Experiment.Plan).
-func (s *lifetimeSweep) plan() []JobSpec { return planJobs(s.fig, len(s.points)) }
 
 // run measures every point, y = 100·Normalized. Both the system and the
 // workload take the job's derived seed (the seeding convention of runJobs).
@@ -407,17 +405,15 @@ func RunAttackScores(sc Scale, kinds []SchemeKind) ([]analysis.AttackScore, erro
 		})
 }
 
-// Experiment registrations for this file's runners. The lifetime sweeps
-// all go through the intra-run sharder, so they carry the Sharded
-// capability flag (shard-salted cache keys). Each Plan is the same builder
-// its runner executes.
+// Experiment registrations for this file's runners. Every sweep here goes
+// through the intra-run sharder, so its runJobs call salts the cache keys
+// with the shard layout.
 func init() {
 	Register(Experiment{
 		Name:        "fig3",
 		Description: "TLSR lifetime vs number of regions (BPA)",
 		Figure:      "Fig 3",
-		Order:       30, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec { return fig3Sweep(sc).plan() },
+		Order:       30, InAll: true,
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig3(sc)
 			return Result{s}, err
@@ -430,8 +426,7 @@ func init() {
 		Name:        "fig4",
 		Description: "PCM-S/MWSR lifetime vs number of regions (BPA)",
 		Figure:      "Fig 4",
-		Order:       40, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec { return fig4Sweep(sc).plan() },
+		Order:       40, InAll: true,
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig4(sc)
 			return Result{s}, err
@@ -444,8 +439,7 @@ func init() {
 		Name:        "fig5",
 		Description: "hybrid lifetime vs on-chip cache budget (BPA)",
 		Figure:      "Fig 5",
-		Order:       50, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec { return fig5Sweep(sc).plan() },
+		Order:       50, InAll: true,
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig5(sc)
 			return Result{s}, err
@@ -458,8 +452,7 @@ func init() {
 		Name:        "fig15",
 		Description: "PCM-S / MWSR / SAWL lifetime vs swapping period (BPA)",
 		Figure:      "Fig 15",
-		Order:       150, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec { return fig15Sweep(sc).plan() },
+		Order:       150, InAll: true,
 		Run: func(sc Scale) (Result, error) {
 			s, err := RunFig15(sc)
 			return Result{s}, err
@@ -472,10 +465,7 @@ func init() {
 		Name:        "fig16",
 		Description: "lifetime under 14 SPEC-like applications",
 		Figure:      "Fig 16",
-		Order:       160, InAll: true, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return append(fig16Sweep(sc, true).plan(), fig16Sweep(sc, false).plan()...)
-		},
+		Order:       160, InAll: true,
 		Run: func(sc Scale) (Result, error) {
 			var p fig16Panels
 			var err error
@@ -492,10 +482,6 @@ func init() {
 		Description: "RAA + BPA resilience verdict per scheme (Sec 2.2)",
 		Figure:      "Sec 2.2",
 		Order:       220,
-		Sharded:     true,
-		Plan: func(sc Scale) []JobSpec {
-			return planJobs(attackFig(AttackKinds), len(AttackKinds))
-		},
 		Run: func(sc Scale) (Result, error) {
 			scores, err := RunAttackScores(sc, AttackKinds)
 			return Result{scores}, err
@@ -508,10 +494,7 @@ func init() {
 		Name:        "sweep",
 		Description: "BPA lifetime over region-size x period grid (-scheme)",
 		Figure:      "-",
-		Order:       230, Sharded: true,
-		Plan: func(sc Scale) []JobSpec {
-			return gridSweep(sc, cmp.Or(sc.SweepScheme, PCMS), SweepRegionLines, SweepPeriods).plan()
-		},
+		Order:       230,
 		Run: func(sc Scale) (Result, error) {
 			kind := cmp.Or(sc.SweepScheme, PCMS)
 			s, err := RunSweep(sc, kind, SweepRegionLines, SweepPeriods)

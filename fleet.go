@@ -138,12 +138,6 @@ func init() {
 		Description: "population Monte Carlo: per-device draws, survival and quarantine",
 		Figure:      "-",
 		Order:       215,
-		Sharded:     true,
-		Plan: func(sc Scale) []JobSpec {
-			counts := sc.fleetPopulation(FleetSchemes)
-			_, n := fleetOffsets(counts)
-			return planJobs(fleetFig(FleetSchemes, counts), n)
-		},
 		Run: func(sc Scale) (Result, error) {
 			fr, err := RunFleet(sc)
 			return Result{fr}, err

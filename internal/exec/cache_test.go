@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -233,59 +231,6 @@ func TestMapCostDeterministicAcrossWorkerCounts(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("result[%d] differs between -j1 and -j8 under cost ordering", i)
 		}
-	}
-}
-
-func TestMapBackoffWaitHonorsCancellation(t *testing.T) {
-	// A cancelled sweep must not linger in a backoff sleep: the final wait
-	// selects on ctx.Done() and the retry loop gives up immediately after.
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &Pool{
-		Workers: 1,
-		Context: ctx,
-		Retries: 5,
-		Backoff: 30 * time.Second, // would dwarf the test timeout if waited
-	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		return 0, Retryable(errors.New("flaky"))
-	})
-	elapsed := time.Since(start)
-	if elapsed > 5*time.Second {
-		t.Fatalf("cancelled sweep lingered %v in backoff", elapsed)
-	}
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CanceledError", err)
-	}
-}
-
-func TestMapCancelledBetweenRetriesSkipsNextAttempt(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	attempts := 0
-	p := &Pool{
-		Workers: 1,
-		Context: ctx,
-		Retries: 10,
-		Sleep: func(time.Duration) {
-			cancel() // cancelled during the backoff wait
-		},
-		Backoff: time.Millisecond,
-	}
-	_, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		attempts++
-		return 0, Retryable(errors.New("flaky"))
-	})
-	if attempts != 1 {
-		t.Fatalf("%d attempts after cancellation mid-backoff, want 1", attempts)
-	}
-	var ce *CanceledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CanceledError", err)
 	}
 }
 

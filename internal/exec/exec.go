@@ -14,11 +14,11 @@
 //     do not depend on which worker runs it or when.
 //
 // The pool is additionally context-aware: a sweep can be cancelled mid-run
-// (Pool.Context — wlsim wires SIGINT/SIGTERM to this), each job can carry a
-// wall-clock timeout (Pool.JobTimeout), and jobs that fail with a retryable
-// error (Retryable, or a timeout) are re-attempted with exponential backoff
-// up to Pool.Retries times. Cancellation reports which jobs completed via
-// *CanceledError so callers can flush partial results.
+// (Pool.Context — wlsim wires SIGINT/SIGTERM to this) or drained
+// (Pool.SoftContext), and either reports which jobs completed via
+// *CanceledError so callers can flush partial results. Each job gets one
+// attempt; a failure either ends the sweep or, with Pool.Quarantine, is
+// isolated to its own slot.
 //
 // Two optional refinements change how jobs are scheduled without changing
 // what Map returns:
@@ -40,7 +40,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -62,8 +61,7 @@ type Store interface {
 }
 
 // Pool describes how a sweep executes. The zero value is usable: every
-// available core, base seed 0, no progress reporting, no cancellation, no
-// timeout, no retries.
+// available core, base seed 0, no progress reporting, no cancellation.
 type Pool struct {
 	// Workers bounds the number of concurrently running jobs.
 	// Values <= 0 select runtime.GOMAXPROCS(0).
@@ -103,22 +101,6 @@ type Pool struct {
 	// the hard force-cancel behind it.
 	SoftContext context.Context
 
-	// JobTimeout, when > 0, bounds each job attempt's wall time. A timed-out
-	// attempt fails with a *TimeoutError, which is retryable.
-	JobTimeout time.Duration
-
-	// Retries is the number of extra attempts a job gets after failing with
-	// a retryable error (see Retryable and TimeoutError). Non-retryable
-	// errors fail the sweep immediately.
-	Retries int
-
-	// Backoff is the delay before the first retry, doubling per attempt.
-	// Zero retries immediately.
-	Backoff time.Duration
-
-	// Sleep replaces time.Sleep for backoff waits (test hook).
-	Sleep func(time.Duration)
-
 	// Store, together with Key, memoizes job results across runs. Before
 	// dispatching, Map probes the store for every job's key; hits are
 	// decoded into the result slice without running the job (OnDone fires
@@ -141,10 +123,10 @@ type Pool struct {
 	Cost func(i int) float64
 
 	// Quarantine, when non-nil, switches the pool from abort-on-first-error
-	// to per-job failure isolation: a job that exhausts its retry budget —
-	// or panics — no longer stops the sweep. The failure is reported to the
-	// callback instead (panics arrive as a *PanicError), the job's slot in
-	// the result slice keeps the zero value, and the remaining jobs run
+	// to per-job failure isolation: a job that fails — or panics — no
+	// longer stops the sweep. The failure is reported to the callback
+	// instead (panics arrive as a *PanicError), the job's slot in the
+	// result slice keeps the zero value, and the remaining jobs run
 	// normally. OnDone still fires for a quarantined job so progress reaches
 	// the sweep total, but OnJob does not, nothing is written to Store, and
 	// the job reads as not-done in any later *CanceledError. Cancellation is
@@ -178,23 +160,6 @@ func (p *Pool) softDone() bool {
 	return p.SoftContext != nil && p.SoftContext.Err() != nil
 }
 
-// sleep waits d, honoring the Sleep test hook and the context.
-func (p *Pool) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
 // PanicError carries a panic raised inside a job to the goroutine that
 // called Map, preserving the job index and the worker's stack trace.
 type PanicError struct {
@@ -206,44 +171,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: job %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
-}
-
-// retryableError marks a wrapped error as safe to retry.
-type retryableError struct{ err error }
-
-func (e retryableError) Error() string { return e.err.Error() }
-func (e retryableError) Unwrap() error { return e.err }
-
-// Retryable wraps err so the pool re-attempts the job (up to Pool.Retries).
-// A nil err returns nil.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return retryableError{err}
-}
-
-// IsRetryable reports whether err (or an error it wraps) was marked with
-// Retryable or is a *TimeoutError.
-func IsRetryable(err error) bool {
-	var r retryableError
-	if errors.As(err, &r) {
-		return true
-	}
-	var to *TimeoutError
-	return errors.As(err, &to)
-}
-
-// TimeoutError reports a job attempt that exceeded Pool.JobTimeout. It is
-// retryable: a fresh attempt may hit a quieter machine.
-type TimeoutError struct {
-	Index   int
-	Timeout time.Duration
-}
-
-// Error implements error.
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("exec: job %d exceeded timeout %v", e.Index, e.Timeout)
 }
 
 // CanceledError reports a sweep cut short by Pool.Context. Done records,
@@ -271,16 +198,14 @@ func (e *CanceledError) Unwrap() error { return e.Err }
 // Map runs jobs 0..n-1 through fn on the pool and returns the n results in
 // index order. fn receives the job index and the job's derived seed.
 //
-// If a job returns a non-retryable error, remaining unstarted jobs are
-// skipped and the error of the earliest-dispatched failing job is returned
-// (deterministic regardless of scheduling; with no Cost hint, dispatch
-// order is submission order, so the lowest failing index wins). Retryable
-// errors (Retryable, *TimeoutError) are re-attempted up to Retries times
-// with exponential backoff before counting as failure. If the pool's
-// context is cancelled, Map stops dispatching, abandons in-flight jobs,
-// and returns a *CanceledError whose Done slice marks the valid entries of
-// the result slice. If a job panics, Map re-panics on the calling
-// goroutine with a *PanicError wrapping the original value and the
+// Each job runs once. If a job returns an error, remaining unstarted jobs
+// are skipped and the error of the earliest-dispatched failing job is
+// returned (deterministic regardless of scheduling; with no Cost hint,
+// dispatch order is submission order, so the lowest failing index wins).
+// If the pool's context is cancelled, Map stops dispatching, abandons
+// in-flight jobs, and returns a *CanceledError whose Done slice marks the
+// valid entries of the result slice. If a job panics, Map re-panics on the
+// calling goroutine with a *PanicError wrapping the original value and the
 // worker's stack.
 func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T, error) {
 	if n <= 0 {
@@ -340,18 +265,18 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 		})
 	}
 
-	// attempt runs fn once for job i, enforcing JobTimeout and context
-	// cancellation. When either can interrupt the attempt, fn runs on its
-	// own goroutine and writes its result through a channel — an abandoned
-	// attempt therefore never touches the shared results slice.
+	// attempt runs fn once for job i. When the context can cancel the
+	// attempt, fn runs on its own goroutine and writes its result through a
+	// channel — an abandoned attempt therefore never touches the shared
+	// results slice.
 	attempt := func(i int, seed uint64) (T, error) {
 		if err := ctx.Err(); err != nil {
-			// Cancelled between dispatch and attempt (or during a backoff
-			// wait): don't start work that would immediately be abandoned.
+			// Cancelled between dispatch and attempt: don't start work that
+			// would immediately be abandoned.
 			var zero T
 			return zero, context.Cause(ctx)
 		}
-		if p.JobTimeout <= 0 && ctx.Done() == nil {
+		if ctx.Done() == nil {
 			return fn(i, seed)
 		}
 		type outcome struct {
@@ -369,12 +294,6 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 			v, err := fn(i, seed)
 			ch <- outcome{v: v, err: err}
 		}()
-		var timeout <-chan time.Time
-		if p.JobTimeout > 0 {
-			t := time.NewTimer(p.JobTimeout)
-			defer t.Stop()
-			timeout = t.C
-		}
 		// take consumes a delivered outcome, re-raising job panics.
 		take := func(out outcome) (T, error) {
 			if out.pan != nil {
@@ -382,19 +301,9 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 			}
 			return out.v, out.err
 		}
-		var zero T
 		select {
 		case out := <-ch:
 			return take(out)
-		case <-timeout:
-			select {
-			case out := <-ch:
-				// The job finished in the same instant the timer fired:
-				// completed work beats an arbitrary tie-break.
-				return take(out)
-			default:
-			}
-			return zero, &TimeoutError{Index: i, Timeout: p.JobTimeout}
 		case <-ctx.Done():
 			select {
 			case out := <-ch:
@@ -404,6 +313,7 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 				return take(out)
 			default:
 			}
+			var zero T
 			return zero, context.Cause(ctx)
 		}
 	}
@@ -422,7 +332,7 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 	}
 
 	run := func(pos, i int) (err error) {
-		var start time.Time
+		start := time.Now()
 		defer func() {
 			if v := recover(); v != nil {
 				pe, ok := v.(*PanicError)
@@ -442,51 +352,38 @@ func Map[T any](p *Pool, n int, fn func(index int, seed uint64) (T, error)) ([]T
 				stop.Store(true)
 			}
 		}()
-		seed := rng.SeedStream(p.BaseSeed, uint64(i))
-		start = time.Now()
-		for a := 0; ; a++ {
-			var v T
-			v, err = attempt(i, seed)
-			if err == nil {
-				if caching {
-					if key := p.Key(i); key != "" {
-						if data, eerr := encodeResult(v); eerr == nil {
-							// Best effort: a failed write only costs a
-							// future recompute, never a wrong result.
-							p.Store.Put(key, data)
-						}
-					}
-				}
-				results[i] = v
-				mu.Lock()
-				doneFlags[i] = true
-				done++
-				if p.OnDone != nil {
-					p.OnDone(done, n, time.Since(start))
-				}
-				if p.OnJob != nil {
-					p.OnJob(i, v, time.Since(start))
-				}
-				mu.Unlock()
+		v, err := attempt(i, rng.SeedStream(p.BaseSeed, uint64(i)))
+		if err != nil {
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
+			}
+			if p.Quarantine != nil {
+				quarantine(i, err, time.Since(start))
 				return nil
 			}
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			if a >= p.Retries || !IsRetryable(err) {
-				if p.Quarantine != nil {
-					quarantine(i, err, time.Since(start))
-					return nil
+			return err
+		}
+		if caching {
+			if key := p.Key(i); key != "" {
+				if data, eerr := encodeResult(v); eerr == nil {
+					// Best effort: a failed write only costs a future
+					// recompute, never a wrong result.
+					p.Store.Put(key, data)
 				}
-				return err
-			}
-			p.sleep(ctx, p.Backoff<<a)
-			if ctx.Err() != nil {
-				// The backoff wait was cut short by cancellation: give up
-				// now instead of burning one more attempt.
-				return context.Cause(ctx)
 			}
 		}
+		results[i] = v
+		mu.Lock()
+		doneFlags[i] = true
+		done++
+		if p.OnDone != nil {
+			p.OnDone(done, n, time.Since(start))
+		}
+		if p.OnJob != nil {
+			p.OnJob(i, v, time.Since(start))
+		}
+		mu.Unlock()
+		return nil
 	}
 
 	for w := p.workers(len(pending)); w > 0; w-- {

@@ -257,105 +257,6 @@ func TestMapContextCancellationSkipsUnstarted(t *testing.T) {
 	}
 }
 
-func TestMapJobTimeout(t *testing.T) {
-	p := &Pool{Workers: 2, JobTimeout: 10 * time.Millisecond}
-	release := make(chan struct{})
-	defer close(release)
-	_, err := Map(p, 4, func(i int, seed uint64) (int, error) {
-		if i == 2 {
-			<-release // hang well past the timeout
-		}
-		return i, nil
-	})
-	var te *TimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want *TimeoutError", err)
-	}
-	if te.Index != 2 || te.Timeout != 10*time.Millisecond {
-		t.Fatalf("TimeoutError = %+v", te)
-	}
-	if !IsRetryable(err) {
-		t.Fatal("timeout not retryable")
-	}
-}
-
-func TestMapRetriesRetryableErrors(t *testing.T) {
-	var slept []time.Duration
-	p := &Pool{
-		Workers: 1, Retries: 3, Backoff: 4 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	attempts := make(map[int]int)
-	results, err := Map(p, 3, func(i int, seed uint64) (int, error) {
-		attempts[i]++
-		if i == 1 && attempts[i] <= 2 {
-			return 0, Retryable(errors.New("flaky"))
-		}
-		return i + attempts[i], nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts[1] != 3 {
-		t.Fatalf("job 1 attempted %d times, want 3", attempts[1])
-	}
-	if results[1] != 1+3 {
-		t.Fatalf("result[1] = %d from attempt %d", results[1], attempts[1])
-	}
-	// Exponential backoff: 4ms then 8ms.
-	if len(slept) != 2 || slept[0] != 4*time.Millisecond || slept[1] != 8*time.Millisecond {
-		t.Fatalf("backoff sleeps %v", slept)
-	}
-}
-
-func TestMapRetryBudgetExhausted(t *testing.T) {
-	p := &Pool{Workers: 1, Retries: 2}
-	var attempts atomic.Int64
-	_, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		attempts.Add(1)
-		return 0, Retryable(errors.New("always fails"))
-	})
-	if err == nil {
-		t.Fatal("exhausted retries returned nil")
-	}
-	if attempts.Load() != 3 { // initial + 2 retries
-		t.Fatalf("%d attempts, want 3", attempts.Load())
-	}
-	if !IsRetryable(err) {
-		t.Fatal("returned error lost its retryable marker")
-	}
-}
-
-func TestMapNonRetryableErrorNotRetried(t *testing.T) {
-	p := &Pool{Workers: 1, Retries: 5}
-	var attempts atomic.Int64
-	_, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		attempts.Add(1)
-		return 0, errors.New("fatal")
-	})
-	if err == nil || attempts.Load() != 1 {
-		t.Fatalf("non-retryable error: %d attempts, err %v", attempts.Load(), err)
-	}
-}
-
-func TestMapSeedStableAcrossRetries(t *testing.T) {
-	p := &Pool{Workers: 1, Retries: 1}
-	var seeds []uint64
-	_, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		seeds = append(seeds, seed)
-		if len(seeds) == 1 {
-			return 0, Retryable(errors.New("once"))
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds) != 2 || seeds[0] != seeds[1] {
-		t.Fatalf("retry changed the job seed: %v", seeds)
-	}
-}
-
 func TestMapShortCircuitConcurrent(t *testing.T) {
 	// With many workers and an early failure, the index dispenser must stop
 	// handing out jobs: far fewer than n jobs start.
@@ -374,18 +275,5 @@ func TestMapShortCircuitConcurrent(t *testing.T) {
 	}
 	if s := started.Load(); s > 200 {
 		t.Fatalf("%d jobs started after an immediate failure", s)
-	}
-}
-
-func TestIsRetryableUnwraps(t *testing.T) {
-	wrapped := fmt.Errorf("context: %w", Retryable(errors.New("inner")))
-	if !IsRetryable(wrapped) {
-		t.Fatal("wrapped retryable not detected")
-	}
-	if IsRetryable(errors.New("plain")) {
-		t.Fatal("plain error reported retryable")
-	}
-	if IsRetryable(nil) {
-		t.Fatal("nil reported retryable")
 	}
 }

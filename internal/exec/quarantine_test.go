@@ -136,30 +136,6 @@ func TestMapQuarantinedJobNotCached(t *testing.T) {
 	}
 }
 
-func TestMapQuarantineAfterRetryBudget(t *testing.T) {
-	var quarantined atomic.Int64
-	p := &Pool{Workers: 1, Retries: 2}
-	p.Quarantine = func(i int, err error) {
-		quarantined.Add(1)
-		if !IsRetryable(err) {
-			t.Errorf("quarantined cause lost its retryable marker: %v", err)
-		}
-	}
-	var attempts atomic.Int64
-	if _, err := Map(p, 1, func(i int, seed uint64) (int, error) {
-		attempts.Add(1)
-		return 0, Retryable(errors.New("always flaky"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("%d attempts before quarantine, want initial + 2 retries", attempts.Load())
-	}
-	if quarantined.Load() != 1 {
-		t.Fatalf("quarantine fired %d times, want once after the budget", quarantined.Load())
-	}
-}
-
 func TestMapQuarantineDoesNotSwallowCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{Workers: 1, Context: ctx}

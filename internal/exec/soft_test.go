@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestMapSoftCancelLetsInflightFinish is the graceful-drain contract: once
@@ -158,13 +157,15 @@ func TestMapHardCancelBeatsSoft(t *testing.T) {
 }
 
 // TestMapSoftCancelDuringTimedJobs exercises soft cancel together with the
-// timeout/goroutine attempt path (JobTimeout > 0), which uses a different
-// code path than the inline fast path.
+// goroutine attempt path that a cancellable Context selects, which uses a
+// different code path than the inline fast path.
 func TestMapSoftCancelDuringTimedJobs(t *testing.T) {
 	soft, drain := context.WithCancelCause(context.Background())
+	hard, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	p := &Pool{Workers: 1, SoftContext: soft, JobTimeout: time.Minute}
+	p := &Pool{Workers: 1, Context: hard, SoftContext: soft}
 	go func() {
 		<-started
 		drain(errors.New("test drain"))

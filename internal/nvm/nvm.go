@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"nvmwear/internal/fault"
-	"nvmwear/internal/rng"
 )
 
 // Config describes a device.
@@ -524,32 +523,14 @@ const DefaultBanks = 32
 // ShareLines splits a line budget across banks: an even share with the
 // remainder going to the lowest-numbered banks, so the per-bank shares sum
 // exactly to total. It is the one place the spare-pool and write-budget
-// split arithmetic lives, shared by Config.Shard and the sharded lifetime
-// runner.
+// split arithmetic lives, shared by the per-bank system configuration and
+// the sharded lifetime runner.
 func ShareLines(total, bank, banks uint64) uint64 {
 	share := total / banks
 	if bank < total%banks {
 		share++
 	}
 	return share
-}
-
-// Shard derives the configuration of one bank-partitioned device view:
-// bank `bank` of a `banks`-way split of this device. Lines divide evenly
-// (the caller must ensure divisibility), the spare pool splits via
-// ShareLines, and the per-bank variation and fault streams are derived
-// from the device seed with rng.SeedStream so sharded runs stay
-// deterministic and independent per bank.
-func (c Config) Shard(bank, banks uint64) Config {
-	sub := c
-	sub.Lines = c.Lines / banks
-	sub.SpareLines = ShareLines(c.SpareLines, bank, banks)
-	sub.Seed = rng.SeedStream(c.Seed, bank)
-	sub.Banks = 1
-	if c.Fault.Enabled() {
-		sub.Fault.Seed = rng.SeedStream(c.Fault.Seed, bank)
-	}
-	return sub
 }
 
 // MergeStats folds per-bank device statistics into the global view: the

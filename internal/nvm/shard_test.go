@@ -1,11 +1,6 @@
 package nvm
 
-import (
-	"testing"
-
-	"nvmwear/internal/fault"
-	"nvmwear/internal/rng"
-)
+import "testing"
 
 func TestShareLinesSumsExactly(t *testing.T) {
 	for _, c := range []struct{ total, banks uint64 }{
@@ -25,45 +20,6 @@ func TestShareLinesSumsExactly(t *testing.T) {
 		if sum != c.total {
 			t.Fatalf("ShareLines over %d banks sums to %d, want %d", c.banks, sum, c.total)
 		}
-	}
-}
-
-func TestConfigShard(t *testing.T) {
-	base := Config{
-		Lines:      1 << 12,
-		SpareLines: 67, // not divisible by 4: remainder lands on low banks
-		Endurance:  500,
-		Variation:  0.1,
-		Seed:       99,
-		Banks:      DefaultBanks,
-		Fault:      fault.Config{StuckAtRate: 1e-4, Seed: 41},
-	}
-	var spares uint64
-	for b := uint64(0); b < 4; b++ {
-		sub := base.Shard(b, 4)
-		if sub.Lines != base.Lines/4 {
-			t.Fatalf("bank %d lines = %d", b, sub.Lines)
-		}
-		if sub.Banks != 1 {
-			t.Fatalf("bank %d banks = %d, want 1 (a shard is its own device)", b, sub.Banks)
-		}
-		if sub.Seed != rng.SeedStream(base.Seed, b) {
-			t.Fatalf("bank %d seed not a substream of the device seed", b)
-		}
-		if sub.Fault.Seed != rng.SeedStream(base.Fault.Seed, b) {
-			t.Fatalf("bank %d fault seed not a substream", b)
-		}
-		if sub.Endurance != base.Endurance || sub.Variation != base.Variation {
-			t.Fatalf("bank %d per-line parameters changed: %+v", b, sub)
-		}
-		spares += sub.SpareLines
-	}
-	if spares != base.SpareLines {
-		t.Fatalf("shard spare pools sum to %d, want %d", spares, base.SpareLines)
-	}
-	// Faultless devices must stay faultless (Shard must not install a seed).
-	if sub := (Config{Lines: 64, Endurance: 10, Seed: 1}).Shard(0, 2); sub.Fault.Enabled() {
-		t.Fatalf("fault stream appeared on a faultless shard: %+v", sub.Fault)
 	}
 }
 

@@ -50,11 +50,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	sc.Shards = s.cfg.Shards
 	var out []expView
 	for _, e := range nvmwear.Experiments() {
-		v := expView{Name: e.Name, Description: e.Description, Figure: e.Figure, InAll: e.InAll}
-		if e.Plan != nil {
-			v.Jobs = len(e.Plan(sc))
-		}
-		out = append(out, v)
+		out = append(out, expView{Name: e.Name, Description: e.Description, Figure: e.Figure,
+			InAll: e.InAll, Jobs: len(e.Plan(sc))})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -82,7 +82,7 @@ func (s *Server) resolve(spec Spec) (*run, *admitError) {
 	// Per-run job cap: reject sweeps whose planned job count exceeds the
 	// server's budget before they occupy a queue slot. Same message shape
 	// as the CLI's pre-run validation (nvmwear.PlanCapError).
-	if s.cfg.MaxRunJobs > 0 && e.Plan != nil {
+	if s.cfg.MaxRunJobs > 0 {
 		if n := len(e.Plan(sc)); n > s.cfg.MaxRunJobs {
 			return nil, &admitError{http.StatusUnprocessableEntity,
 				nvmwear.PlanCapError(spec.Experiment, n, sc.Name, s.cfg.MaxRunJobs).Error(), false}
@@ -169,12 +169,7 @@ func (s *Server) execute(r *run) {
 	sc.Context = runCtx
 	sc.Drain = s.softCtx
 	sc.Logf = r.logf
-	if s.st != nil {
-		// Guard the nil: assigning a nil *store.Store into the ResultCache
-		// interface would make it non-nil and panic on first Get.
-		sc.CacheDir = s.cfg.CacheDir
-		sc.Cache = s.st
-	}
+	sc.Cache = s.st
 	d := &nvmwear.Driver{Format: r.spec.Format}
 	sinks := nvmwear.RunSinks{
 		Out: r.outWriter(),

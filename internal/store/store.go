@@ -3,7 +3,7 @@
 //
 // Every sweep job in this repository is a pure function of its cache key
 // (module version salt, scale parameters, figure, job index, seed stream —
-// see Scale.CacheDir in the root package), so a completed result can be
+// see Scale.cacheKey in the root package), so a completed result can be
 // persisted and trusted across process lifetimes. The store is built so
 // that no crash — SIGKILL included — can ever make it lie:
 //

@@ -190,8 +190,8 @@ func TestRunOverheadMatchesPaper(t *testing.T) {
 	if r.MWSROnChipBytes <= r.PCMSOnChipBytes {
 		t.Fatal("MWSR entries must be bigger than PCM-S")
 	}
-	if !strings.Contains(r.Render(), "GTD") || !strings.Contains(r.Render(), "IMT") {
-		t.Fatalf("render:\n%s", r.Render())
+	if out := r.Table().Render(); !strings.Contains(out, "GTD") || !strings.Contains(out, "IMT") {
+		t.Fatalf("render:\n%s", out)
 	}
 }
 

@@ -84,28 +84,7 @@ func RunOverhead(capacityBytes uint64, regions uint64, gtdGranularity uint64) Ov
 	}
 }
 
-// Render formats the report.
-func (r OverheadReport) Render() string {
-	return fmt.Sprintf(`== Hardware overhead (Sec 4.5) ==
-capacity            %d GB
-lines               %d
-regions             %d
-IMT (NVM reserved)  %.0f MB (%.2f%% of capacity)
-translation lines   %d
-GTD (on-chip)       %.0f KB
-PCM-S table on chip %.0f MB (the cost SAWL avoids)
-MWSR table on chip  %.0f MB
-`,
-		r.CapacityBytes>>30, r.Lines, r.Regions,
-		float64(r.IMTBytes)/(1<<20), 100*r.IMTFraction,
-		r.TranslationLines,
-		float64(r.GTDBytes)/(1<<10),
-		float64(r.PCMSOnChipBytes)/(1<<20),
-		float64(r.MWSROnChipBytes)/(1<<20))
-}
-
-// Table returns the report as a Table — the registry Render shape. The
-// formatted values match Render line for line.
+// Table returns the report as a Table — the registry Render shape.
 func (r OverheadReport) Table() Table {
 	return Table{
 		Title:   "Hardware overhead (Sec 4.5)",

@@ -1,6 +1,7 @@
 package nvmwear
 
 import (
+	"context"
 	"fmt"
 	"sort"
 )
@@ -13,13 +14,13 @@ import (
 // `wlsim all` are all derived from the same registration, so adding an
 // experiment is one Register call and nothing else to keep in sync.
 
-// JobSpec identifies one planned sweep job: the sweep's cache identity and
-// the job's index within it — exactly the (fig, i) pair the runner passes
-// to cacheKey. Experiment.Plan returns the full job list so callers can
-// probe the result store without executing anything.
+// JobSpec identifies one planned sweep job: exactly the (fig, sharded, i)
+// triple runJobs passes to cacheKey. Experiment.Plan returns the full job
+// list so callers can probe the result store without executing anything.
 type JobSpec struct {
-	Fig   string // the sweep's cache identity (cacheKey fig)
-	Index int    // job index within the sweep
+	Fig     string // the sweep's cache identity (cacheKey fig)
+	Index   int    // job index within the sweep
+	Sharded bool   // the sweep's lifetime runs go through the intra-run sharder
 }
 
 // Result is an experiment's opaque payload: whatever its Run produced,
@@ -51,19 +52,32 @@ type Experiment struct {
 	Figure      string // paper reference ("Fig 3", "Sec 4.5", "-")
 	Order       int    // catalogue position (Experiments sorts by it)
 	InAll       bool   // part of `wlsim all`
-	// Sharded marks experiments whose lifetime runs go through the
-	// intra-run sharder (-shards): their cache keys are salted with the
-	// shard layout, because sharding changes the simulated geometry.
-	// Experiments the sharder never touches keep layout-independent keys.
-	Sharded bool
-	// Plan predicts the exact job list Run will dispatch at the scale —
-	// same fig identities, same counts — without executing anything. Nil
-	// means the experiment has no sweep jobs (table1, overhead, project).
-	// TestExperimentPlanMatchesDispatch pins Plan to Run's actual
-	// dispatch for every registered experiment.
-	Plan   func(sc Scale) []JobSpec
+	// Run executes the experiment at the scale. Plan derives the job list
+	// by calling Run with dispatch switched to recording, so Run must send
+	// every sweep job through runJobs, and no sweep's size may depend on an
+	// earlier sweep's results.
 	Run    func(sc Scale) (Result, error)
 	Render func(r Result) ([]Table, []SVG)
+}
+
+// Plan returns the exact job list Run dispatches at the scale — same fig
+// identities, counts, order and shard salting — without executing any of
+// it: Run runs with every runJobs call recording its jobs instead of
+// dispatching them. An experiment without sweep jobs (table1, overhead,
+// project) plans none. TestExperimentPlanMatchesDispatch pins the recorded
+// plan to the real dispatch for every registered experiment.
+func (e *Experiment) Plan(sc Scale) []JobSpec {
+	var plan []JobSpec
+	sc.Progress, sc.JobTime, sc.SeriesDone, sc.Logf = nil, nil, nil, nil
+	sc.Cache, sc.Drain = nil, nil
+	// An already-cancelled context is the safety net for a Run that reaches
+	// exec.Map around runJobs: the pool skips every job, so none runs.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc.Context = ctx
+	sc.plan = &plan
+	e.Run(sc)
+	return plan
 }
 
 var registry = map[string]*Experiment{}
@@ -112,16 +126,6 @@ func LookupExperiment(name string) (*Experiment, bool) {
 func PlanCapError(experiment string, jobs int, scale string, capJobs int) error {
 	return fmt.Errorf("experiment %q plans %d jobs at scale %s, over the %d-job cap (-max-run-jobs)",
 		experiment, jobs, scale, capJobs)
-}
-
-// planJobs enumerates an n-job sweep under one fig identity — the Plan
-// shape of every single-sweep experiment.
-func planJobs(fig string, n int) []JobSpec {
-	out := make([]JobSpec, n)
-	for i := range out {
-		out[i] = JobSpec{Fig: fig, Index: i}
-	}
-	return out
 }
 
 // figTable renders an SVG's series as its text-table twin, marked so the

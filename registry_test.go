@@ -3,16 +3,19 @@ package nvmwear
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"nvmwear/internal/exec"
 )
 
 // This file pins the experiment registry's core invariant: an Experiment's
-// registered Plan predicts exactly the jobs its Run dispatches — same fig
-// identities, same counts, same cache-key salting — for every entry in the
-// catalogue. Everything built on the registry (CLI dispatch, `wlsim list`,
-// the staleness report, the whole-experiment skip in `wlsim all`) rests on
-// that prediction being exact.
+// Plan, recorded from its Run, predicts exactly the jobs that Run
+// dispatches — same fig identities, same counts, same cache-key salting —
+// for every entry in the catalogue. Everything built on the registry (CLI
+// dispatch, `wlsim list`, the staleness report, the whole-experiment skip
+// in `wlsim all`) rests on that prediction being exact.
 
 // TestRegistryCatalogue pins the catalogue's shape: the expected names are
 // registered, Experiments() is ordered, and the `all` membership matches
@@ -77,7 +80,8 @@ func TestRegisterValidates(t *testing.T) {
 // staleness planner covers exactly the planned job list, (b) Run dispatches
 // exactly len(Plan) jobs, and (c) afterwards every planned key — fig
 // identity, index, and shard salting included — is present in the store.
-// Planless experiments must run, render, and report no freshness.
+// Planless experiments must run without dispatching a job, render, and
+// report no freshness.
 func TestExperimentPlanMatchesDispatch(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -90,7 +94,10 @@ func TestExperimentPlanMatchesDispatch(t *testing.T) {
 			// return an empty or partial Result.
 			e.Render(Result{})
 
-			if e.Plan == nil {
+			var completed int
+			sc.Progress = func(done, total int) { completed++ }
+			plan := e.Plan(sc)
+			if len(plan) == 0 {
 				if f := sc.CacheFreshness(e.Name); f != nil {
 					t.Fatalf("planless experiment reports freshness %+v", f)
 				}
@@ -98,16 +105,15 @@ func TestExperimentPlanMatchesDispatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if completed != 0 {
+					t.Fatalf("Run dispatched %d jobs, Plan predicts none", completed)
+				}
 				if tables, _ := e.Render(res); len(tables) == 0 {
 					t.Fatal("no tables rendered")
 				}
 				return
 			}
 
-			plan := e.Plan(sc)
-			if len(plan) == 0 {
-				t.Fatal("registered Plan is empty at the tiny scale")
-			}
 			jobs := 0
 			for _, f := range sc.CacheFreshness(e.Name) {
 				jobs += f.Jobs
@@ -119,8 +125,6 @@ func TestExperimentPlanMatchesDispatch(t *testing.T) {
 				t.Fatalf("freshness covers %d jobs, Plan has %d", jobs, len(plan))
 			}
 
-			var completed int
-			sc.Progress = func(done, total int) { completed++ }
 			res, err := e.Run(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -138,6 +142,79 @@ func TestExperimentPlanMatchesDispatch(t *testing.T) {
 				t.Fatal("no tables rendered")
 			}
 		})
+	}
+}
+
+// twoSweeps is an unregistered experiment of two runJobs sweeps, 2 + 3
+// jobs, the second sharded, each job running job.
+func twoSweeps(job func(i int, seed uint64) (int, error)) *Experiment {
+	return &Experiment{
+		Name: "two-sweeps",
+		Run: func(sc Scale) (Result, error) {
+			a, err := runJobs(sc, "sweep-a", false, 2, jobOpts[int]{}, job)
+			if err != nil {
+				return Result{a}, err
+			}
+			b, err := runJobs(sc, "sweep-b", true, 3, jobOpts[int]{}, job)
+			return Result{append(a, b...)}, err
+		},
+		Render: func(Result) ([]Table, []SVG) { return nil, nil },
+	}
+}
+
+// The driver counts every job of a multi-sweep experiment against its
+// whole plan: progress runs 1..5 once, and the summary reports 5 jobs, not
+// the last sweep's 3.
+func TestDriverCountsEveryJobAcrossSweeps(t *testing.T) {
+	e := twoSweeps(func(i int, _ uint64) (int, error) { return i, nil })
+	var dones []int
+	var out bytes.Buffer
+	err := (&Driver{}).runAt(e, tinyScale(), RunSinks{
+		Out: &out,
+		Progress: func(_ string, done, total int) {
+			if total != 5 {
+				t.Errorf("progress %d/%d, want a total of 5", done, total)
+			}
+			dones = append(dones, done)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(dones, want) {
+		t.Fatalf("progress ran %v, want %v", dones, want)
+	}
+	if !strings.Contains(out.String(), ": 5 jobs,") {
+		t.Fatalf("summary does not count 5 jobs:\n%s", out.String())
+	}
+}
+
+// Plan records every runJobs call in dispatch order with its shard flag,
+// and runs no job: neither a runJobs job nor one a Run hands to exec.Map
+// directly, around runJobs.
+func TestPlanRecordsDispatchWithoutRunning(t *testing.T) {
+	never := func(i int, _ uint64) (int, error) {
+		t.Errorf("job %d ran under Plan", i)
+		return 0, nil
+	}
+	want := []JobSpec{
+		{"sweep-a", 0, false}, {"sweep-a", 1, false},
+		{"sweep-b", 0, true}, {"sweep-b", 1, true}, {"sweep-b", 2, true},
+	}
+	if got := twoSweeps(never).Plan(tinyScale()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan = %+v, want %+v", got, want)
+	}
+
+	direct := &Experiment{
+		Name: "direct-map",
+		Run: func(sc Scale) (Result, error) {
+			out, err := exec.Map(&exec.Pool{Context: sc.Context}, 4, never)
+			return Result{out}, err
+		},
+		Render: func(Result) ([]Table, []SVG) { return nil, nil },
+	}
+	if got := direct.Plan(tinyScale()); len(got) != 0 {
+		t.Fatalf("a Run around runJobs planned %+v, want no jobs", got)
 	}
 }
 

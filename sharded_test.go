@@ -5,6 +5,9 @@ import (
 	"os"
 	"sync"
 	"testing"
+
+	"nvmwear/internal/fault"
+	"nvmwear/internal/rng"
 )
 
 // This file holds the sharded-execution guarantees at the system level:
@@ -83,6 +86,52 @@ func TestPlanShards(t *testing.T) {
 				t.Fatalf("Reason = %q, want fallback reason: %v", plan.Reason, c.serial)
 			}
 		})
+	}
+}
+
+// shardSystemConfig splits one device into per-bank views: lines divide,
+// spare pools sum exactly with the remainder on the low banks, and the
+// device and fault seeds become per-bank substreams, while per-line
+// parameters stay the whole device's.
+func TestShardSystemConfig(t *testing.T) {
+	base := SystemConfig{
+		Scheme:     Baseline,
+		Lines:      1 << 12,
+		SpareLines: 67, // not divisible by 4: remainder lands on low banks
+		Endurance:  500,
+		Variation:  0.1,
+		Seed:       99,
+		Fault:      fault.Config{StuckAtRate: 1e-4, Seed: 41},
+	}
+	var spares, prev uint64
+	for b := uint64(0); b < 4; b++ {
+		sub := shardSystemConfig(base, b, 4)
+		if sub.Lines != base.Lines/4 {
+			t.Fatalf("bank %d lines = %d", b, sub.Lines)
+		}
+		if b > 0 && sub.SpareLines > prev {
+			t.Fatalf("bank %d spares %d exceed bank %d's %d; remainder must go low",
+				b, sub.SpareLines, b-1, prev)
+		}
+		prev = sub.SpareLines
+		spares += sub.SpareLines
+		if sub.Seed != rng.SeedStream(base.Seed, b) {
+			t.Fatalf("bank %d seed not a substream of the device seed", b)
+		}
+		if sub.Fault.Seed != rng.SeedStream(base.Fault.Seed, b) {
+			t.Fatalf("bank %d fault seed not a substream", b)
+		}
+		if sub.Endurance != base.Endurance || sub.Variation != base.Variation {
+			t.Fatalf("bank %d per-line parameters changed: %+v", b, sub)
+		}
+	}
+	if spares != base.SpareLines {
+		t.Fatalf("shard spare pools sum to %d, want %d", spares, base.SpareLines)
+	}
+	// A clean device must stay clean: splitting installs no fault stream.
+	clean := SystemConfig{Scheme: Baseline, Lines: 64, Endurance: 10, Seed: 1}
+	if sub := shardSystemConfig(clean, 0, 2); sub.Fault.Enabled() {
+		t.Fatalf("fault stream appeared on a clean shard: %+v", sub.Fault)
 	}
 }
 
@@ -280,9 +329,9 @@ func TestSeriesDoneStreamsFinalSeries(t *testing.T) {
 }
 
 // CacheFreshness probes real store entries: all-stale before a run, fully
-// cached after; shard-layout key salting follows the experiment's Sharded
-// capability flag. (TestExperimentPlanMatchesDispatch pins the planner's
-// job lists against every runner's actual dispatch.)
+// cached after; shard-layout key salting follows the sweep's own sharded
+// flag, which the plan records. (TestExperimentPlanMatchesDispatch pins the
+// planner's job lists against every runner's actual dispatch.)
 func TestCacheFreshnessTracksStore(t *testing.T) {
 	sc := tinyScale()
 	st := openCache(t, t.TempDir())
@@ -312,10 +361,13 @@ func TestCacheFreshnessTracksStore(t *testing.T) {
 	// A sharded experiment's keys are salted with the layout: entries under
 	// the serial keys are invisible to a sharded probe.
 	fig3, ok := LookupExperiment("fig3")
-	if !ok || !fig3.Sharded {
-		t.Fatalf("fig3 not registered as a sharded experiment")
+	if !ok {
+		t.Fatal("fig3 not registered")
 	}
 	for _, j := range fig3.Plan(sc) {
+		if !j.Sharded {
+			t.Fatalf("fig3 job %+v not planned as sharded", j)
+		}
 		if err := st.Put(sc.cacheKey(j.Fig, true, j.Index), []byte{1}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 package nvmwear
 
 // This file implements the pre-run cache staleness report behind
-// `wlsim all`: before an experiment executes, its registered Plan predicts
-// the exact job list (same fig identities, counts, and cache-key salting as
-// the runner) and every key is probed against the open result store — so a
+// `wlsim all`: before an experiment executes, its Plan records the exact
+// job list Run dispatches (same fig identities, counts, and cache-key
+// salting) and every key is probed against the open result store — so a
 // whole experiment that is fully cached is visibly "0 stale", and skipped,
 // before any simulation starts.
 
@@ -19,28 +19,16 @@ type FigFreshness struct {
 // Stale returns the number of jobs that will actually execute.
 func (f FigFreshness) Stale() int { return f.Jobs - f.Cached }
 
-// cacheProber is the optional fast-probe face of a ResultCache: a stat-only
-// existence check that does not read, verify, or count as a hit/miss.
-// internal/store.Store implements it.
-type cacheProber interface{ Has(key string) bool }
-
 // CacheFreshness probes the open result store for every job key of the
-// named experiment's registered Plan, without executing anything. Jobs are
-// grouped per fig identity in plan order (fig16 plans two sweeps, most
-// experiments one). It returns nil when the scale has no cache open, the
-// cache cannot probe cheaply, or the experiment is unregistered or has no
-// sweep plan (table1, overhead, project).
-//
-// The plan mirrors the runner's job-list construction by contract;
-// TestExperimentPlanMatchesDispatch pins Plan to the jobs Run actually
-// submits for every registered experiment.
+// named experiment's Plan, without executing anything, using the store's
+// stat-only existence check (no read, no verification, no hit or miss).
+// Jobs are grouped per fig identity in plan order (fig16 plans two sweeps,
+// most experiments one). It returns nil when the scale has no cache open,
+// or the experiment is unregistered or plans no jobs (table1, overhead,
+// project).
 func (sc Scale) CacheFreshness(experiment string) []FigFreshness {
-	probe, ok := sc.Cache.(cacheProber)
-	if !ok {
-		return nil
-	}
 	e, ok := LookupExperiment(experiment)
-	if !ok || e.Plan == nil {
+	if !ok || sc.Cache == nil {
 		return nil
 	}
 	var out []FigFreshness
@@ -53,7 +41,7 @@ func (sc Scale) CacheFreshness(experiment string) []FigFreshness {
 			out = append(out, FigFreshness{Fig: j.Fig})
 		}
 		out[k].Jobs++
-		if probe.Has(sc.cacheKey(j.Fig, e.Sharded, j.Index)) {
+		if sc.Cache.Has(sc.cacheKey(j.Fig, j.Sharded, j.Index)) {
 			out[k].Cached++
 		}
 	}
