@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -213,12 +214,21 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
+var zipfSink uint64
+
+// BenchmarkZipfNext covers both sides of the zipfHead table cap: n = 16 and
+// 1024 are settled by the table, 65536 and 2^26 partly by the closed form.
 func BenchmarkZipfNext(b *testing.B) {
-	r := New(1)
-	z := NewZipf(r, 1<<26, 1.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Next()
+	for _, n := range []uint64{16, 1024, 65536, 1 << 26} {
+		for _, alpha := range []float64{0.75, 1.1} {
+			b.Run(fmt.Sprintf("n=%d/alpha=%v", n, alpha), func(b *testing.B) {
+				z := NewZipf(New(1), n, alpha)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					zipfSink = z.Next()
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"nvmwear/internal/trace"
@@ -245,11 +246,23 @@ func TestPow2Helpers(t *testing.T) {
 	}
 }
 
+var reqSink trace.Request
+
+// BenchmarkSpecGen draws round-robin from all 14 profiles at the line counts
+// of the spec-lifetime (2^10) and trace-ipc (2^16) benchmark workloads and
+// of Fig 17 at -scale small (2^22).
 func BenchmarkSpecGen(b *testing.B) {
-	g := SpecProfiles[1].New(1, 1<<24)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
+	for _, lines := range []uint64{1 << 10, 1 << 16, 1 << 22} {
+		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
+			gens := make([]*Gen, len(SpecProfiles))
+			for i, p := range SpecProfiles {
+				gens[i] = p.New(1, lines)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reqSink = gens[i%len(gens)].Next()
+			}
+		})
 	}
 }
 

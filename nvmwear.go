@@ -338,6 +338,9 @@ type WorkloadSpec struct {
 
 // Build instantiates the workload over an address space of `lines`.
 func (w WorkloadSpec) Build(lines uint64) (trace.Stream, string, error) {
+	if lines == 0 {
+		return nil, "", fmt.Errorf("nvmwear: workload %q over zero lines", w.Kind)
+	}
 	switch w.Kind {
 	case WorkloadRAA:
 		return workload.NewRAA(w.Target % lines), "RAA", nil
@@ -363,6 +366,14 @@ func (w WorkloadSpec) Build(lines uint64) (trace.Stream, string, error) {
 		p, ok := workload.ProfileByName(w.Name)
 		if !ok {
 			return nil, "", fmt.Errorf("nvmwear: unknown SPEC profile %q", w.Name)
+		}
+		space := lines
+		if w.RateCopies > 0 {
+			space /= uint64(w.RateCopies)
+		}
+		if space < workload.PageLines {
+			return nil, "", fmt.Errorf("nvmwear: SPEC profile %q: %d lines per copy, fewer than one %d-line page",
+				p.Name, space, workload.PageLines)
 		}
 		if w.RateCopies > 0 {
 			return workload.NewRateMode(p, w.Seed, lines, w.RateCopies), p.Name, nil

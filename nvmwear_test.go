@@ -81,6 +81,36 @@ func TestWorkloadSpecBuild(t *testing.T) {
 	}
 }
 
+// TestWorkloadSpecBuildRejectsSmallSpaces checks that Build returns an
+// error, not a panic, for an address space its generator cannot use.
+func TestWorkloadSpecBuildRejectsSmallSpaces(t *testing.T) {
+	cases := []struct {
+		name  string
+		w     WorkloadSpec
+		lines uint64
+	}{
+		{"spec below one page", WorkloadSpec{Kind: WorkloadSPEC, Name: "gcc"}, 32},
+		{"rate-mode partition below one page", WorkloadSpec{Kind: WorkloadSPEC, Name: "gcc", RateCopies: 8}, 256},
+		{"raa over zero lines", WorkloadSpec{Kind: WorkloadRAA, Target: 5}, 0},
+		{"bpa over zero lines", WorkloadSpec{Kind: WorkloadBPA}, 0},
+		{"uniform over zero lines", WorkloadSpec{Kind: WorkloadUniform}, 0},
+		{"sequential over zero lines", WorkloadSpec{Kind: WorkloadSequential}, 0},
+		{"spec over zero lines", WorkloadSpec{Kind: WorkloadSPEC, Name: "gcc"}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Build panicked: %v", r)
+				}
+			}()
+			if _, _, err := c.w.Build(c.lines); err == nil {
+				t.Fatal("Build returned no error")
+			}
+		})
+	}
+}
+
 func TestRunLifetimeSmoke(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
 		Scheme: PCMS, Lines: 1 << 10, SpareLines: 32, Endurance: 200, RegionLines: 4, Period: 4,
