@@ -178,3 +178,49 @@ func (s *runStream) Next() trace.Request {
 	s.left--
 	return s.cur
 }
+
+// TestAccessBatchAllocatesNothing pins every scheme's steady-state access
+// path to zero heap allocations: after warm-up, one 4096-request
+// AccessBatch of BPA or a 70%-write uniform mix allocates nothing. The
+// batches are generated beforehand, so only the scheme and device run
+// under the count.
+func TestAccessBatchAllocatesNothing(t *testing.T) {
+	const batch, warm, runs = 4096, 32, 16
+	for _, c := range foldSeeds() {
+		if c.faults {
+			continue
+		}
+		cfg, w := c.system()
+		cfg.Endurance = 1 << 30
+		_, wname, err := w.Build(cfg.Lines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("%s/%s", cfg.Scheme, wname), func(t *testing.T) {
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, _, err := w.Build(cfg.Lines)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// AllocsPerRun calls its function once more than runs.
+			n := warm + runs + 1
+			ops, addrs := make([]trace.Op, n*batch), make([]uint64, n*batch)
+			trace.FillBatch(stream, ops, addrs)
+			next := 0
+			access := func() {
+				lo, hi := next*batch, (next+1)*batch
+				sys.lv.AccessBatch(ops[lo:hi], addrs[lo:hi])
+				next++
+			}
+			for next < warm {
+				access()
+			}
+			if a := testing.AllocsPerRun(runs, access); a != 0 {
+				t.Fatalf("%v allocations per %d-request AccessBatch", a, batch)
+			}
+		})
+	}
+}

@@ -12,11 +12,24 @@
 // the LRU stack — the signal SAWL's region-split trigger uses (Sec 3.2:
 // "two registers to record the cache hit counts of the first and the
 // second half of the CMT entries queue").
+//
+// The simulator lays the cache out on arrays, so a lookup is one load and
+// an insert allocates nothing. Nodes live in a slab with int32 links (no
+// pointers for the garbage collector to scan), and a dense cover index
+// maps every initial region to the slab slot of the cached entry covering
+// it, at 4 bytes per region. The index makes disjointness a contract:
+// cached entries never overlap — the tiered engine caches only current IMT
+// regions — and Insert panics on an entry that would overlap one.
 package cmt
 
 import (
 	"fmt"
+	"math"
 )
+
+// MaxCapacity is the largest entry capacity: slab slots are int32, and two
+// of them are the LRU list's sentinels.
+const MaxCapacity = math.MaxInt32 - 2
 
 // Entry is one cached mapping.
 type Entry struct {
@@ -29,12 +42,20 @@ type Entry struct {
 // Span returns the number of initial-granularity regions the entry covers.
 func (e Entry) Span() uint64 { return 1 << e.Level }
 
-// node is an intrusive LRU list node.
+// node is one slab slot: an entry and its LRU links, as slab indices. A
+// free slot is chained to the next free one through next.
 type node struct {
 	Entry
-	prev, next *node
+	prev, next int32
 	firstHalf  bool
 }
+
+// Slots 0 and 1 of the slab are the LRU list's head and tail sentinels, so
+// a cover slot of 0 means "uncached".
+const (
+	head int32 = 0
+	tail int32 = 1
+)
 
 // Policy selects the replacement policy. The paper's design is an LRU
 // stack (its split trigger depends on the LRU-half hit counters); FIFO
@@ -47,46 +68,44 @@ const (
 	PolicyFIFO
 )
 
-// Cache is a fixed-capacity mapping cache. Not safe for concurrent use.
+// Cache is a fixed-capacity mapping cache over a fixed number of initial
+// regions. Not safe for concurrent use.
 type Cache struct {
 	capacity int
 	policy   Policy
-	index    map[uint64]*node // (level, base) packed -> node
-	levels   [64]int          // population count per level, to bound lookups
-	maxLevel int
+	nodes    []node  // slab; grows on demand to capacity+2 slots
+	free     int32   // first free slot (0 = none)
+	cover    []int32 // initial region -> slot of the entry covering it
 
-	head, tail *node // sentinels
 	size       int
-	mid        *node // first node of the second half (nil if size < 2)
+	mid        int32 // first node of the second half (tail if it is empty)
 	firstCount int   // nodes tagged firstHalf
 
 	hits, misses          uint64
 	firstHits, secondHits uint64
 }
 
-// New creates an LRU cache holding up to capacity entries.
-func New(capacity int) *Cache { return NewWithPolicy(capacity, PolicyLRU) }
+// New creates an LRU cache holding up to capacity entries over the
+// initial-region space [0, regions).
+func New(capacity int, regions uint64) *Cache {
+	return NewWithPolicy(capacity, regions, PolicyLRU)
+}
 
 // NewWithPolicy creates a cache with an explicit replacement policy.
-func NewWithPolicy(capacity int, policy Policy) *Cache {
-	if capacity < 1 {
-		panic("cmt: capacity must be positive")
+func NewWithPolicy(capacity int, regions uint64, policy Policy) *Cache {
+	if capacity < 1 || capacity > MaxCapacity {
+		panic(fmt.Sprintf("cmt: capacity %d outside [1, %d]", capacity, MaxCapacity))
 	}
 	c := &Cache{
 		capacity: capacity,
 		policy:   policy,
-		index:    make(map[uint64]*node, capacity),
-		head:     &node{},
-		tail:     &node{},
+		nodes:    make([]node, 2),
+		cover:    make([]int32, regions),
+		mid:      tail,
 	}
-	c.head.next = c.tail
-	c.tail.prev = c.head
+	c.nodes[head].next = tail
+	c.nodes[tail].prev = head
 	return c
-}
-
-// pack builds the index key for (level, base).
-func pack(level uint8, base uint64) uint64 {
-	return base<<6 | uint64(level)
 }
 
 // Capacity returns the entry capacity.
@@ -95,28 +114,23 @@ func (c *Cache) Capacity() int { return c.capacity }
 // Len returns the current entry count.
 func (c *Cache) Len() int { return c.size }
 
-// Lookup finds the entry covering initial-region index lrn0, trying every
-// level currently present in the cache. It records a hit (with its LRU-half
-// attribution) or a miss, promotes a found entry to MRU, and returns it.
+// Lookup finds the entry covering initial-region index lrn0. It records a
+// hit (with its LRU-half attribution) or a miss, promotes a found entry to
+// MRU, and returns it.
 func (c *Cache) Lookup(lrn0 uint64) (Entry, bool) {
-	for lvl := 0; lvl <= c.maxLevel; lvl++ {
-		if c.levels[lvl] == 0 {
-			continue
-		}
-		base := lrn0 &^ (uint64(1)<<lvl - 1)
-		if n, ok := c.index[pack(uint8(lvl), base)]; ok {
-			c.hits++
-			if n.firstHalf {
-				c.firstHits++
-			} else {
-				c.secondHits++
-			}
-			c.touch(n)
-			return n.Entry, true
-		}
+	i := c.cover[lrn0]
+	if i == 0 {
+		c.misses++
+		return Entry{}, false
 	}
-	c.misses++
-	return Entry{}, false
+	c.hits++
+	if c.nodes[i].firstHalf {
+		c.firstHits++
+	} else {
+		c.secondHits++
+	}
+	c.touch(i)
+	return c.nodes[i].Entry, true
 }
 
 // Front returns the MRU entry without recording a hit or touching LRU
@@ -126,7 +140,7 @@ func (c *Cache) Front() (Entry, bool) {
 	if c.size == 0 {
 		return Entry{}, false
 	}
-	return c.head.next.Entry, true
+	return c.nodes[c.nodes[head].next].Entry, true
 }
 
 // RepeatHits records n hits on the MRU entry at once — exactly what n
@@ -142,42 +156,56 @@ func (c *Cache) RepeatHits(n uint64) {
 // Peek returns the entry covering lrn0 without touching LRU order or
 // counters.
 func (c *Cache) Peek(lrn0 uint64) (Entry, bool) {
-	for lvl := 0; lvl <= c.maxLevel; lvl++ {
-		if c.levels[lvl] == 0 {
-			continue
-		}
-		base := lrn0 &^ (uint64(1)<<lvl - 1)
-		if n, ok := c.index[pack(uint8(lvl), base)]; ok {
-			return n.Entry, true
-		}
+	if i := c.cover[lrn0]; i != 0 {
+		return c.nodes[i].Entry, true
 	}
 	return Entry{}, false
 }
 
+// slot returns the slab slot of the cached entry (level, base), or 0.
+func (c *Cache) slot(level uint8, base uint64) int32 {
+	if i := c.cover[base]; i != 0 && c.nodes[i].Level == level && c.nodes[i].Base == base {
+		return i
+	}
+	return 0
+}
+
 // Insert adds an entry at the MRU position, evicting the LRU entry if the
 // cache is full. It returns the evicted entry, if any. Inserting an entry
-// that already exists updates it in place (promoting it).
+// that already exists updates it in place (promoting it). It panics if the
+// entry would overlap a different cached entry.
 func (c *Cache) Insert(e Entry) (evicted Entry, wasEvicted bool) {
-	key := pack(e.Level, e.Base)
-	if n, ok := c.index[key]; ok {
-		n.Entry = e
-		c.touch(n)
+	if i := c.slot(e.Level, e.Base); i != 0 {
+		c.nodes[i].Entry = e
+		c.touch(i)
 		return Entry{}, false
 	}
-	if c.size == c.capacity {
-		lru := c.tail.prev
-		c.removeNode(lru)
-		evicted, wasEvicted = lru.Entry, true
+	span := c.cover[e.Base : e.Base+e.Span()]
+	for _, j := range span {
+		if j != 0 {
+			panic(fmt.Sprintf("cmt: entry %+v overlaps cached entry %+v", e, c.nodes[j].Entry))
+		}
 	}
-	n := &node{Entry: e, firstHalf: true}
-	c.index[key] = n
-	c.pushFront(n)
+	var i int32
+	switch {
+	case c.size == c.capacity:
+		i = c.nodes[tail].prev
+		evicted, wasEvicted = c.nodes[i].Entry, true
+		c.unlink(i)
+	case c.free != 0:
+		i = c.free
+		c.free = c.nodes[i].next
+	default:
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	}
+	c.nodes[i] = node{Entry: e, firstHalf: true}
+	for k := range span {
+		span[k] = i
+	}
+	c.pushFront(i)
 	c.size++
 	c.firstCount++
-	c.levels[e.Level]++
-	if int(e.Level) > c.maxLevel {
-		c.maxLevel = int(e.Level)
-	}
 	c.rebalance()
 	return evicted, wasEvicted
 }
@@ -185,88 +213,78 @@ func (c *Cache) Insert(e Entry) (evicted Entry, wasEvicted bool) {
 // Remove deletes the entry with the given level and base, reporting whether
 // it was present.
 func (c *Cache) Remove(level uint8, base uint64) bool {
-	n, ok := c.index[pack(level, base)]
-	if !ok {
+	i := c.slot(level, base)
+	if i == 0 {
 		return false
 	}
-	c.removeNode(n)
+	c.unlink(i)
+	c.nodes[i].next = c.free
+	c.free = i
 	return true
 }
 
 // Update rewrites the mapping of an existing entry in place without
 // changing LRU order. Returns false if absent.
 func (c *Cache) Update(level uint8, base uint64, prn, key uint64) bool {
-	// Front fast path: exchanges update the region just accessed, whose
-	// entry is almost always the MRU node — skip the map lookup.
-	if f := c.head.next; c.size > 0 && f.Level == level && f.Base == base {
-		f.Prn = prn
-		f.Key = key
-		return true
-	}
-	n, ok := c.index[pack(level, base)]
-	if !ok {
+	i := c.slot(level, base)
+	if i == 0 {
 		return false
 	}
-	n.Prn = prn
-	n.Key = key
+	c.nodes[i].Prn = prn
+	c.nodes[i].Key = key
 	return true
 }
 
 // Entries returns a snapshot of cached entries in MRU-to-LRU order.
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, c.size)
-	for n := c.head.next; n != c.tail; n = n.next {
-		out = append(out, n.Entry)
+	for i := c.nodes[head].next; i != tail; i = c.nodes[i].next {
+		out = append(out, c.nodes[i].Entry)
 	}
 	return out
 }
 
-// removeNode unlinks n and fixes half bookkeeping.
-func (c *Cache) removeNode(n *node) {
-	if c.mid == n {
-		c.mid = n.next
-		if c.mid == c.tail {
-			c.mid = nil
-		}
-	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
+// unlink takes slot i out of the LRU list and the cover index and fixes
+// the half bookkeeping; the caller reuses or frees the slot.
+func (c *Cache) unlink(i int32) {
+	c.detach(i)
+	n := &c.nodes[i]
 	if n.firstHalf {
 		c.firstCount--
 	}
 	c.size--
-	c.levels[n.Level]--
-	delete(c.index, pack(n.Level, n.Base))
+	clear(c.cover[n.Base : n.Base+n.Span()])
 	c.rebalance()
 }
 
-// pushFront links n as the MRU node.
-func (c *Cache) pushFront(n *node) {
-	n.next = c.head.next
-	n.prev = c.head
-	c.head.next.prev = n
-	c.head.next = n
+// detach unlinks slot i from its neighbours, moving mid past it.
+func (c *Cache) detach(i int32) {
+	n := &c.nodes[i]
+	if c.mid == i {
+		c.mid = n.next
+	}
+	c.nodes[n.prev].next = n.next
+	c.nodes[n.next].prev = n.prev
 }
 
-// touch promotes n to MRU (LRU policy only), keeping the half split exact.
-func (c *Cache) touch(n *node) {
-	if c.policy == PolicyFIFO {
+// pushFront links slot i as the MRU node.
+func (c *Cache) pushFront(i int32) {
+	first := c.nodes[head].next
+	c.nodes[i].prev = head
+	c.nodes[i].next = first
+	c.nodes[first].prev = i
+	c.nodes[head].next = i
+}
+
+// touch promotes slot i to MRU (LRU policy only), keeping the half split
+// exact.
+func (c *Cache) touch(i int32) {
+	if c.policy == PolicyFIFO || c.nodes[head].next == i {
 		return // FIFO: hits do not reorder
 	}
-	if c.head.next == n {
-		return
-	}
-	fromSecond := !n.firstHalf
-	if c.mid == n {
-		c.mid = n.next
-		if c.mid == c.tail {
-			c.mid = nil
-		}
-	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	c.pushFront(n)
-	if fromSecond {
+	c.detach(i)
+	c.pushFront(i)
+	if n := &c.nodes[i]; !n.firstHalf {
 		n.firstHalf = true
 		c.firstCount++
 	}
@@ -279,30 +297,17 @@ func (c *Cache) touch(n *node) {
 func (c *Cache) rebalance() {
 	target := (c.size + 1) / 2
 	for c.firstCount > target {
-		// Demote the last first-half node: it is mid.prev, or the overall
-		// tail when there is no second half yet.
-		var b *node
-		if c.mid != nil {
-			b = c.mid.prev
-		} else {
-			b = c.tail.prev
-		}
-		b.firstHalf = false
+		// Demote the last first-half node, just before mid.
+		b := c.nodes[c.mid].prev
+		c.nodes[b].firstHalf = false
 		c.firstCount--
 		c.mid = b
 	}
 	for c.firstCount < target {
-		// Promote the first second-half node.
-		b := c.mid
-		b.firstHalf = true
+		// Promote mid, the first second-half node.
+		c.nodes[c.mid].firstHalf = true
 		c.firstCount++
-		c.mid = b.next
-		if c.mid == c.tail {
-			c.mid = nil
-		}
-	}
-	if c.size == 0 {
-		c.mid = nil
+		c.mid = c.nodes[c.mid].next
 	}
 }
 
@@ -334,7 +339,7 @@ func (c *Cache) HitRate() float64 {
 	return float64(c.hits) / float64(t)
 }
 
-// AvgRegionLines returns the average region size (in initial-granularity
+// AvgRegionUnits returns the average region size (in initial-granularity
 // units) over cached entries, 0 when empty — the quantity Fig 13/14 plot
 // (scaled by the initial granularity).
 func (c *Cache) AvgRegionUnits() float64 {
@@ -342,8 +347,8 @@ func (c *Cache) AvgRegionUnits() float64 {
 		return 0
 	}
 	var sum uint64
-	for n := c.head.next; n != c.tail; n = n.next {
-		sum += n.Span()
+	for i := c.nodes[head].next; i != tail; i = c.nodes[i].next {
+		sum += c.nodes[i].Span()
 	}
 	return float64(sum) / float64(c.size)
 }
@@ -353,22 +358,39 @@ func (c *Cache) String() string {
 	return fmt.Sprintf("cmt{%d/%d entries, hit=%.1f%%}", c.size, c.capacity, 100*c.HitRate())
 }
 
-// checkInvariants validates internal bookkeeping (test hook).
+// checkInvariants validates the LRU list, its half split, the free list
+// and the cover index (test hook).
 func (c *Cache) checkInvariants() error {
+	live := make([]bool, len(c.nodes))
+	want := make([]int32, len(c.cover))
 	count, first := 0, 0
 	sawMid := false
-	for n := c.head.next; n != c.tail; n = n.next {
+	for i := c.nodes[head].next; i != tail; i = c.nodes[i].next {
+		if i == head || live[i] {
+			return fmt.Errorf("LRU list loops at slot %d", i)
+		}
+		if p := c.nodes[i].prev; c.nodes[p].next != i {
+			return fmt.Errorf("slot %d: prev %d links to %d", i, p, c.nodes[p].next)
+		}
+		live[i] = true
 		count++
-		if n == c.mid {
+		if i == c.mid {
 			sawMid = true
 		}
-		if n.firstHalf {
+		if c.nodes[i].firstHalf {
 			if sawMid {
 				return fmt.Errorf("first-half node after mid")
 			}
 			first++
-		} else if !sawMid && c.mid != nil {
+		} else if !sawMid {
 			return fmt.Errorf("second-half node before mid")
+		}
+		e := c.nodes[i].Entry
+		for r := e.Base; r < e.Base+e.Span(); r++ {
+			if want[r] != 0 {
+				return fmt.Errorf("entries %+v and %+v overlap", e, c.nodes[want[r]].Entry)
+			}
+			want[r] = i
 		}
 	}
 	if count != c.size {
@@ -377,11 +399,30 @@ func (c *Cache) checkInvariants() error {
 	if first != c.firstCount {
 		return fmt.Errorf("firstCount %d, counted %d", c.firstCount, first)
 	}
-	if c.size > 0 && first != (c.size+1)/2 {
+	if first != (c.size+1)/2 {
 		return fmt.Errorf("first half %d, want %d of %d", first, (c.size+1)/2, c.size)
 	}
-	if c.mid == nil && c.size-first > 0 {
-		return fmt.Errorf("mid nil with %d second-half nodes", c.size-first)
+	if !sawMid && c.mid != tail {
+		return fmt.Errorf("mid %d is not a live node", c.mid)
+	}
+	for r := range c.cover {
+		if c.cover[r] != want[r] {
+			return fmt.Errorf("cover[%d] = %d, want %d", r, c.cover[r], want[r])
+		}
+	}
+	frees := 0
+	for i := c.free; i != 0; i = c.nodes[i].next {
+		if i == tail || int(i) >= len(c.nodes) || live[i] {
+			return fmt.Errorf("free slot %d is a sentinel, out of the slab or linked", i)
+		}
+		live[i] = true
+		frees++
+	}
+	if 2+count+frees != len(c.nodes) {
+		return fmt.Errorf("slab of %d slots holds %d live and %d free", len(c.nodes), count, frees)
+	}
+	if len(c.nodes) > c.capacity+2 {
+		return fmt.Errorf("slab of %d slots exceeds capacity %d", len(c.nodes), c.capacity)
 	}
 	return nil
 }

@@ -207,19 +207,33 @@ type Scheme struct {
 	splits uint64
 }
 
+// Validate reports the first rule of the engine's geometry that the
+// (defaulted) configuration breaks, naming the field, or nil. New panics
+// with the same error; NewSystem returns it.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("core: Lines %d is not a power of two", c.Lines)
+	case !addr.IsPow2(c.InitGran):
+		return fmt.Errorf("core: InitGran %d is not a power of two", c.InitGran)
+	case c.InitGran > c.Lines:
+		return fmt.Errorf("core: InitGran %d exceeds Lines %d", c.InitGran, c.Lines)
+	case !addr.IsPow2(c.MaxGranLines) || c.MaxGranLines < c.InitGran:
+		return fmt.Errorf("core: MaxGranLines %d is not a power of two >= InitGran %d", c.MaxGranLines, c.InitGran)
+	case c.CMTEntries < 1 || c.CMTEntries > cmt.MaxCapacity:
+		return fmt.Errorf("core: CMTEntries %d outside [1, %d]", c.CMTEntries, cmt.MaxCapacity)
+	}
+	return nil
+}
+
 // New creates the engine over dev, which must provide cfg.DeviceLines()
-// physical lines.
+// physical lines. It panics on a configuration Validate rejects.
 func New(dev *nvm.Device, cfg Config) *Scheme {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
-	if !addr.IsPow2(cfg.Lines) || !addr.IsPow2(cfg.InitGran) {
-		panic("core: Lines and InitGran must be powers of two")
-	}
-	if cfg.InitGran > cfg.Lines {
-		panic("core: granularity exceeds memory")
-	}
-	if !addr.IsPow2(cfg.MaxGranLines) || cfg.MaxGranLines < cfg.InitGran {
-		panic("core: MaxGranLines must be a power of two >= InitGran")
-	}
 	if dev.Lines() < cfg.DeviceLines() {
 		panic("core: device smaller than data + translation area")
 	}
@@ -246,7 +260,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		maxLevel: maxLevel,
 		table:    imt.New(dir, cfg.Lines, cfg.InitGran, cfg.EntriesPerTransLine),
 		dir:      dir,
-		cache:    cmt.New(cfg.CMTEntries),
+		cache:    cmt.New(cfg.CMTEntries, nRegions),
 		rev:      make([]uint32, nRegions),
 		ctr:      make([]uint32, nRegions),
 		src:      rng.New(cfg.Seed ^ 0x5a317a5317a53),
@@ -484,7 +498,7 @@ func (s *Scheme) Merges() uint64 { return s.merges }
 // Splits returns the number of region-split operations performed.
 func (s *Scheme) Splits() uint64 { return s.splits }
 
-// Mode returns the current adaptation mode.
+// CurrentMode returns the current adaptation mode.
 func (s *Scheme) CurrentMode() Mode { return s.mode }
 
 // AvgRegionLines returns the average cached region size in lines.
@@ -570,8 +584,7 @@ func (s *Scheme) MergeAllOnce() uint64 {
 	st := s.stats
 	before := st.MergeWrites + st.SwapWrites
 	for base := uint64(0); base < s.nRegions; {
-		b, span, e := s.table.Region(base)
-		_ = b
+		_, span, e := s.table.Region(base)
 		if e.Level < s.maxLevel {
 			s.tryMerge(base)
 			_, span, _ = s.table.Region(base)

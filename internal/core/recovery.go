@@ -118,6 +118,9 @@ func Recover(dev *nvm.Device, cfg Config, checkpoint []byte) (*Scheme, error) {
 	if err := read(&gtdLen); err != nil {
 		return nil, err
 	}
+	if gtdLen > uint64(r.Len())/4 {
+		return nil, fmt.Errorf("core: checkpoint GTD length %d exceeds its %d remaining bytes", gtdLen, r.Len())
+	}
 	gtdTable := make([]uint32, gtdLen)
 	if err := read(gtdTable); err != nil {
 		return nil, err

@@ -62,8 +62,8 @@ type Scheme struct {
 
 	table   []entry
 	counter []uint32
-	migOf   []int32 // region -> index into migs, or -1
-	migs    []*migration
+	migOf   []int32     // region -> index into migs, or -1
+	migs    []migration // in-flight migrations; free slots listed in free
 	free    []int
 	src     *rng.Source
 
@@ -114,7 +114,7 @@ func (s *Scheme) Translate(lma uint64) uint64 {
 	lrn := lma / s.q
 	lao := lma & (s.q - 1)
 	if mi := s.migOf[lrn]; mi >= 0 {
-		m := s.migs[mi]
+		m := &s.migs[mi]
 		if lrn == m.r {
 			u := lao ^ m.keyR
 			if u < m.progress || (m.r == m.s && u^m.d < m.progress) {
@@ -149,7 +149,7 @@ func (s *Scheme) Headroom(lma uint64) uint64 {
 func (s *Scheme) Commit(lma, n uint64) {
 	lrn := lma / s.q
 	if mi := s.migOf[lrn]; mi >= 0 {
-		m := s.migs[mi]
+		m := &s.migs[mi]
 		m.writeCtr += n
 		if m.writeCtr >= s.advance {
 			m.writeCtr = 0
@@ -183,7 +183,7 @@ func (s *Scheme) begin(r uint64) {
 	for d == 0 && s.q > 1 {
 		d = s.src.Uint64n(s.q)
 	}
-	m := &migration{
+	m := migration{
 		r: r, s: partner,
 		p1: uint64(s.table[r].prn), p2: uint64(s.table[partner].prn),
 		d:    d,
@@ -208,7 +208,7 @@ func (s *Scheme) begin(r uint64) {
 
 // step performs one migration step: swap one physical line pair.
 func (s *Scheme) step(mi int) {
-	m := s.migs[mi]
+	m := &s.migs[mi]
 	u := m.progress
 	if m.r == m.s {
 		// Self re-key: pairs (u, u^d) inside one frame; skip the second
@@ -237,7 +237,7 @@ func (s *Scheme) step(mi int) {
 
 // finish commits the migration into the settled table.
 func (s *Scheme) finish(mi int) {
-	m := s.migs[mi]
+	m := &s.migs[mi]
 	if m.r == m.s {
 		s.table[m.r].key = uint32(m.keyR ^ m.d)
 	} else {
@@ -246,7 +246,6 @@ func (s *Scheme) finish(mi int) {
 	}
 	s.migOf[m.r] = -1
 	s.migOf[m.s] = -1
-	s.migs[mi] = nil
 	s.free = append(s.free, mi)
 }
 

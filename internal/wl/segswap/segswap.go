@@ -34,6 +34,7 @@ type Scheme struct {
 	physToLog []uint32 // inverse
 	wearCount []uint64 // physical segment -> lifetime write count
 	sinceSwap []uint64 // physical segment -> writes since last swap
+	buf       []uint64 // swap staging buffer, one segment
 
 	stats wl.Stats
 }
@@ -58,6 +59,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		physToLog: make([]uint32, segs),
 		wearCount: make([]uint64, segs),
 		sinceSwap: make([]uint64, segs),
+		buf:       make([]uint64, cfg.SegmentLines),
 	}
 	for i := uint64(0); i < segs; i++ {
 		s.logToPhys[i] = uint32(i)
@@ -110,16 +112,15 @@ func (s *Scheme) swap(hot uint64) {
 	// Exchange via an SRAM buffer: hot's lines are staged, cold's lines move
 	// into hot's frame, then the staged lines land in cold's frame. Each
 	// line lands with one device write; 2n swap writes total.
-	buf := make([]uint64, n)
 	for i := uint64(0); i < n; i++ {
-		buf[i] = s.dev.ReadData(hotBase + i)
+		s.buf[i] = s.dev.ReadData(hotBase + i)
 	}
 	for i := uint64(0); i < n; i++ {
 		s.dev.MoveData(hotBase+i, coldBase+i)
 		s.stats.SwapWrites++
 	}
 	for i := uint64(0); i < n; i++ {
-		s.dev.WriteData(coldBase+i, buf[i])
+		s.dev.WriteData(coldBase+i, s.buf[i])
 		s.stats.SwapWrites++
 	}
 	s.wearCount[hot] += n

@@ -199,6 +199,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			return nil, fmt.Errorf("nvmwear: %w", err)
 		}
 	}
+	if e.check != nil {
+		if err := e.check(cfg); err != nil {
+			return nil, fmt.Errorf("nvmwear: %s: %w", cfg.Scheme, err)
+		}
+	}
 	extra := uint64(0)
 	if e.extra != nil {
 		extra = e.extra(cfg)

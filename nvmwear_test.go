@@ -111,6 +111,42 @@ func TestWorkloadSpecBuildRejectsSmallSpaces(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsBadTieredGeometry checks that NewSystem returns an
+// error naming the field, not a panic, for a tiered configuration the
+// engine cannot build, and that a negative CMT cannot be split across
+// shards.
+func TestNewSystemRejectsBadTieredGeometry(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   SystemConfig
+		field string
+	}{
+		{"negative CMT", SystemConfig{Scheme: SAWL, CMTEntries: -5}, "CMTEntries"},
+		{"nwl negative CMT", SystemConfig{Scheme: NWL, CMTEntries: -1}, "CMTEntries"},
+		{"granularity not a power of two", SystemConfig{Scheme: SAWL, InitGran: 3}, "InitGran"},
+		{"lines not a power of two", SystemConfig{Scheme: SAWL, Lines: 1000}, "Lines"},
+		{"max granularity below initial", SystemConfig{Scheme: SAWL, MaxGranLines: 2}, "MaxGranLines"},
+		{"granularity above memory", SystemConfig{Scheme: SAWL, InitGran: 2048, Lines: 1024}, "InitGran"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewSystem panicked: %v", r)
+				}
+			}()
+			_, err := NewSystem(c.cfg)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("NewSystem error %v, want one naming %s", err, c.field)
+			}
+		})
+	}
+	cfg := SystemConfig{Scheme: SAWL, Lines: 1 << 15, CMTEntries: -5}
+	if plan := PlanShards(cfg, WorkloadSpec{Kind: WorkloadUniform}, 4); plan.Shards != 1 {
+		t.Fatalf("PlanShards split %d CMT entries %d ways", cfg.CMTEntries, plan.Shards)
+	}
+}
+
 func TestRunLifetimeSmoke(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
 		Scheme: PCMS, Lines: 1 << 10, SpareLines: 32, Endurance: 200, RegionLines: 4, Period: 4,
@@ -321,6 +357,42 @@ func TestRunFig15SAWLWins(t *testing.T) {
 			t.Errorf("%s (%.1f) does not beat %s (%.1f)",
 				pair[0], best[pair[0]], pair[1], best[pair[1]])
 		}
+	}
+}
+
+// TestAblationSplitTrigger is the split-trigger ablation (DESIGN.md §4):
+// the paper's trigger splits only when the hit rate is high and the hits
+// concentrate in one LRU half. With SubQueueThreshold 1e-6 the imbalance
+// condition always holds, so SAWL splits whenever the hit rate is high:
+// 66998 splits instead of 5953 on a scattered phase followed by a hot
+// one, about 11× the table churn.
+func TestAblationSplitTrigger(t *testing.T) {
+	run := func(subQueue float64) uint64 {
+		sys, err := NewSystem(SystemConfig{
+			Scheme: SAWL, Lines: 1 << 18, SpareLines: 1, Endurance: 1 << 30,
+			Period: 64, CMTEntries: 1024,
+			ObservationWindow: 1 << 12, SettlingWindow: 1 << 12,
+			SubQueueThreshold: subQueue, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hot phase after a scattered phase: forces merge then split
+		// pressure.
+		stream, _, err := WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 1, Seed: 3}.Build(1 << 18)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400000; i++ {
+			sys.Write(stream.Next().Addr)
+		}
+		for i := uint64(0); i < 400000; i++ {
+			sys.Write(i % 256)
+		}
+		return sys.Splits()
+	}
+	if paper, hitOnly := run(0.99), run(1e-6); paper != 5953 || hitOnly != 66998 {
+		t.Fatalf("splits: paper trigger %d, hit-rate-only %d; want 5953 and 66998", paper, hitOnly)
 	}
 }
 

@@ -20,7 +20,9 @@ import (
 // PlanShards, shardSystemConfig and SchemeShardability all read it, so a
 // new scheme is its package plus one entry (DESIGN.md §15).
 type scheme struct {
-	kind  SchemeKind
+	kind SchemeKind
+	// check rejects a configuration build would panic on; nil = none.
+	check func(SystemConfig) error
 	extra func(SystemConfig) uint64 // device lines reserved past Lines; nil = none
 	build func(*nvm.Device, SystemConfig) wl.Leveler
 	// unit is the partition unit in lines: leveling never moves data across
@@ -87,12 +89,13 @@ var schemes = []scheme{
 func tiered(kind SchemeKind) scheme {
 	return scheme{
 		kind:  kind,
+		check: func(c SystemConfig) error { return coreConfig(c).Validate() },
 		extra: func(c SystemConfig) uint64 { return coreConfig(c).DeviceLines() - c.Lines },
 		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler { return core.New(dev, coreConfig(c)) },
 		unit:  func(c SystemConfig) uint64 { return c.MaxGranLines }, unitName: "max region",
 		minUnits: 1, exact: true,
 		split: func(c *SystemConfig, banks uint64) error {
-			if uint64(c.CMTEntries) < banks {
+			if c.CMTEntries < int(banks) {
 				return fmt.Errorf("%d CMT entries cannot split %d ways", c.CMTEntries, banks)
 			}
 			c.CMTEntries /= int(banks)
