@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nvmwear/internal/core"
-	"nvmwear/internal/trace"
 )
 
 // This file implements the adaptive-behavior experiments: the sensitivity
@@ -53,14 +52,7 @@ func runTrace(sc Scale, bench string, sow, ssw uint64) (hit, size Series, avgHit
 	if err != nil {
 		return hit, size, 0, err
 	}
-	for i := uint64(0); i < sc.Requests; i++ {
-		r := stream.Next()
-		if r.Op == trace.Write {
-			sys.Write(r.Addr)
-		} else {
-			sys.Read(r.Addr)
-		}
-	}
+	sys.serve(stream, sc.Requests)
 	if n > 0 {
 		avgHit = 100 * sum / float64(n)
 	}
@@ -334,13 +326,6 @@ func runNWLHitRate(sc Scale, bench string, gran uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := uint64(0); i < sc.Requests; i++ {
-		r := stream.Next()
-		if r.Op == trace.Write {
-			sys.Write(r.Addr)
-		} else {
-			sys.Read(r.Addr)
-		}
-	}
+	sys.serve(stream, sc.Requests)
 	return 100 * sys.Stats().CMTHitRate, nil
 }

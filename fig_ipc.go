@@ -165,10 +165,7 @@ func runTiming(sc Scale, scheme SchemeKind, bench string) (TimingResult, error) 
 	}
 	// Warm up untimed (standard simulation methodology): caches fill and
 	// SAWL's granularity adaptation converges before measurement begins.
-	for i := uint64(0); i < sc.Requests; i++ {
-		r := stream.Next()
-		sys.lv.Access(r.Op, r.Addr)
-	}
+	sys.serve(stream, sc.Requests)
 	return sim.Run(sys.lv, stream, sim.Config{
 		Requests:           requests,
 		InstrPerMemReq:     instrFor(name),

@@ -112,7 +112,6 @@ func (s *Scheme) repeatAccess(op trace.Op, lma uint64, k int) int {
 			s.stats.DataReads += applied
 		}
 		s.cache.RepeatHits(applied)
-		s.stats.CMTHits += applied
 		if op == trace.Write {
 			s.commit(e.Base, q, applied)
 		}

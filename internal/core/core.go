@@ -314,10 +314,8 @@ func (s *Scheme) rebuildEntry(idx uint64, level uint8, want uint16) (uint64, boo
 // whether the lookup hit the cache.
 func (s *Scheme) lookup(lrn0 uint64) (cmt.Entry, bool) {
 	if e, ok := s.cache.Lookup(lrn0); ok {
-		s.stats.CMTHits++
 		return e, true
 	}
-	s.stats.CMTMisses++
 	ent := s.table.Read(lrn0)
 	span := uint64(1) << ent.Level
 	qShift := s.pShift + uint(ent.Level)

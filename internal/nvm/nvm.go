@@ -4,8 +4,8 @@
 // (Sec 2.2, 4.3): a per-line write counter, a per-line endurance limit
 // (10^5-10^6 writes for MLC cells), a pool of spare lines that replace
 // worn-out lines, and the failure rule — the device dies when spares are
-// exhausted. Latency/energy parameters (Table 1) are carried here and
-// consumed by the timing simulator in internal/sim.
+// exhausted. Per-access energy is carried here; Table 1's timing lives in
+// the timing simulator, internal/sim.
 //
 // The device optionally stores a data word per line so integration tests can
 // verify that wear-leveling remapping never loses or corrupts user data.
@@ -49,11 +49,6 @@ type Config struct {
 	// verify data integrity across swaps.
 	TrackData bool
 
-	LineSizeBytes  int    // line (cache-line) size; default 64
-	ReadLatencyNs  uint64 // default 50 (Table 1)
-	WriteLatencyNs uint64 // default 350 for MLC PCM/RRAM (Table 1)
-	Banks          int    // default 32 (paper: 32 x 2GB banks)
-
 	// Energy per line access in picojoules. Defaults follow published MLC
 	// PCM figures (~2 pJ/bit read, ~30 pJ/bit write on a 64 B line).
 	ReadEnergyPJ  float64
@@ -78,18 +73,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.LineSizeBytes == 0 {
-		c.LineSizeBytes = 64
-	}
-	if c.ReadLatencyNs == 0 {
-		c.ReadLatencyNs = 50
-	}
-	if c.WriteLatencyNs == 0 {
-		c.WriteLatencyNs = 350
-	}
-	if c.Banks == 0 {
-		c.Banks = 32
-	}
 	if c.ReadEnergyPJ == 0 {
 		c.ReadEnergyPJ = 1024 // 2 pJ/bit * 512 bits
 	}
@@ -514,11 +497,6 @@ func (d *Device) IdealWrites() uint64 {
 	// Spares are assumed nominal-endurance.
 	return sum + uint64(d.cfg.Endurance)*d.cfg.SpareLines
 }
-
-// DefaultBanks is the device's bank count when Config.Banks is zero — the
-// paper's 32 x 2 GB geometry. It is also the finest shard layout the
-// sharded lifetime runner will decompose a run into.
-const DefaultBanks = 32
 
 // ShareLines splits a line budget across banks: an even share with the
 // remainder going to the lowest-numbered banks, so the per-bank shares sum

@@ -147,7 +147,7 @@ func TestReadsDoNotWear(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	d := New(Config{Lines: 4, Endurance: 1})
 	c := d.Config()
-	if c.LineSizeBytes != 64 || c.ReadLatencyNs != 50 || c.WriteLatencyNs != 350 || c.Banks != 32 {
+	if c.ReadEnergyPJ != 1024 || c.WriteEnergyPJ != 15360 || c.ECCBits != 4 || c.WriteRetries != 3 {
 		t.Fatalf("defaults: %+v", c)
 	}
 }

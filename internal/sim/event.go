@@ -10,8 +10,8 @@ package sim
 
 import (
 	"container/heap"
+	"slices"
 
-	"nvmwear/internal/cache"
 	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
@@ -91,23 +91,13 @@ func (b *bankState) next() (bankOp, bool) {
 }
 
 // RunEvent simulates cfg.Requests memory requests with the event-driven
-// engine. It accepts the same Config as Run; WriteQueueDepth bounds the
-// total buffered demand writes (0 = 128).
+// engine. Demand writes wait in a buffer of QueueDepth entries; a core that
+// finds it full retries one write latency later.
 func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 	cfg = cfg.withDefaults()
-	wqDepth := cfg.WriteQueueDepth
-	if wqDepth == 0 {
-		wqDepth = 128
-	}
-
-	var l2 *cache.Cache
-	if cfg.L2Lines > 0 {
-		l2 = cache.New(cfg.L2Lines, cfg.L2Ways)
-	}
-	banks := make([]bankState, cfg.Banks)
-	computeNs := cfg.InstrPerMemReq / cfg.FreqGHz
-	baselineScheme := lv.Name() == "Baseline"
-	prev := lv.Stats()
+	m := newMeter(lv)
+	computeNs := cfg.InstrPerMemReq / FreqGHz
+	var banks [Banks]bankState
 
 	var h eventHeap
 	var seq uint64
@@ -115,21 +105,17 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 		seq++
 		heap.Push(&h, event{time: t, kind: k, id: id, seq: seq})
 	}
-	for c := 0; c < cfg.Cores; c++ {
+	for c := 0; c < Cores; c++ {
 		push(computeNs, evCoreIssue, c)
 	}
 
 	var issued uint64
-	var memReqs uint64
-	var reads uint64
-	var totalReadLat, totalTrans float64
 	var pendingWrites int
 	var lastTime float64
-	coreDone := make([]float64, cfg.Cores)
+	var coreDone [Cores]float64
 
 	// startBank begins the bank's next queued op if idle.
-	var startBank func(b int, now float64)
-	startBank = func(b int, now float64) {
+	startBank := func(b int, now float64) {
 		if banks[b].busy {
 			return
 		}
@@ -138,17 +124,16 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 			return
 		}
 		banks[b].busy = true
-		dur := cfg.ReadLatNs
+		dur := ReadLatNs
 		if op.write {
-			dur = cfg.WriteLatNs
+			dur = WriteLatNs
 		}
 		done := now + dur
 		if op.write && !op.maintenance {
 			pendingWrites--
 		}
 		if op.core >= 0 {
-			reads++
-			totalReadLat += done - op.issue
+			m.read(done - op.issue)
 			// The waiting core resumes computing after the read returns.
 			push(done+computeNs, evCoreIssue, op.core)
 			coreDone[op.core] = done
@@ -156,59 +141,37 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 		push(done, evBankDone, b)
 	}
 
-	// translate performs the access and returns (pma, translation ns,
-	// swap-delta, merge-delta).
-	translate := func(op trace.Op, addr uint64) (uint64, float64, int, int) {
-		pma := lv.Access(op, addr)
-		st := lv.Stats()
-		var transNs float64
-		switch {
-		case baselineScheme:
-			transNs = 0
-		case st.CMTHits != prev.CMTHits:
-			transNs = cfg.TransHitNs
-		case st.CMTMisses != prev.CMTMisses:
-			transNs = cfg.TransMissNs
-		default:
-			transNs = cfg.OnChipTransNs
-		}
-		swap := int(st.SwapWrites - prev.SwapWrites + st.TableWrites - prev.TableWrites)
-		merge := int(st.MergeWrites - prev.MergeWrites)
-		prev = st
-		totalTrans += transNs
-		return pma, transNs, swap, merge
-	}
-
-	// sendToBank enqueues one demand op plus any wear-leveling work.
-	sendToBank := func(op trace.Op, addr uint64, core int, now float64) (blockedRead bool) {
-		memReqs++
-		pma, transNs, swap, merge := translate(op, addr)
-		b := int(pma) % cfg.Banks
-		t := now + transNs
+	// send serves one demand request and queues it at its bank with the
+	// wear-leveling writes it caused. It reports whether the core now
+	// waits for a read.
+	send := func(op trace.Op, addr uint64, core int, now float64) bool {
+		a := m.step(op, addr)
+		b := a.bank
+		t := now + a.transNs
 		entry := bankOp{write: op == trace.Write, core: -1, issue: t}
 		if op == trace.Read {
 			entry.core = core
 			banks[b].reads = append(banks[b].reads, entry)
-			blockedRead = true
 		} else {
 			pendingWrites++
 			banks[b].writes = append(banks[b].writes, entry)
 		}
 		// Wear-leveling writes occupy the same bank (global blocking for
 		// non-tiered schemes spreads them across all banks round-robin).
-		for i := 0; i < swap; i++ {
+		maint := bankOp{write: true, maintenance: true, core: -1, issue: t}
+		for i := 0; i < int(a.swaps); i++ {
 			tb := b
 			if cfg.GlobalSwapBlocking {
-				tb = (b + i) % cfg.Banks
+				tb = (b + i) % Banks
 			}
-			banks[tb].writes = append(banks[tb].writes, bankOp{write: true, maintenance: true, core: -1, issue: t})
+			banks[tb].writes = append(banks[tb].writes, maint)
 		}
-		for i := 0; i < merge; i++ {
-			banks[(b+i)%cfg.Banks].maint = append(banks[(b+i)%cfg.Banks].maint,
-				bankOp{write: true, maintenance: true, core: -1, issue: t})
+		for i := 0; i < int(a.merges); i++ {
+			tb := (b + i) % Banks
+			banks[tb].maint = append(banks[tb].maint, maint)
 		}
 		startBank(b, t)
-		return blockedRead
+		return op == trace.Read
 	}
 
 	for h.Len() > 0 {
@@ -222,60 +185,19 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 			if issued >= cfg.Requests {
 				continue // core retires
 			}
-			if pendingWrites >= wqDepth {
+			if pendingWrites >= QueueDepth {
 				// Write buffer full: back-pressure, retry shortly.
-				push(ev.time+cfg.WriteLatNs, evCoreIssue, ev.id)
+				push(ev.time+WriteLatNs, evCoreIssue, ev.id)
 				continue
 			}
 			issued++
 			r := stream.Next()
-			now := ev.time
-			if l2 != nil {
-				res := l2.Access(r.Addr, r.Op == trace.Write)
-				if res.Hit {
-					push(now+cfg.L2LatNs+computeNs, evCoreIssue, ev.id)
-					coreDone[ev.id] = now + cfg.L2LatNs
-					continue
-				}
-				if res.Writeback {
-					sendToBank(trace.Write, res.WritebackAddr, ev.id, now)
-				}
-				// Miss fill read; core blocks until it completes.
-				if !sendToBank(trace.Read, r.Addr, ev.id, now) {
-					push(now+computeNs, evCoreIssue, ev.id)
-				}
-				continue
+			if !send(r.Op, r.Addr, ev.id, ev.time) {
+				// Posted write: the core computes on; a read reissues the
+				// core when the bank completes it.
+				push(ev.time+computeNs, evCoreIssue, ev.id)
 			}
-			if sendToBank(r.Op, r.Addr, ev.id, now) {
-				// Read: reissued by the bank completion.
-				continue
-			}
-			push(now+computeNs, evCoreIssue, ev.id)
 		}
 	}
-
-	var maxCore float64
-	for _, t := range coreDone {
-		if t > maxCore {
-			maxCore = t
-		}
-	}
-	if lastTime > maxCore {
-		maxCore = lastTime
-	}
-	instr := float64(cfg.Requests) * cfg.InstrPerMemReq
-	res := Result{Instructions: instr, ElapsedNs: maxCore, MemRequests: memReqs}
-	if maxCore > 0 {
-		res.IPC = instr / (maxCore * cfg.FreqGHz)
-	}
-	if l2 != nil {
-		res.L2HitRate = l2.HitRate()
-	}
-	if reads > 0 {
-		res.AvgReadLatNs = totalReadLat / float64(reads)
-	}
-	if memReqs > 0 {
-		res.TransOverhead = totalTrans / float64(memReqs)
-	}
-	return res
+	return m.result(cfg, max(slices.Max(coreDone[:]), lastTime))
 }

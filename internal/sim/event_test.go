@@ -15,9 +15,7 @@ func mkIdentity(lines uint64) wl.Leveler {
 }
 
 func TestEventModelBasics(t *testing.T) {
-	res := RunEvent(mkIdentity(1<<14), workload.NewUniform(1, 1<<14, 0.3), Config{
-		Requests: 50000, L2Lines: 1024,
-	})
+	res := RunEvent(mkIdentity(1<<14), workload.NewUniform(1, 1<<14, 0.3), Config{Requests: 50000})
 	if res.IPC <= 0 || res.IPC > 8 {
 		t.Fatalf("IPC %v", res.IPC)
 	}
@@ -34,7 +32,7 @@ func TestEventModelBasics(t *testing.T) {
 // the relative ordering between a baseline and a wear-leveled system.
 func TestEventVsAnalyticCrossValidation(t *testing.T) {
 	mkStream := func() *workload.Uniform { return workload.NewUniform(7, 1<<14, 0.4) }
-	cfg := Config{Requests: 100000, L2Lines: 1024, InstrPerMemReq: 20}
+	cfg := Config{Requests: 100000, InstrPerMemReq: 20}
 
 	baseA := Run(mkIdentity(1<<14), mkStream(), cfg)
 	baseE := RunEvent(mkIdentity(1<<14), mkStream(), cfg)
@@ -71,15 +69,15 @@ func TestEventModelReadPriority(t *testing.T) {
 }
 
 func TestEventModelTerminates(t *testing.T) {
-	// Saturating writes with a small write budget must still terminate
-	// (back-pressure retries, bank drains).
+	// Saturating writes must still terminate (back-pressure retries, bank
+	// drains).
 	res := RunEvent(mkIdentity(1<<12), workload.NewUniform(5, 1<<12, 1.0), Config{
-		Requests: 20000, InstrPerMemReq: 1, Banks: 2, WriteQueueDepth: 8,
+		Requests: 20000, InstrPerMemReq: 1,
 	})
 	if res.IPC <= 0 {
 		t.Fatalf("IPC %v", res.IPC)
 	}
-	// Bandwidth-bound: 2 banks at 350ns per write.
+	// Bandwidth-bound: 16 banks at 350ns per write.
 	if res.IPC > 1 {
 		t.Fatalf("write-saturated IPC %v suspiciously high", res.IPC)
 	}

@@ -3,103 +3,61 @@
 //
 // It models an 8-core 3.2 GHz system in closed loop: each core alternates
 // compute phases (calibrated per benchmark by instructions-per-memory-
-// request) with line-granular memory requests. Requests are filtered
-// through a shared set-associative L2; misses pay address translation
-// (5 ns on a CMT hit, 55 ns on a miss, 0 for the no-wear-leveling baseline,
-// 5 ns flat for schemes whose whole table is on chip), queue on one of the
-// banked NVM channels, and occupy the bank for the device read (50 ns) or
-// write (350 ns) latency. Wear-leveling data exchanges block the issuing
-// bank for their full duration — the mechanism that makes frequent
-// fine-grained swaps expensive (Fig 17's BWL bar).
+// request, which also folds in the L1 and L2 filtering) with line-granular
+// memory requests. Each request pays address translation (5 ns on a CMT
+// hit, 55 ns on a miss, 0 for the no-wear-leveling baseline, 5 ns flat for
+// schemes whose whole table is on chip), queues on one of the banked NVM
+// channels, and occupies the bank for the device read (50 ns) or write
+// (350 ns) latency. Wear-leveling data exchanges block the issuing bank for
+// their full duration — the mechanism that makes frequent fine-grained
+// swaps expensive (Fig 17's BWL bar).
 //
 // Reads block the issuing core; writes are posted. IPC is computed from
 // total instructions over the slowest core's finishing time and reported
 // relative to a baseline run to reproduce Fig 17's degradation bars.
+//
+// Run is the analytic model the experiments use; RunEvent is the
+// discrete-event reference that checks it. Both serve and price every
+// request through the same step (meter).
 package sim
 
 import (
-	"nvmwear/internal/cache"
+	"slices"
+
 	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 )
 
+// Table 1's simulated system: the one statement of the timing both models
+// and the root package's RunTable1 read.
+const (
+	Cores         = 8      // CPU cores
+	FreqGHz       = 3.2    // core clock; 1 instruction per cycle between requests
+	Banks         = 16     // NVM banks behind the memory controller
+	QueueDepth    = 128    // FR-FCFS controller queue: RunEvent's write-buffer bound
+	ReadLatNs     = 50.0   // PCM line read
+	WriteLatNs    = 350.0  // PCM line write (MLC)
+	TransHitNs    = 5.0    // translation, mapping-cache hit
+	TransMissNs   = 55.0   // translation, mapping-cache miss (an IMT line read)
+	OnChipTransNs = 5.0    // translation, schemes with their whole table on chip
+	RebuildLatNs  = 1000.0 // per metadata-entry rebuild: inverse-table scan + line rewrite
+)
+
 // Config parameterizes a timing run.
 type Config struct {
-	Cores          int     // default 8 (Table 1)
-	FreqGHz        float64 // default 3.2
+	Requests       uint64  // memory requests to simulate (default 2<<20)
 	InstrPerMemReq float64 // compute instructions between memory requests (default 30)
-
-	L2Lines uint64  // shared L2 capacity in lines (default 8192 = 512 KB); 0 disables
-	L2Ways  int     // default 16
-	L2LatNs float64 // hit latency (default 10)
-
-	Banks      int     // default 16
-	ReadLatNs  float64 // default 50
-	WriteLatNs float64 // default 350 (MLC NVM, Table 1)
-
-	TransHitNs  float64 // translation, mapping-cache hit (default 5)
-	TransMissNs float64 // translation, mapping-cache miss (default 55)
-
-	// RebuildLatNs is charged per metadata-entry rebuild (fault injection:
-	// checksum mismatch -> inverse-table scan + repaired-line rewrite).
-	// Default 1000 — the controller walks the reserved area, dwarfing a
-	// normal table access.
-	RebuildLatNs float64
-	// OnChipTransNs applies to schemes with their full table on chip
-	// (default 5; the Baseline scheme always pays 0).
-	OnChipTransNs float64
 
 	// GlobalSwapBlocking models a non-tiered controller whose data
 	// exchanges stage whole regions through the controller SRAM, stalling
 	// every bank for the exchange duration (the paper's BWL). Tiered
 	// schemes charge exchanges only to the issuing bank.
 	GlobalSwapBlocking bool
-
-	// WriteQueueDepth > 0 enables the FR-FCFS posted-write buffer (Table 1
-	// uses 128): demand writes park in the buffer and drain in bursts, so
-	// isolated writes stop serializing in front of reads. 0 keeps the
-	// simpler model where writes occupy the bank immediately.
-	WriteQueueDepth int
-
-	Requests uint64 // memory requests to simulate (default 2<<20)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Cores == 0 {
-		c.Cores = 8
-	}
-	if c.FreqGHz == 0 {
-		c.FreqGHz = 3.2
-	}
 	if c.InstrPerMemReq == 0 {
 		c.InstrPerMemReq = 30
-	}
-	if c.L2Ways == 0 {
-		c.L2Ways = 16
-	}
-	if c.L2LatNs == 0 {
-		c.L2LatNs = 10
-	}
-	if c.Banks == 0 {
-		c.Banks = 16
-	}
-	if c.ReadLatNs == 0 {
-		c.ReadLatNs = 50
-	}
-	if c.WriteLatNs == 0 {
-		c.WriteLatNs = 350
-	}
-	if c.TransHitNs == 0 {
-		c.TransHitNs = 5
-	}
-	if c.TransMissNs == 0 {
-		c.TransMissNs = 55
-	}
-	if c.OnChipTransNs == 0 {
-		c.OnChipTransNs = 5
-	}
-	if c.RebuildLatNs == 0 {
-		c.RebuildLatNs = 1000
 	}
 	if c.Requests == 0 {
 		c.Requests = 2 << 20
@@ -109,10 +67,13 @@ func (c Config) withDefaults() Config {
 
 // Result summarizes a timing run.
 type Result struct {
-	IPC           float64
-	Instructions  float64
-	ElapsedNs     float64
-	MemRequests   uint64
+	IPC          float64
+	Instructions float64
+	ElapsedNs    float64
+	MemRequests  uint64
+	// L2HitRate is always 0: the L2 is folded into InstrPerMemReq, so every
+	// request reaches memory. The field stays so encoded results keep their
+	// shape.
 	L2HitRate     float64
 	AvgReadLatNs  float64
 	TransOverhead float64 // mean translation ns per memory access
@@ -126,162 +87,132 @@ func (r Result) Degradation(baseline Result) float64 {
 	return 1 - r.IPC/baseline.IPC
 }
 
+// meter serves requests through the scheme and prices each one from the
+// scheme's counter deltas. It also keeps the totals a Result reports.
+type meter struct {
+	lv       wl.Leveler
+	baseline bool // the no-wear-leveling scheme translates for free
+	prev     wl.Stats
+
+	reqs, reads     uint64
+	readNs, transNs float64 // totals over reads and over requests
+}
+
+func newMeter(lv wl.Leveler) *meter {
+	return &meter{lv: lv, baseline: lv.Name() == "Baseline", prev: lv.Stats()}
+}
+
+// access is what one served request costs the memory system.
+type access struct {
+	bank    int
+	transNs float64 // translation, metadata-rebuild stalls included
+	swaps   uint64  // swap and table line writes: occupy the issuing bank
+	merges  uint64  // region-merge line writes: background traffic
+}
+
+// step serves one request through the scheme, then prices its translation
+// class, its metadata-rebuild stall and the swap and merge writes it
+// caused.
+func (m *meter) step(op trace.Op, addr uint64) access {
+	pma := m.lv.Access(op, addr)
+	st := m.lv.Stats()
+	a := access{bank: int(pma % Banks)}
+	switch {
+	case m.baseline:
+	case st.CMTHits != m.prev.CMTHits:
+		a.transNs = TransHitNs
+	case st.CMTMisses != m.prev.CMTMisses:
+		a.transNs = TransMissNs
+	default:
+		a.transNs = OnChipTransNs
+	}
+	// Metadata rebuilds stall the translation path itself: the request
+	// cannot proceed until the entry is reconstructed.
+	a.transNs += float64(st.MetaRebuilds-m.prev.MetaRebuilds) * RebuildLatNs
+	a.swaps = st.SwapWrites - m.prev.SwapWrites + st.TableWrites - m.prev.TableWrites
+	a.merges = st.MergeWrites - m.prev.MergeWrites
+	m.prev = st
+	m.reqs++
+	m.transNs += a.transNs
+	return a
+}
+
+// read records one completed read's latency.
+func (m *meter) read(latNs float64) {
+	m.reads++
+	m.readNs += latNs
+}
+
+// result assembles the Result of a run of cfg that finished at elapsedNs.
+func (m *meter) result(cfg Config, elapsedNs float64) Result {
+	instr := float64(cfg.Requests) * cfg.InstrPerMemReq
+	res := Result{Instructions: instr, ElapsedNs: elapsedNs, MemRequests: m.reqs}
+	if elapsedNs > 0 {
+		res.IPC = instr / (elapsedNs * FreqGHz)
+	}
+	if m.reads > 0 {
+		res.AvgReadLatNs = m.readNs / float64(m.reads)
+	}
+	if m.reqs > 0 {
+		res.TransOverhead = m.transNs / float64(m.reqs)
+	}
+	return res
+}
+
 // Run simulates cfg.Requests memory requests from the stream through the
 // scheme. The scheme performs its normal wear-leveling work; its swap and
 // table writes are charged to the issuing bank.
 func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 	cfg = cfg.withDefaults()
-	coreTime := make([]float64, cfg.Cores)
-	bankBusy := make([]float64, cfg.Banks)
+	m := newMeter(lv)
+	computeNs := cfg.InstrPerMemReq / FreqGHz
+	var coreTime [Cores]float64
+	var bankBusy [Banks]float64
+	for i := uint64(0); i < cfg.Requests; i++ {
+		c := i % Cores
+		r := stream.Next()
+		issue := coreTime[c] + computeNs
+		a := m.step(r.Op, r.Addr)
 
-	var l2 *cache.Cache
-	if cfg.L2Lines > 0 {
-		l2 = cache.New(cfg.L2Lines, cfg.L2Ways)
-	}
-
-	computeNs := cfg.InstrPerMemReq / cfg.FreqGHz // 1 instr/cycle issue rate
-	baselineScheme := lv.Name() == "Baseline"
-
-	prev := lv.Stats()
-	var memReqs uint64
-	var totalReadLat, totalTrans float64
-	var reads uint64
-
-	var wq *writeQueue
-	if cfg.WriteQueueDepth > 0 {
-		wq = newWriteQueue(cfg.WriteQueueDepth, cfg.Banks, cfg.WriteLatNs)
-	}
-
-	// issueMem sends one request to the memory system, returning the
-	// completion time for reads (writes are posted).
-	issueMem := func(core int, op trace.Op, addrL uint64, issue float64) float64 {
-		memReqs++
-		pma := lv.Access(op, addrL)
-		st := lv.Stats()
-
-		// Translation latency for this access.
-		var transNs float64
-		switch {
-		case baselineScheme:
-			transNs = 0
-		case st.CMTHits != prev.CMTHits:
-			transNs = cfg.TransHitNs
-		case st.CMTMisses != prev.CMTMisses:
-			transNs = cfg.TransMissNs
-		default:
-			transNs = cfg.OnChipTransNs
+		start := issue + a.transNs
+		if bankBusy[a.bank] > start {
+			start = bankBusy[a.bank]
 		}
-		// Metadata rebuilds stall the translation path itself: the request
-		// cannot proceed until the entry is reconstructed.
-		transNs += float64(st.MetaRebuilds-prev.MetaRebuilds) * cfg.RebuildLatNs
-		totalTrans += transNs
-
-		// Wear-leveling work performed by this access occupies the bank;
-		// region-merge traffic is background (the controller serves demand
-		// requests from staged data while it drains), so it is scheduled
-		// on the least-busy bank instead of blocking the issuing one.
-		swapDelta := float64(st.SwapWrites - prev.SwapWrites +
-			st.TableWrites - prev.TableWrites)
-		mergeDelta := float64(st.MergeWrites - prev.MergeWrites)
-		prev = st
-
-		bank := int(pma) % cfg.Banks
-		if wq != nil && op == trace.Write && swapDelta == 0 {
-			// Posted write through the FR-FCFS buffer: the core only
-			// stalls on back-pressure.
-			stall := wq.push(bank, issue+transNs, bankBusy)
-			return issue + transNs + stall
-		}
-		if wq != nil {
-			// A read reaching an idle bank lets the queued writes that the
-			// idle gap already serviced retire first.
-			wq.idleDrain(bank, issue+transNs, bankBusy)
-		}
-		start := issue + transNs
-		if bankBusy[bank] > start {
-			start = bankBusy[bank]
-		}
-		dur := cfg.WriteLatNs
-		if op == trace.Read {
-			dur = cfg.ReadLatNs
+		dur := WriteLatNs
+		if r.Op == trace.Read {
+			dur = ReadLatNs
 		}
 		finish := start + dur
-		busy := finish + swapDelta*cfg.WriteLatNs
-		bankBusy[bank] = busy
-		if cfg.GlobalSwapBlocking && swapDelta > 0 {
+		// The access's swap and table writes then hold its bank.
+		busy := finish + float64(a.swaps)*WriteLatNs
+		bankBusy[a.bank] = busy
+		if cfg.GlobalSwapBlocking && a.swaps > 0 {
 			for b := range bankBusy {
 				if bankBusy[b] < busy {
 					bankBusy[b] = busy
 				}
 			}
 		}
-		if mergeDelta > 0 {
+		// Region-merge traffic is background (the controller serves demand
+		// requests from staged data while it drains), so it is scheduled on
+		// the least-busy bank instead of blocking the issuing one.
+		if a.merges > 0 {
 			idle := 0
 			for b := range bankBusy {
 				if bankBusy[b] < bankBusy[idle] {
 					idle = b
 				}
 			}
-			bankBusy[idle] += mergeDelta * cfg.WriteLatNs
+			bankBusy[idle] += float64(a.merges) * WriteLatNs
 		}
-		if op == trace.Read {
-			reads++
-			totalReadLat += finish - issue
-			return finish
-		}
-		return issue + transNs
-	}
-
-	for i := uint64(0); i < cfg.Requests; i++ {
-		core := int(i) % cfg.Cores
-		r := stream.Next()
-		coreTime[core] += computeNs
-		issue := coreTime[core]
-
-		if l2 != nil {
-			res := l2.Access(r.Addr, r.Op == trace.Write)
-			if res.Hit {
-				coreTime[core] = issue + cfg.L2LatNs
-				continue
-			}
-			if res.Writeback {
-				// Dirty eviction: a posted memory write.
-				issueMem(core, trace.Write, res.WritebackAddr, issue)
-			}
-			// Miss fill: the line is read from memory (even for writes,
-			// write-allocate fetches it); for a demand write the dirty data
-			// stays in L2 until evicted.
-			coreTime[core] = issueMem(core, trace.Read, r.Addr, issue)
-			continue
-		}
-		coreTime[core] = issueMem(core, r.Op, r.Addr, issue)
-	}
-
-	var maxTime float64
-	for _, t := range coreTime {
-		if t > maxTime {
-			maxTime = t
+		if r.Op == trace.Read {
+			m.read(finish - issue)
+			coreTime[c] = finish
+		} else {
+			coreTime[c] = issue + a.transNs
 		}
 	}
-	instr := float64(cfg.Requests) * cfg.InstrPerMemReq
-	res := Result{
-		Instructions: instr,
-		ElapsedNs:    maxTime,
-		MemRequests:  memReqs,
-	}
-	if maxTime > 0 {
-		res.IPC = instr / (maxTime * cfg.FreqGHz)
-	}
-	if l2 != nil {
-		res.L2HitRate = l2.HitRate()
-	}
-	if reads > 0 {
-		res.AvgReadLatNs = totalReadLat / float64(reads)
-	}
-	if memReqs > 0 {
-		res.TransOverhead = totalTrans / float64(memReqs)
-	}
-	return res
+	return m.result(cfg, slices.Max(coreTime[:]))
 }
 
 // InstrPerMemReq maps the paper's SPEC benchmarks to a compute intensity:

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
+	"nvmwear/internal/core"
+	"nvmwear/internal/fault"
 	"nvmwear/internal/nvm"
+	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 	"nvmwear/internal/wl/pcms"
 	"nvmwear/internal/workload"
@@ -12,7 +16,7 @@ import (
 func baselineRun(requests uint64, stream func() *workload.Uniform) Result {
 	dev := nvm.New(nvm.Config{Lines: 1 << 16, SpareLines: 1 << 16, Endurance: 1 << 30})
 	lv := wl.NewIdentity(dev)
-	return Run(lv, stream(), Config{Requests: requests, L2Lines: 1024})
+	return Run(lv, stream(), Config{Requests: requests})
 }
 
 func TestBaselineIPCPositive(t *testing.T) {
@@ -36,7 +40,7 @@ func TestWearLevelingDegradesIPC(t *testing.T) {
 
 	dev := nvm.New(nvm.Config{Lines: 1 << 16, SpareLines: 1 << 16, Endurance: 1 << 30})
 	lv := pcms.New(dev, pcms.Config{Lines: 1 << 16, RegionLines: 4, Period: 8, Seed: 1})
-	wlRes := Run(lv, mk(), Config{Requests: 200000, L2Lines: 1024})
+	wlRes := Run(lv, mk(), Config{Requests: 200000})
 
 	if wlRes.IPC >= base.IPC {
 		t.Fatalf("wear leveling did not cost anything: %v >= %v", wlRes.IPC, base.IPC)
@@ -47,20 +51,6 @@ func TestWearLevelingDegradesIPC(t *testing.T) {
 	}
 	if wlRes.TransOverhead <= 0 {
 		t.Fatal("no translation overhead recorded")
-	}
-}
-
-func TestL2FiltersTraffic(t *testing.T) {
-	// A tiny footprint fits in L2: almost no memory requests.
-	dev := nvm.New(nvm.Config{Lines: 1 << 16, SpareLines: 0, Endurance: 1 << 30})
-	lv := wl.NewIdentity(dev)
-	hot := workload.NewUniform(3, 256, 0.5)
-	res := Run(lv, hot, Config{Requests: 100000, L2Lines: 1024})
-	if res.L2HitRate < 0.95 {
-		t.Fatalf("L2 hit rate %v for resident footprint", res.L2HitRate)
-	}
-	if res.MemRequests > 5000 {
-		t.Fatalf("memory requests %d despite L2 residency", res.MemRequests)
 	}
 }
 
@@ -80,9 +70,7 @@ func TestMemoryBoundLowerIPCThanComputeBound(t *testing.T) {
 	mk := func() *workload.Uniform { return workload.NewUniform(7, 1<<16, 0.4) }
 	run := func(ipmr float64) float64 {
 		dev := nvm.New(nvm.Config{Lines: 1 << 16, SpareLines: 0, Endurance: 1 << 30})
-		return Run(wl.NewIdentity(dev), mk(), Config{
-			Requests: 100000, InstrPerMemReq: ipmr, L2Lines: 1024,
-		}).IPC
+		return Run(wl.NewIdentity(dev), mk(), Config{Requests: 100000, InstrPerMemReq: ipmr}).IPC
 	}
 	slowIPC := run(10)
 	fastIPC := run(90)
@@ -112,41 +100,45 @@ func TestDegradationEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWriteQueueReducesReadLatency(t *testing.T) {
-	// Write-heavy traffic: with the FR-FCFS buffer, reads should see lower
-	// average latency than with immediate write occupancy.
-	run := func(depth int) float64 {
-		dev := nvm.New(nvm.Config{Lines: 1 << 14, SpareLines: 0, Endurance: 1 << 30})
-		lv := wl.NewIdentity(dev)
-		return Run(lv, workload.NewUniform(11, 1<<14, 0.7), Config{
-			Requests: 100000, WriteQueueDepth: depth, InstrPerMemReq: 5,
-		}).AvgReadLatNs
-	}
-	immediate := run(0)
-	queued := run(128)
-	if queued >= immediate {
-		t.Fatalf("write queue did not help reads: %v >= %v", queued, immediate)
-	}
+// maskRebuilds hides a scheme's metadata rebuilds from the timing models
+// without changing what the scheme does.
+type maskRebuilds struct{ wl.Leveler }
+
+func (m maskRebuilds) Stats() wl.Stats {
+	st := m.Leveler.Stats()
+	st.MetaRebuilds = 0
+	return st
 }
 
-func TestWriteQueueBackPressure(t *testing.T) {
-	// Under pure writes, a bounded buffer must make the system bank-
-	// bandwidth-bound; without a queue the old posted-write model lets
-	// cores run at full speed while bankBusy grows unboundedly.
-	run := func(depth int) float64 {
-		dev := nvm.New(nvm.Config{Lines: 1 << 12, SpareLines: 0, Endurance: 1 << 30})
-		lv := wl.NewIdentity(dev)
-		return Run(lv, workload.NewUniform(13, 1<<12, 1.0), Config{
-			Requests: 50000, WriteQueueDepth: depth, InstrPerMemReq: 2, Banks: 2,
-		}).IPC
+// TestModelsChargeRebuildLatency: both models stall the translation path
+// RebuildLatNs per metadata-entry rebuild. A run with the rebuilds masked
+// serves the same requests through an identically seeded scheme, so its
+// total translation time is lower by exactly rebuilds x RebuildLatNs.
+func TestModelsChargeRebuildLatency(t *testing.T) {
+	mk := func() *core.Scheme {
+		cfg := core.Config{Lines: 1024, CMTEntries: 16, Period: 8, Seed: 3,
+			Fault: fault.Config{MetadataRate: 0.05, Seed: 3}}
+		dev := nvm.New(nvm.Config{Lines: cfg.DeviceLines(), Endurance: 1 << 30})
+		return core.New(dev, cfg)
 	}
-	unbounded := run(0)
-	bounded := run(64)
-	if bounded >= unbounded/2 {
-		t.Fatalf("back-pressure missing: bounded IPC %v vs unbounded %v", bounded, unbounded)
-	}
-	// Sanity: bandwidth bound ~ instr rate at 2 banks x 350ns writes.
-	if bounded <= 0 {
-		t.Fatal("bounded IPC is zero")
+	models := []struct {
+		name string
+		run  func(wl.Leveler, trace.Stream, Config) Result
+	}{{"Run", Run}, {"RunEvent", RunEvent}}
+	for _, model := range models {
+		t.Run(model.name, func(t *testing.T) {
+			cfg := Config{Requests: 100000}
+			charged, masked := mk(), mk()
+			got := model.run(charged, workload.NewUniform(9, 1024, 0.5), cfg)
+			base := model.run(maskRebuilds{masked}, workload.NewUniform(9, 1024, 0.5), cfg)
+			rebuilds := charged.Stats().MetaRebuilds
+			if rebuilds == 0 || masked.Stats().MetaRebuilds != rebuilds {
+				t.Fatalf("rebuilds: charged run %d, masked run %d", rebuilds, masked.Stats().MetaRebuilds)
+			}
+			extra := (got.TransOverhead - base.TransOverhead) * float64(got.MemRequests)
+			if want := float64(rebuilds) * RebuildLatNs; math.Abs(extra-want) > 1e-6*want {
+				t.Fatalf("%d rebuilds added %.1f ns of translation, want %.1f", rebuilds, extra, want)
+			}
+		})
 	}
 }

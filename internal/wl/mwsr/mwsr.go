@@ -19,6 +19,9 @@
 package mwsr
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
@@ -70,16 +73,27 @@ type Scheme struct {
 	stats wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("mwsr: Lines %d is not a power of two", c.Lines)
+	case !addr.IsPow2(c.RegionLines):
+		return fmt.Errorf("mwsr: RegionLines %d is not a power of two", c.RegionLines)
+	case c.RegionLines > c.Lines:
+		return fmt.Errorf("mwsr: RegionLines %d exceeds Lines %d", c.RegionLines, c.Lines)
+	case c.Period == 0:
+		return errors.New("mwsr: Period is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if !addr.IsPow2(cfg.Lines) || !addr.IsPow2(cfg.RegionLines) {
-		panic("mwsr: Lines and RegionLines must be powers of two")
-	}
-	if cfg.RegionLines > cfg.Lines {
-		panic("mwsr: region larger than memory")
-	}
-	if cfg.Period == 0 {
-		panic("mwsr: zero period")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("mwsr: device smaller than logical space")

@@ -16,6 +16,9 @@
 package pcms
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
@@ -54,16 +57,27 @@ type Scheme struct {
 	stats wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("pcms: Lines %d is not a power of two", c.Lines)
+	case !addr.IsPow2(c.RegionLines):
+		return fmt.Errorf("pcms: RegionLines %d is not a power of two", c.RegionLines)
+	case c.RegionLines > c.Lines:
+		return fmt.Errorf("pcms: RegionLines %d exceeds Lines %d", c.RegionLines, c.Lines)
+	case c.Period == 0:
+		return errors.New("pcms: Period is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if !addr.IsPow2(cfg.Lines) || !addr.IsPow2(cfg.RegionLines) {
-		panic("pcms: Lines and RegionLines must be powers of two")
-	}
-	if cfg.RegionLines > cfg.Lines {
-		panic("pcms: region larger than memory")
-	}
-	if cfg.Period == 0 {
-		panic("pcms: zero period")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("pcms: device smaller than logical space")

@@ -24,6 +24,9 @@
 package secref
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
@@ -75,19 +78,29 @@ type Scheme struct {
 	stats        wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("secref: Lines %d is not a power of two", c.Lines)
+	case !addr.IsPow2(c.Regions):
+		return fmt.Errorf("secref: Regions %d is not a power of two", c.Regions)
+	case c.Regions > c.Lines:
+		return fmt.Errorf("secref: Regions %d exceeds Lines %d", c.Regions, c.Lines)
+	case c.InnerPeriod == 0:
+		return errors.New("secref: InnerPeriod is zero")
+	case c.Regions > 1 && c.OuterPeriod == 0:
+		return fmt.Errorf("secref: OuterPeriod is zero with %d regions", c.Regions)
+	}
+	return nil
+}
+
 // New creates the scheme over dev. dev must have at least cfg.Lines lines.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if !addr.IsPow2(cfg.Lines) || !addr.IsPow2(cfg.Regions) {
-		panic("secref: Lines and Regions must be powers of two")
-	}
-	if cfg.Regions > cfg.Lines {
-		panic("secref: more regions than lines")
-	}
-	if cfg.InnerPeriod == 0 {
-		panic("secref: zero inner period")
-	}
-	if cfg.Regions > 1 && cfg.OuterPeriod == 0 {
-		panic("secref: zero outer period with multiple regions")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("secref: device smaller than logical space")

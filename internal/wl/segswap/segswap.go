@@ -12,6 +12,9 @@
 package segswap
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/wl"
 )
@@ -39,13 +42,23 @@ type Scheme struct {
 	stats wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case c.SegmentLines == 0 || c.Lines%c.SegmentLines != 0:
+		return fmt.Errorf("segswap: Lines %d is not a nonzero multiple of SegmentLines %d", c.Lines, c.SegmentLines)
+	case c.Period == 0:
+		return errors.New("segswap: Period is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev. dev must have at least cfg.Lines lines.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if cfg.SegmentLines == 0 || cfg.Lines%cfg.SegmentLines != 0 {
-		panic("segswap: Lines must be a nonzero multiple of SegmentLines")
-	}
-	if cfg.Period == 0 {
-		panic("segswap: zero period")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("segswap: device smaller than logical space")

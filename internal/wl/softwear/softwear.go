@@ -22,6 +22,9 @@
 package softwear
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/wl"
@@ -56,24 +59,32 @@ type Scheme struct {
 	stats wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("softwear: Lines %d is not a power of two", c.Lines)
+	case !addr.IsPow2(c.PageLines):
+		return fmt.Errorf("softwear: PageLines %d is not a power of two", c.PageLines)
+	case c.PageLines > c.Lines/2:
+		return fmt.Errorf("softwear: PageLines %d leaves fewer than two pages in Lines %d", c.PageLines, c.Lines)
+	case c.SamplePeriod == 0 || c.Trigger == 0:
+		return errors.New("softwear: SamplePeriod or Trigger is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if !addr.IsPow2(cfg.Lines) || !addr.IsPow2(cfg.PageLines) {
-		panic("softwear: Lines and PageLines must be powers of two")
-	}
-	if cfg.PageLines > cfg.Lines {
-		panic("softwear: page larger than memory")
-	}
-	if cfg.SamplePeriod == 0 || cfg.Trigger == 0 {
-		panic("softwear: zero sample period or trigger")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("softwear: device smaller than logical space")
 	}
 	pages := cfg.Lines / cfg.PageLines
-	if pages < 2 {
-		panic("softwear: need at least two pages to swap")
-	}
 	s := &Scheme{
 		cfg:    cfg,
 		dev:    dev,

@@ -17,6 +17,9 @@
 package startgap
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/wl"
 )
@@ -52,13 +55,23 @@ type Scheme struct {
 // beyond the logical space (one gap line per region).
 func (c Config) ExtraLines() uint64 { return c.Regions }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case c.Regions == 0 || c.Lines%c.Regions != 0:
+		return fmt.Errorf("startgap: Lines %d is not a nonzero multiple of Regions %d", c.Lines, c.Regions)
+	case c.Period == 0:
+		return errors.New("startgap: Period is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if cfg.Regions == 0 || cfg.Lines%cfg.Regions != 0 {
-		panic("startgap: Lines must be a nonzero multiple of Regions")
-	}
-	if cfg.Period == 0 {
-		panic("startgap: zero period")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines+cfg.Regions {
 		panic("startgap: device lacks gap lines")

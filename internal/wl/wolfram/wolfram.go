@@ -21,6 +21,9 @@
 package wolfram
 
 import (
+	"errors"
+	"fmt"
+
 	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
@@ -48,14 +51,24 @@ type Scheme struct {
 	stats wl.Stats
 }
 
+// Validate reports the first rule of the scheme's geometry that the
+// configuration breaks, naming the field, or nil. New panics with the same
+// error.
+func (c Config) Validate() error {
+	switch {
+	case !addr.IsPow2(c.Lines):
+		return fmt.Errorf("wolfram: Lines %d is not a power of two", c.Lines)
+	case c.Period == 0:
+		return errors.New("wolfram: Period is zero")
+	}
+	return nil
+}
+
 // New creates the scheme over dev and registers the retire hook that folds
 // the device's spare remaps into the decoder's remap accounting.
 func New(dev *nvm.Device, cfg Config) *Scheme {
-	if !addr.IsPow2(cfg.Lines) {
-		panic("wolfram: Lines must be a power of two")
-	}
-	if cfg.Period == 0 {
-		panic("wolfram: zero period")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if dev.Lines() < cfg.Lines {
 		panic("wolfram: device smaller than logical space")

@@ -432,16 +432,32 @@ func (s *System) RunTiming(w WorkloadSpec, requests uint64, instrPerMemReq float
 		return TimingResult{}, err
 	}
 	if instrPerMemReq <= 0 {
-		if v, ok := sim.InstrPerMemReq[name]; ok {
-			instrPerMemReq = v
-		} else {
-			instrPerMemReq = 30
-		}
+		instrPerMemReq = instrFor(name)
 	}
 	return sim.Run(s.lv, stream, sim.Config{
 		Requests:       requests,
 		InstrPerMemReq: instrPerMemReq,
 	}), nil
+}
+
+// serveBatch is how many requests serve pulls from the stream and hands to
+// the scheme per refill.
+const serveBatch = 4096
+
+// serve drives exactly n requests of stream through the scheme, one
+// trace.FillBatch and one AccessBatch call per refill, and leaves the
+// stream where n Next calls would, so a caller may go on reading it. It
+// is for fixed-length runs on devices that cannot die within them: a dead
+// device makes AccessBatch stop short, and serve does not check.
+func (s *System) serve(stream trace.Stream, n uint64) {
+	ops := make([]trace.Op, serveBatch)
+	addrs := make([]uint64, serveBatch)
+	for n > 0 {
+		k := min(n, serveBatch)
+		trace.FillBatch(stream, ops[:k], addrs[:k])
+		s.lv.AccessBatch(ops[:k], addrs[:k])
+		n -= k
+	}
 }
 
 // SpecBenchmarks returns the 14 SPEC CPU2006 profile names in the paper's
@@ -561,25 +577,4 @@ func ProjectLifetime(capacityBytes, endurance uint64, writeBandwidthBytesPerSec,
 		WriteBandwidth: writeBandwidthBytesPerSec,
 		Normalized:     normalized,
 	}
-}
-
-// RunTimingEvent is RunTiming using the event-driven reference model
-// (discrete-event FR-FCFS banks) instead of the fast analytic model. The
-// two are cross-validated in the test suite.
-func (s *System) RunTimingEvent(w WorkloadSpec, requests uint64, instrPerMemReq float64) (TimingResult, error) {
-	stream, name, err := w.Build(s.cfg.Lines)
-	if err != nil {
-		return TimingResult{}, err
-	}
-	if instrPerMemReq <= 0 {
-		if v, ok := sim.InstrPerMemReq[name]; ok {
-			instrPerMemReq = v
-		} else {
-			instrPerMemReq = 30
-		}
-	}
-	return sim.RunEvent(s.lv, stream, sim.Config{
-		Requests:       requests,
-		InstrPerMemReq: instrPerMemReq,
-	}), nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nvmwear/internal/sim"
 	"nvmwear/internal/trace"
 )
 
@@ -112,9 +113,9 @@ func TestWorkloadSpecBuildRejectsSmallSpaces(t *testing.T) {
 }
 
 // TestNewSystemRejectsBadTieredGeometry checks that NewSystem returns an
-// error naming the field, not a panic, for a tiered configuration the
-// engine cannot build, and that a negative CMT cannot be split across
-// shards.
+// error naming the field, not a panic, for a configuration a scheme cannot
+// build (the tiered engine's rules and each other package's Validate), and
+// that a negative CMT cannot be split across shards.
 func TestNewSystemRejectsBadTieredGeometry(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -127,6 +128,13 @@ func TestNewSystemRejectsBadTieredGeometry(t *testing.T) {
 		{"lines not a power of two", SystemConfig{Scheme: SAWL, Lines: 1000}, "Lines"},
 		{"max granularity below initial", SystemConfig{Scheme: SAWL, MaxGranLines: 2}, "MaxGranLines"},
 		{"granularity above memory", SystemConfig{Scheme: SAWL, InitGran: 2048, Lines: 1024}, "InitGran"},
+		{"rbsg regions not dividing lines", SystemConfig{Scheme: RBSG, Regions: 3}, "Regions"},
+		{"tlsr regions not a power of two", SystemConfig{Scheme: TLSR, Regions: 3}, "Regions"},
+		{"pcms region not a power of two", SystemConfig{Scheme: PCMS, RegionLines: 3}, "RegionLines"},
+		{"mwsr region not a power of two", SystemConfig{Scheme: MWSR, RegionLines: 3}, "RegionLines"},
+		{"segswap segment not dividing lines", SystemConfig{Scheme: SegmentSwap, RegionLines: 3}, "SegmentLines"},
+		{"softwear page not a power of two", SystemConfig{Scheme: SoftWear, RegionLines: 3}, "PageLines"},
+		{"wolfram lines not a power of two", SystemConfig{Scheme: WoLFRaM, Lines: 1000}, "Lines"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -513,10 +521,12 @@ func TestRunTimingEventCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	event, err := mk().RunTimingEvent(w, 100000, 0)
+	sys := mk()
+	stream, _, err := w.Build(sys.Lines())
 	if err != nil {
 		t.Fatal(err)
 	}
+	event := sim.RunEvent(sys.lv, stream, sim.Config{Requests: 100000, InstrPerMemReq: instrFor("milc")})
 	if analytic.IPC <= 0 || event.IPC <= 0 {
 		t.Fatalf("IPC: analytic %v event %v", analytic.IPC, event.IPC)
 	}

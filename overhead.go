@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nvmwear/internal/addr"
+	"nvmwear/internal/sim"
 	"nvmwear/internal/wl/mwsr"
 	"nvmwear/internal/wl/pcms"
 )
@@ -104,21 +105,21 @@ func (r OverheadReport) Table() Table {
 	}
 }
 
-// RunTable1 returns the paper's simulated-system configuration (Table 1)
-// as implemented by this library's defaults.
+// RunTable1 returns the paper's simulated-system configuration (Table 1);
+// the timing rows print internal/sim's constants.
 func RunTable1() Table {
 	return Table{
 		Title:   "Table 1: simulated system configuration",
 		Columns: []string{"component", "configuration"},
 		Rows: [][]string{
-			{"CPU", "8 cores, X86-64, 3.2 GHz (internal/sim)"},
+			{"CPU", fmt.Sprintf("%d cores, X86-64, %g GHz (internal/sim)", sim.Cores, sim.FreqGHz)},
 			{"Private L1 cache", "64 KB (folded into per-benchmark instr/mem-req)"},
-			{"Shared L2 cache", "512 KB, 16-way, write-back (internal/cache)"},
+			{"Shared L2 cache", "512 KB, 16-way (folded into per-benchmark instr/mem-req)"},
 			{"CMT cache", "256 KB = 32768 entries (internal/cmt)"},
 			{"DRAM/PCM capacity", "128 MB / 8 GB (scaled per experiment; see EXPERIMENTS.md)"},
-			{"Read/Write latency", "DRAM 50/50 ns, PCM 50/350 ns (internal/nvm, internal/sim)"},
-			{"Address translation", "cache hit 5 ns, miss 55 ns (internal/sim)"},
-			{"Memory controller", "FR-FCFS-like banked queue, 16 banks (internal/sim)"},
+			{"Read/Write latency", fmt.Sprintf("DRAM 50/50 ns, PCM %g/%g ns (internal/sim)", sim.ReadLatNs, sim.WriteLatNs)},
+			{"Address translation", fmt.Sprintf("cache hit %g ns, miss %g ns (internal/sim)", sim.TransHitNs, sim.TransMissNs)},
+			{"Memory controller", fmt.Sprintf("FR-FCFS-like banked queue, %d banks (internal/sim)", sim.Banks)},
 		},
 	}
 }

@@ -21,10 +21,8 @@ import (
 // new scheme is its package plus one entry (DESIGN.md §15).
 type scheme struct {
 	kind SchemeKind
-	// check rejects a configuration build would panic on; nil = none.
-	check func(SystemConfig) error
+	schemePkg
 	extra func(SystemConfig) uint64 // device lines reserved past Lines; nil = none
-	build func(*nvm.Device, SystemConfig) wl.Leveler
 	// unit is the partition unit in lines: leveling never moves data across
 	// a unit boundary, so a shard must align to it.
 	unit     func(SystemConfig) uint64
@@ -41,46 +39,63 @@ type scheme struct {
 // historical figure orderings — and their goldens — are unchanged.
 var schemes = []scheme{
 	{kind: Baseline, unit: oneLine, unitName: "line", minUnits: 1, exact: true,
-		build: func(dev *nvm.Device, _ SystemConfig) wl.Leveler { return wl.NewIdentity(dev) }},
+		schemePkg: schemePkg{build: func(dev *nvm.Device, _ SystemConfig) wl.Leveler { return wl.NewIdentity(dev) }}},
 	{kind: SegmentSwap, unit: regionLines, unitName: "segment", minUnits: 2,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return segswap.New(dev, segswap.Config{Lines: c.Lines, SegmentLines: c.RegionLines, Period: c.Period})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) segswap.Config {
+			return segswap.Config{Lines: c.Lines, SegmentLines: c.RegionLines, Period: c.Period}
+		}, segswap.New)},
 	{kind: StartGap, extra: oneLine, unit: oneLine, unitName: "line", minUnits: 1,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return startgap.New(dev, startgap.Config{Lines: c.Lines, Regions: 1, Period: c.Period})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) startgap.Config {
+			return startgap.Config{Lines: c.Lines, Regions: 1, Period: c.Period}
+		}, startgap.New)},
 	{kind: RBSG, extra: func(c SystemConfig) uint64 { return c.Regions },
 		unit: linesPerRegion, unitName: "region", minUnits: 1, exact: true, split: splitRegions,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return startgap.New(dev, startgap.Config{Lines: c.Lines, Regions: c.Regions, Period: c.Period})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) startgap.Config {
+			return startgap.Config{Lines: c.Lines, Regions: c.Regions, Period: c.Period}
+		}, startgap.New)},
 	// Two regions per bank keep TLSR's outer level; one would degenerate
 	// to single-level Security Refresh.
 	{kind: TLSR, unit: linesPerRegion, unitName: "region", minUnits: 2, split: splitRegions,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return secref.New(dev, secref.Config{Lines: c.Lines, Regions: c.Regions,
-				InnerPeriod: c.Period, OuterPeriod: c.OuterPeriod, Seed: c.Seed})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) secref.Config {
+			return secref.Config{Lines: c.Lines, Regions: c.Regions,
+				InnerPeriod: c.Period, OuterPeriod: c.OuterPeriod, Seed: c.Seed}
+		}, secref.New)},
 	{kind: PCMS, unit: regionLines, unitName: "region", minUnits: 2,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return pcms.New(dev, pcms.Config{Lines: c.Lines, RegionLines: c.RegionLines, Period: c.Period, Seed: c.Seed})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) pcms.Config {
+			return pcms.Config{Lines: c.Lines, RegionLines: c.RegionLines, Period: c.Period, Seed: c.Seed}
+		}, pcms.New)},
 	{kind: MWSR, unit: regionLines, unitName: "region", minUnits: 2,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return mwsr.New(dev, mwsr.Config{Lines: c.Lines, RegionLines: c.RegionLines, Period: c.Period, Seed: c.Seed})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) mwsr.Config {
+			return mwsr.Config{Lines: c.Lines, RegionLines: c.RegionLines, Period: c.Period, Seed: c.Seed}
+		}, mwsr.New)},
 	tiered(NWL),
 	tiered(SAWL),
 	{kind: SoftWear, unit: regionLines, unitName: "page", minUnits: 2,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return softwear.New(dev, softwear.Config{Lines: c.Lines, PageLines: c.RegionLines,
-				SamplePeriod: c.SamplePeriod, Trigger: c.Period})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) softwear.Config {
+			return softwear.Config{Lines: c.Lines, PageLines: c.RegionLines,
+				SamplePeriod: c.SamplePeriod, Trigger: c.Period}
+		}, softwear.New)},
 	{kind: WoLFRaM, unit: oneLine, unitName: "line", minUnits: 2,
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler {
-			return wolfram.New(dev, wolfram.Config{Lines: c.Lines, Period: c.Period, Seed: c.Seed})
-		}},
+		schemePkg: viaConfig(func(c SystemConfig) wolfram.Config {
+			return wolfram.Config{Lines: c.Lines, Period: c.Period, Seed: c.Seed}
+		}, wolfram.New)},
+}
+
+// schemePkg is how the catalogue reaches a scheme's package.
+type schemePkg struct {
+	// check rejects a configuration build would panic on; nil = none.
+	check func(SystemConfig) error
+	build func(*nvm.Device, SystemConfig) wl.Leveler
+}
+
+// viaConfig reaches a scheme package through its own Config: conf maps the
+// system configuration onto it, check is that Config's Validate (the rule
+// the package's New panics on), and build hands it to newL, the New.
+func viaConfig[C interface{ Validate() error }, L wl.Leveler](conf func(SystemConfig) C, newL func(*nvm.Device, C) L) schemePkg {
+	return schemePkg{
+		check: func(c SystemConfig) error { return conf(c).Validate() },
+		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler { return newL(dev, conf(c)) },
+	}
 }
 
 // tiered is the NWL or SAWL entry: one engine (internal/core), adaptive for
@@ -88,11 +103,10 @@ var schemes = []scheme{
 // and a 1/banks share of the CMT.
 func tiered(kind SchemeKind) scheme {
 	return scheme{
-		kind:  kind,
-		check: func(c SystemConfig) error { return coreConfig(c).Validate() },
-		extra: func(c SystemConfig) uint64 { return coreConfig(c).DeviceLines() - c.Lines },
-		build: func(dev *nvm.Device, c SystemConfig) wl.Leveler { return core.New(dev, coreConfig(c)) },
-		unit:  func(c SystemConfig) uint64 { return c.MaxGranLines }, unitName: "max region",
+		kind:      kind,
+		schemePkg: viaConfig(coreConfig, core.New),
+		extra:     func(c SystemConfig) uint64 { return coreConfig(c).DeviceLines() - c.Lines },
+		unit:      func(c SystemConfig) uint64 { return c.MaxGranLines }, unitName: "max region",
 		minUnits: 1, exact: true,
 		split: func(c *SystemConfig, banks uint64) error {
 			if c.CMTEntries < int(banks) {

@@ -10,9 +10,9 @@ import (
 	"nvmwear/internal/rng"
 )
 
-// MaxShards caps how finely a single lifetime run decomposes — the device's
-// 32-bank geometry (nvm.DefaultBanks). Requesting more shards than banks
-// would split below the hardware's natural parallel cut.
+// MaxShards caps how finely a single lifetime run decomposes — the paper's
+// 32 x 2 GB bank geometry. Requesting more shards than banks would split
+// below the hardware's natural parallel cut.
 const MaxShards = 32
 
 // ShardPlan is the outcome of gating a run for sharded execution. Shards is
