@@ -6,6 +6,7 @@ package nvmwear
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -151,28 +152,40 @@ func TestDeviceDeathIsGraceful(t *testing.T) {
 	}
 }
 
-// TestWearAccountingIsExact verifies the cross-module accounting identity:
-// device total writes == demand writes + swap writes + merge writes +
-// table writes for the tiered scheme.
+// TestWearAccountingIsExact verifies the cross-module accounting identity
+// for every scheme, on a run-heavy (BPA) and a mixed (70 %-write uniform)
+// workload through the batched path: on a device that stays alive, device
+// total writes == demand writes + swap writes + merge writes + table
+// writes, so a data movement that drops or double-counts a device write
+// shows here.
 func TestWearAccountingIsExact(t *testing.T) {
-	sys, err := NewSystem(SystemConfig{
-		Scheme: SAWL, Lines: 1 << 10, SpareLines: 1, Endurance: 1 << 30,
-		Period: 4, CMTEntries: 64, Seed: 11,
-		ObservationWindow: 1 << 10, SettlingWindow: 1 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, _, _ := WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 1, Seed: 11}.Build(1 << 10)
-	for i := 0; i < 100000; i++ {
-		r := stream.Next()
-		sys.lv.Access(r.Op, r.Addr)
-	}
-	st := sys.lv.Stats()
-	dev := sys.dev.Stats()
-	want := st.DataWrites + st.SwapWrites + st.MergeWrites + st.TableWrites
-	if dev.TotalWrites != want {
-		t.Fatalf("device writes %d != accounted %d (%+v)", dev.TotalWrites, want, st)
+	for _, kind := range Schemes() {
+		for _, w := range []WorkloadSpec{
+			{Kind: WorkloadBPA, Seed: 11},
+			{Kind: WorkloadUniform, WriteRatio: 0.7, Seed: 11},
+		} {
+			t.Run(fmt.Sprintf("%s/%s", kind, w.Kind), func(t *testing.T) {
+				sys, err := NewSystem(SystemConfig{
+					Scheme: kind, Lines: 1 << 10, SpareLines: 1, Endurance: 1 << 30,
+					Period: 4, RegionLines: 8, Regions: 16, CMTEntries: 64, Seed: 11,
+					ObservationWindow: 1 << 10, SettlingWindow: 1 << 10,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.RunLifetime(w, 100_000); err != nil {
+					t.Fatal(err)
+				}
+				st, dev := sys.lv.Stats(), sys.dev.Stats()
+				if dev.Dead || st.DataWrites != 100_000 {
+					t.Fatalf("run did not serve its budget on a live device: %+v, %+v", st, dev)
+				}
+				want := st.DataWrites + st.SwapWrites + st.MergeWrites + st.TableWrites
+				if dev.TotalWrites != want {
+					t.Fatalf("device writes %d != accounted %d (%+v)", dev.TotalWrites, want, st)
+				}
+			})
+		}
 	}
 }
 

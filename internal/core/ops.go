@@ -58,13 +58,9 @@ func (s *Scheme) exchange(base uint64) {
 			return
 		}
 		// Re-key in place: stage the region, rewrite per the new key.
-		for lao := uint64(0); lao < q; lao++ {
-			s.bufA[lao] = s.dev.ReadData(physSlot*s.p + (lao ^ key))
-		}
-		for lao := uint64(0); lao < q; lao++ {
-			s.dev.WriteData(physSlot*s.p+(lao^newKey), s.bufA[lao])
-			s.stats.SwapWrites++
-		}
+		s.dev.ReadSpan(physSlot*s.p, key, q, s.bufA)
+		s.dev.WriteSpan(physSlot*s.p, newKey, q, s.bufA)
+		s.stats.SwapWrites += q
 		s.setRegion(base, span, physSlot, newKey, level)
 		return
 	}
@@ -74,21 +70,14 @@ func (s *Scheme) exchange(base uint64) {
 	s.shrinkOccupants(target, span)
 
 	// Stage our region's lines in logical order.
-	for lao := uint64(0); lao < q; lao++ {
-		s.bufA[lao] = s.dev.ReadData(physSlot*s.p + (lao ^ key))
-	}
+	s.dev.ReadSpan(physSlot*s.p, key, q, s.bufA)
 	// Move the target block's lines into our old frame, offset-preserving,
 	// so each occupant keeps its key and only changes its prn.
-	for x := uint64(0); x < q; x++ {
-		s.dev.MoveData(physSlot*s.p+x, target*s.p+x)
-		s.stats.SwapWrites++
-	}
+	s.dev.MoveSpan(physSlot*s.p, target*s.p, q)
 	s.relocateOccupants(target, physSlot, span)
 	// Land our region in the target block under the new key.
-	for lao := uint64(0); lao < q; lao++ {
-		s.dev.WriteData(target*s.p+(lao^newKey), s.bufA[lao])
-		s.stats.SwapWrites++
-	}
+	s.dev.WriteSpan(target*s.p, newKey, q, s.bufA)
+	s.stats.SwapWrites += 2 * q
 	s.setRegion(base, span, target, newKey, level)
 }
 
@@ -166,30 +155,19 @@ func (s *Scheme) tryMerge(lrn0 uint64) bool {
 	if bSlot == other {
 		// Buddy already adjacent; realign its lines to a's key if needed.
 		if bKey != aKey {
-			for lao := uint64(0); lao < q; lao++ {
-				s.bufB[lao] = s.dev.ReadData(other*s.p + (lao ^ bKey))
-			}
-			for lao := uint64(0); lao < q; lao++ {
-				s.dev.WriteData(other*s.p+(lao^aKey), s.bufB[lao])
-				s.stats.MergeWrites++
-			}
+			s.dev.ReadSpan(other*s.p, bKey, q, s.bufB)
+			s.dev.WriteSpan(other*s.p, aKey, q, s.bufB)
+			s.stats.MergeWrites += q
 		}
 	} else {
 		// Stage the buddy, displace the other half's occupants into the
 		// buddy's old frame, then land the buddy in the other half.
-		for lao := uint64(0); lao < q; lao++ {
-			s.bufB[lao] = s.dev.ReadData(bSlot*s.p + (lao ^ bKey))
-		}
+		s.dev.ReadSpan(bSlot*s.p, bKey, q, s.bufB)
 		s.shrinkOccupants(other, span)
-		for x := uint64(0); x < q; x++ {
-			s.dev.MoveData(bSlot*s.p+x, other*s.p+x)
-			s.stats.MergeWrites++
-		}
+		s.dev.MoveSpan(bSlot*s.p, other*s.p, q)
 		s.relocateOccupants(other, bSlot, span)
-		for lao := uint64(0); lao < q; lao++ {
-			s.dev.WriteData(other*s.p+(lao^aKey), s.bufB[lao])
-			s.stats.MergeWrites++
-		}
+		s.dev.WriteSpan(other*s.p, aKey, q, s.bufB)
+		s.stats.MergeWrites += 2 * q
 	}
 
 	// Commit the merged super-region. Choosing the super key as

@@ -121,11 +121,8 @@ func (d *Directory) exchange(r uint64) {
 	d.remaps++
 	baseR := d.cfg.Base + uint64(d.table[r])*d.cfg.Granularity
 	baseP := d.cfg.Base + uint64(d.table[p])*d.cfg.Granularity
-	for i := uint64(0); i < d.cfg.Granularity; i++ {
-		d.dev.Write(baseR + i)
-		d.dev.Write(baseP + i)
-		d.swapWrites += 2
-	}
+	d.dev.WriteSpans(baseR, 0, baseP, 0, d.cfg.Granularity, nil, nil)
+	d.swapWrites += 2 * d.cfg.Granularity
 	d.table[r], d.table[p] = d.table[p], d.table[r]
 }
 

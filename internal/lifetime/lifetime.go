@@ -125,35 +125,26 @@ const refill = 4096
 // refill to AccessBatch, which is observably the per-request Access loop
 // with a liveness check before every request. The refill holding the write
 // that exhausts the budget is cut right after that write, so requests past
-// it are never applied. A short AccessBatch means the device died, which
-// ends the loop.
+// it are never applied; only a refill with more requests than the budget
+// has writes left can hold that write, so no other refill is scanned. The
+// writes a refill applied are the delta of the scheme's DataWrites: a live
+// device serves every write handed to it, and the Leveler contract counts
+// each one. A short AccessBatch means the device died, which ends the loop.
 func serve(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites uint64) {
 	ops := make([]trace.Op, refill)
 	addrs := make([]uint64, refill)
+	start := lv.Stats().DataWrites
 	var writes uint64
 	for writes < maxWrites && dev.Alive() {
 		n := trace.FillBatch(stream, ops, addrs)
 		o, a := ops[:n], addrs[:n]
-		w := countWrites(o)
-		if writes+w > maxWrites {
+		if writes+uint64(n) > maxWrites {
 			cut := cutAfterWrites(o, maxWrites-writes)
 			o, a = o[:cut], a[:cut]
-			w = maxWrites - writes
 		}
 		lv.AccessBatch(o, a)
-		writes += w
+		writes = lv.Stats().DataWrites - start
 	}
-}
-
-// countWrites returns the number of write requests in ops.
-func countWrites(ops []trace.Op) uint64 {
-	var w uint64
-	for _, op := range ops {
-		if op == trace.Write {
-			w++
-		}
-	}
-	return w
 }
 
 // cutAfterWrites returns the length of the shortest prefix of ops holding

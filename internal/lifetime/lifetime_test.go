@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvmwear/internal/nvm"
+	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 	"nvmwear/internal/wl/pcms"
 	"nvmwear/internal/workload"
@@ -72,12 +73,38 @@ func TestRAABaselineVsHybrid(t *testing.T) {
 	}
 }
 
+// TestMaxRequestsBudget checks that a run stops right after the budget's
+// last write: in the first refill (all writes), and several refills in
+// on a mixed stream, where the reads before that write are served too and
+// none after it.
 func TestMaxRequestsBudget(t *testing.T) {
-	dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 1 << 30, Endurance: 1 << 30})
-	lv := wl.NewIdentity(dev)
-	res := Run(dev, lv, workload.NewRAA(1), Options{MaxWrites: 500})
-	if !res.TimedOut || res.Served != 500 {
-		t.Fatalf("budget run: %+v", res)
+	cases := []struct {
+		name   string
+		stream func() trace.Stream
+		budget uint64
+	}{
+		{"raa", func() trace.Stream { return workload.NewRAA(1) }, 500},
+		{"uniform-mixed", func() trace.Stream { return workload.NewUniform(4, 1024, 0.5) }, 5*refill + 77},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// The reference: the reads the stream issues before its
+			// budget-th write.
+			var reads, writes uint64
+			for ref := c.stream(); writes < c.budget; {
+				if ref.Next().Op == trace.Write {
+					writes++
+				} else {
+					reads++
+				}
+			}
+			dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 1 << 30, Endurance: 1 << 30})
+			res := Run(dev, wl.NewIdentity(dev), c.stream(), Options{MaxWrites: c.budget})
+			if !res.TimedOut || res.Served != c.budget || res.Reads != reads ||
+				res.DeviceStats.TotalWrites != c.budget {
+				t.Fatalf("budget %d, %d reads before its last write: %+v", c.budget, reads, res)
+			}
+		})
 	}
 }
 

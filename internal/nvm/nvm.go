@@ -167,10 +167,11 @@ func (d *Device) lineEndurance(i uint64) uint32 {
 	return d.cfg.Endurance
 }
 
-// replaceLine retires physical line pma and replaces it with a spare,
-// resetting the wear counter. When the spare pool is exhausted the device
-// is marked dead and replaceLine reports false.
+// replaceLine retires physical line pma, counting it failed, and replaces
+// it with a spare, resetting the wear counter. When the spare pool is
+// exhausted the device is marked dead and replaceLine reports false.
 func (d *Device) replaceLine(pma uint64) bool {
+	d.failedLines++
 	if d.sparesUsed >= d.cfg.SpareLines {
 		d.dead = true
 		return false
@@ -194,11 +195,8 @@ func (d *Device) SetRetireHook(fn func(pma uint64)) { d.retired = fn }
 // wearOne applies one programming pulse to line pma: the endurance check,
 // spare replacement on wear-out, and the wear/traffic counters.
 func (d *Device) wearOne(pma uint64) bool {
-	if d.writes[pma] >= d.lineEndurance(pma) {
-		d.failedLines++
-		if !d.replaceLine(pma) {
-			return false
-		}
+	if d.writes[pma] >= d.lineEndurance(pma) && !d.replaceLine(pma) {
+		return false
 	}
 	d.writes[pma]++
 	d.totalWrites++
@@ -233,7 +231,6 @@ func (d *Device) Write(pma uint64) bool {
 		// The cell is permanently stuck: retire the line and rewrite the
 		// data on the replacement.
 		d.stuckFaults++
-		d.failedLines++
 		if !d.replaceLine(pma) {
 			return false
 		}
@@ -253,7 +250,6 @@ func (d *Device) Write(pma uint64) bool {
 		}
 		// Retry budget exhausted: give up on the line and remap.
 		d.retryEscalations++
-		d.failedLines++
 		if !d.replaceLine(pma) {
 			return false
 		}
@@ -293,7 +289,6 @@ func (d *Device) WriteRun(pma, n uint64) uint64 {
 		}
 		room := e - uint64(d.writes[pma])
 		if room == 0 {
-			d.failedLines++
 			if !d.replaceLine(pma) {
 				return served
 			}
@@ -359,7 +354,6 @@ func (d *Device) injectRead(pma uint64) {
 		// failing and scrubs the (corrected) data onto a spare.
 		d.correctedBits += uint64(k)
 		d.eccRemaps++
-		d.failedLines++
 		if d.replaceLine(pma) {
 			d.writes[pma]++ // the scrub rewrite
 			d.totalWrites++
@@ -389,8 +383,8 @@ func (d *Device) ReadData(pma uint64) uint64 {
 	return d.data[pma]
 }
 
-// MoveData copies the payload from src to dst, wearing dst. It is the
-// primitive used by all data-exchange operations.
+// MoveData copies the payload from src to dst, wearing dst. A region-wide
+// exchange moves whole spans instead (MoveSpan).
 func (d *Device) MoveData(dst, src uint64) bool {
 	if d.data != nil {
 		d.data[dst] = d.data[src]

@@ -137,31 +137,21 @@ func (s *Scheme) exchange(r uint64) {
 	if partner == r {
 		// Self-exchange: re-key in place. Stage the region, rewrite per the
 		// new key.
-		for lao := uint64(0); lao < s.q; lao++ {
-			s.bufA[lao] = s.dev.ReadData(baseR + (lao ^ uint64(er.key)))
-		}
+		s.dev.ReadSpan(baseR, uint64(er.key), s.q, s.bufA)
 		er.key = newKeyR
-		for lao := uint64(0); lao < s.q; lao++ {
-			s.dev.WriteData(baseR+(lao^uint64(er.key)), s.bufA[lao])
-			s.stats.SwapWrites++
-		}
+		s.dev.WriteSpan(baseR, uint64(er.key), s.q, s.bufA)
+		s.stats.SwapWrites += s.q
 		return
 	}
 
 	ep := &s.table[partner]
 	baseP := uint64(ep.prn) * s.q
 	newKeyP := uint32(s.src.Uint64n(s.q))
-	for lao := uint64(0); lao < s.q; lao++ {
-		s.bufA[lao] = s.dev.ReadData(baseR + (lao ^ uint64(er.key)))
-		s.bufB[lao] = s.dev.ReadData(baseP + (lao ^ uint64(ep.key)))
-	}
+	s.dev.ReadSpans(baseR, uint64(er.key), baseP, uint64(ep.key), s.q, s.bufA, s.bufB)
 	er.prn, ep.prn = ep.prn, er.prn
 	er.key, ep.key = newKeyR, newKeyP
-	for lao := uint64(0); lao < s.q; lao++ {
-		s.dev.WriteData(baseP+(lao^uint64(er.key)), s.bufA[lao])
-		s.dev.WriteData(baseR+(lao^uint64(ep.key)), s.bufB[lao])
-		s.stats.SwapWrites += 2
-	}
+	s.dev.WriteSpans(baseP, uint64(er.key), baseR, uint64(ep.key), s.q, s.bufA, s.bufB)
+	s.stats.SwapWrites += 2 * s.q
 }
 
 // Lines implements wl.Leveler.

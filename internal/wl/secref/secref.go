@@ -210,15 +210,9 @@ func (s *Scheme) outerStep() {
 	if d != 0 && m^d >= m {
 		b0 := (m ^ out.k0) * s.k
 		b1 := (m ^ out.k1) * s.k
-		for i := uint64(0); i < s.k; i++ {
-			s.buf[i] = s.dev.ReadData(b0 + i)
-		}
-		for i := uint64(0); i < s.k; i++ {
-			s.dev.MoveData(b0+i, b1+i)
-		}
-		for i := uint64(0); i < s.k; i++ {
-			s.dev.WriteData(b1+i, s.buf[i])
-		}
+		s.dev.ReadSpan(b0, 0, s.k, s.buf)
+		s.dev.MoveSpan(b0, b1, s.k)
+		s.dev.WriteSpan(b1, 0, s.k, s.buf)
 		s.stats.SwapWrites += 2 * s.k
 		s.stats.Remaps++
 	}

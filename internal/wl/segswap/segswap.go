@@ -33,11 +33,11 @@ type Scheme struct {
 	dev  *nvm.Device
 	segs uint64
 
-	logToPhys []uint32 // logical segment -> physical segment
-	physToLog []uint32 // inverse
-	wearCount []uint64 // physical segment -> lifetime write count
-	sinceSwap []uint64 // physical segment -> writes since last swap
-	buf       []uint64 // swap staging buffer, one segment
+	logToPhys []uint32            // logical segment -> physical segment
+	physToLog []uint32            // inverse
+	wear      *wl.Coldest[uint64] // physical segment -> lifetime write count
+	sinceSwap []uint64            // physical segment -> writes since last swap
+	buf       []uint64            // swap staging buffer, one segment
 
 	stats wl.Stats
 }
@@ -70,7 +70,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		segs:      segs,
 		logToPhys: make([]uint32, segs),
 		physToLog: make([]uint32, segs),
-		wearCount: make([]uint64, segs),
+		wear:      wl.NewColdest[uint64](int(segs)),
 		sinceSwap: make([]uint64, segs),
 		buf:       make([]uint64, cfg.SegmentLines),
 	}
@@ -98,7 +98,7 @@ func (s *Scheme) Headroom(lma uint64) uint64 {
 // Commit implements wl.Kernel.
 func (s *Scheme) Commit(lma, n uint64) {
 	pseg := uint64(s.logToPhys[lma/s.cfg.SegmentLines])
-	s.wearCount[pseg] += n
+	s.wear.Add(int(pseg), n)
 	s.sinceSwap[pseg] += n
 	if s.sinceSwap[pseg] >= s.cfg.Period {
 		s.swap(pseg)
@@ -106,16 +106,12 @@ func (s *Scheme) Commit(lma, n uint64) {
 }
 
 // swap exchanges the data of hot physical segment with the least-worn
-// physical segment (linear scan; the table-based scheme pays this cost in
-// hardware too, via sorted structures we do not need to model).
+// physical segment, the lowest-numbered on ties. The scheme's table finds
+// it in hardware; the simulator asks its coldest index, which models no
+// cost of its own.
 func (s *Scheme) swap(hot uint64) {
 	s.sinceSwap[hot] = 0
-	coldest := uint64(0)
-	for i := uint64(1); i < s.segs; i++ {
-		if s.wearCount[i] < s.wearCount[coldest] {
-			coldest = i
-		}
-	}
+	coldest := uint64(s.wear.Min())
 	if coldest == hot {
 		return
 	}
@@ -125,19 +121,12 @@ func (s *Scheme) swap(hot uint64) {
 	// Exchange via an SRAM buffer: hot's lines are staged, cold's lines move
 	// into hot's frame, then the staged lines land in cold's frame. Each
 	// line lands with one device write; 2n swap writes total.
-	for i := uint64(0); i < n; i++ {
-		s.buf[i] = s.dev.ReadData(hotBase + i)
-	}
-	for i := uint64(0); i < n; i++ {
-		s.dev.MoveData(hotBase+i, coldBase+i)
-		s.stats.SwapWrites++
-	}
-	for i := uint64(0); i < n; i++ {
-		s.dev.WriteData(coldBase+i, s.buf[i])
-		s.stats.SwapWrites++
-	}
-	s.wearCount[hot] += n
-	s.wearCount[coldest] += n
+	s.dev.ReadSpan(hotBase, 0, n, s.buf)
+	s.dev.MoveSpan(hotBase, coldBase, n)
+	s.dev.WriteSpan(coldBase, 0, n, s.buf)
+	s.stats.SwapWrites += 2 * n
+	s.wear.Add(int(hot), n)
+	s.wear.Add(int(coldest), n)
 	lHot, lCold := s.physToLog[hot], s.physToLog[coldest]
 	s.logToPhys[lHot], s.logToPhys[lCold] = uint32(coldest), uint32(hot)
 	s.physToLog[hot], s.physToLog[coldest] = lCold, lHot

@@ -48,11 +48,11 @@ type Scheme struct {
 	sample uint64 // S
 	trig   uint32 // T
 
-	perm  []uint32 // logical page -> physical frame
-	inv   []uint32 // physical frame -> logical page
-	count []uint32 // sampled epoch write count per logical page (resets on rotate)
-	wear  []uint32 // sampled cumulative wear estimate per physical frame
-	g     uint64   // global demand-write counter (drives sampling)
+	perm  []uint32            // logical page -> physical frame
+	inv   []uint32            // physical frame -> logical page
+	count []uint32            // sampled epoch write count per logical page (resets on rotate)
+	wear  *wl.Coldest[uint32] // sampled cumulative wear estimate per physical frame
+	g     uint64              // global demand-write counter (drives sampling)
 	bufA  []uint64
 	bufB  []uint64
 
@@ -95,7 +95,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		perm:   make([]uint32, pages),
 		inv:    make([]uint32, pages),
 		count:  make([]uint32, pages),
-		wear:   make([]uint32, pages),
+		wear:   wl.NewColdest[uint32](int(pages)),
 		bufA:   make([]uint64, cfg.PageLines),
 		bufB:   make([]uint64, cfg.PageLines),
 	}
@@ -130,7 +130,7 @@ func (s *Scheme) Commit(lma, n uint64) {
 	}
 	lpn := lma / s.q
 	s.count[lpn] += uint32(samples)
-	s.wear[s.perm[lpn]] += uint32(samples)
+	s.wear.Add(int(s.perm[lpn]), uint32(samples))
 	if s.count[lpn] >= s.trig {
 		s.rotate(lpn)
 	}
@@ -139,34 +139,20 @@ func (s *Scheme) Commit(lma, n uint64) {
 // rotate moves hot page `hot` to the least-worn physical frame (minimum
 // cumulative wear estimate, lowest frame number on ties, the hot page's own
 // frame excluded), swapping data with the page that lived there, and resets
-// the hot page's epoch counter. The coldest scan is O(pages) of DRAM —
-// cheap for software, free of on-chip state.
+// the hot page's epoch counter. The software policy looks for that frame in
+// DRAM, free of on-chip state; the simulator asks its coldest index.
 func (s *Scheme) rotate(hot uint64) {
 	s.stats.Remaps++
 	s.count[hot] = 0
 	fh := uint64(s.perm[hot])
-	fv := uint64(0)
-	if fh == 0 {
-		fv = 1
-	}
-	for f := fv + 1; f < s.pages; f++ {
-		if f != fh && s.wear[f] < s.wear[fv] {
-			fv = f
-		}
-	}
+	fv := uint64(s.wear.MinExcluding(int(fh)))
 	victim := uint64(s.inv[fv])
 	baseH, baseV := fh*s.q, fv*s.q
-	for lao := uint64(0); lao < s.q; lao++ {
-		s.bufA[lao] = s.dev.ReadData(baseH + lao)
-		s.bufB[lao] = s.dev.ReadData(baseV + lao)
-	}
+	s.dev.ReadSpans(baseH, 0, baseV, 0, s.q, s.bufA, s.bufB)
 	s.perm[hot], s.perm[victim] = s.perm[victim], s.perm[hot]
 	s.inv[fh], s.inv[fv] = s.inv[fv], s.inv[fh]
-	for lao := uint64(0); lao < s.q; lao++ {
-		s.dev.WriteData(baseV+lao, s.bufA[lao])
-		s.dev.WriteData(baseH+lao, s.bufB[lao])
-		s.stats.SwapWrites += 2
-	}
+	s.dev.WriteSpans(baseV, 0, baseH, 0, s.q, s.bufA, s.bufB)
+	s.stats.SwapWrites += 2 * s.q
 }
 
 // Lines implements wl.Leveler.

@@ -33,10 +33,8 @@ func (a *RAA) Next() trace.Request {
 
 // NextBatch implements trace.BatchStream.
 func (a *RAA) NextBatch(ops []trace.Op, addrs []uint64) int {
-	for i := range ops {
-		ops[i] = trace.Write
-		addrs[i] = a.Target
-	}
+	fill(ops, trace.Write)
+	fill(addrs, a.Target)
 	return len(ops)
 }
 
@@ -76,26 +74,35 @@ func (a *BPA) Next() trace.Request {
 // NextBatch implements trace.BatchStream: whole repeat-runs are emitted with
 // one RNG draw, in exactly the order Next produces them.
 func (a *BPA) NextBatch(ops []trace.Op, addrs []uint64) int {
-	for i := range ops {
-		ops[i] = trace.Write
-	}
-	i := 0
-	for i < len(addrs) {
+	fill(ops, trace.Write)
+	for i := 0; i < len(addrs); {
 		if a.left == 0 {
 			a.cur = a.src.Uint64n(a.lines)
 			a.left = a.repeats
 		}
-		run := int(a.left)
-		if rem := len(addrs) - i; run > rem {
-			run = rem
-		}
-		for j := i; j < i+run; j++ {
-			addrs[j] = a.cur
-		}
-		a.left -= uint64(run)
-		i += run
+		run := min(a.left, uint64(len(addrs)-i))
+		fill(addrs[i:i+int(run)], a.cur)
+		a.left -= run
+		i += int(run)
 	}
 	return len(ops)
+}
+
+// fillStores is how many leading elements fill sets one by one: below it a
+// copy costs more than the stores it saves.
+const fillStores = 32
+
+// fill sets every element of s to v: up to fillStores elements by stores,
+// the rest by copy-doubling (copy(s[k:], s[:k]) with k doubling), so a long
+// repeat run costs a few copies rather than a store per element.
+func fill[T any](s []T, v T) {
+	k := min(len(s), fillStores)
+	for i := range k {
+		s[i] = v
+	}
+	for ; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
 }
 
 // Uniform writes/reads uniformly random addresses; the best case for wear

@@ -45,6 +45,50 @@ func TestBPARepeatsPrecisely(t *testing.T) {
 	}
 }
 
+// TestNextBatchMatchesNext pins every generator's NextBatch to its Next,
+// request for request, at odd batch sizes, so repeat runs straddle batch
+// ends and a batch can end mid-run or hold many runs.
+func TestNextBatchMatchesNext(t *testing.T) {
+	gcc, _ := ProfileByName("gcc")
+	cases := []struct {
+		name string
+		new  func() trace.BatchStream
+	}{
+		{"raa", func() trace.BatchStream { return NewRAA(7) }},
+		{"bpa/repeats=1", func() trace.BatchStream { return NewBPA(3, 1<<14, 1) }},
+		{"bpa/repeats=7", func() trace.BatchStream { return NewBPA(3, 1<<14, 7) }},
+		{"bpa/repeats=512", func() trace.BatchStream { return NewBPA(3, 1<<14, 512) }},
+		{"bpa/repeats=5000", func() trace.BatchStream { return NewBPA(3, 1<<14, 5000) }},
+		{"uniform", func() trace.BatchStream { return NewUniform(5, 1<<12, 0.7) }},
+		{"sequential", func() trace.BatchStream { return NewSequential(5, 1000, 0.5) }},
+		{"spec/gcc", func() trace.BatchStream { return gcc.New(9, 1<<12) }},
+	}
+	sizes := []int{1, 3, 17, 255, 1021, 4093}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			batched, single := c.new(), c.new()
+			ops := make([]trace.Op, sizes[len(sizes)-1])
+			addrs := make([]uint64, len(ops))
+			var at int
+			for round := 0; round < 6; round++ {
+				for _, n := range sizes {
+					got := batched.NextBatch(ops[:n], addrs[:n])
+					if got != n {
+						t.Fatalf("NextBatch(%d) returned %d", n, got)
+					}
+					for i := 0; i < n; i++ {
+						if want := single.Next(); ops[i] != want.Op || addrs[i] != want.Addr {
+							t.Fatalf("request %d: NextBatch gave (%v, %d), Next gave (%v, %d)",
+								at+i, ops[i], addrs[i], want.Op, want.Addr)
+						}
+					}
+					at += n
+				}
+			}
+		})
+	}
+}
+
 func TestBPABounds(t *testing.T) {
 	a := NewBPA(3, 1024, 4)
 	for i := 0; i < 10000; i++ {
@@ -266,10 +310,25 @@ func BenchmarkSpecGen(b *testing.B) {
 	}
 }
 
+// BenchmarkBPA draws single requests, and 4096-request batches over the
+// bpa-lifetime benchmark's 2^14 lines at the repeat counts its jobs use.
 func BenchmarkBPA(b *testing.B) {
-	g := NewBPA(1, 1<<24, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Next()
+	b.Run("next", func(b *testing.B) {
+		g := NewBPA(1, 1<<24, 64)
+		for i := 0; i < b.N; i++ {
+			reqSink = g.Next()
+		}
+	})
+	for _, repeats := range []uint64{32, 512} {
+		b.Run(fmt.Sprintf("batch/repeats=%d", repeats), func(b *testing.B) {
+			g := NewBPA(1, 1<<14, repeats)
+			ops := make([]trace.Op, 4096)
+			addrs := make([]uint64, len(ops))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.NextBatch(ops, addrs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/req")
+		})
 	}
 }
