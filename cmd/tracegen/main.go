@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,22 +20,38 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "spec", "workload kind: raa|bpa|uniform|sequential|spec")
-	name := flag.String("name", "gcc", "SPEC profile name (workload=spec)")
-	n := flag.Uint64("n", 1<<20, "requests to generate")
-	lines := flag.Uint64("lines", 1<<22, "logical address space in lines")
-	seed := flag.Uint64("seed", 42, "generator seed")
-	out := flag.String("o", "", "output file (default stdout)")
-	text := flag.Bool("text", false, "emit human-readable text instead of binary")
-	inspect := flag.String("inspect", "", "summarize an existing binary trace file instead of generating")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, createFile))
+}
+
+// createFile creates the -o file.
+func createFile(name string) (io.WriteCloser, error) { return os.Create(name) }
+
+// run executes tracegen with the given arguments and returns its exit
+// status; create opens the -o file.
+func run(args []string, stdout, stderr io.Writer, create func(string) (io.WriteCloser, error)) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "spec", "workload kind: raa|bpa|uniform|sequential|spec")
+	name := fs.String("name", "gcc", "SPEC profile name (workload=spec)")
+	n := fs.Uint64("n", 1<<20, "requests to generate")
+	lines := fs.Uint64("lines", 1<<22, "logical address space in lines")
+	seed := fs.Uint64("seed", 42, "generator seed")
+	out := fs.String("o", "", "output file (default stdout)")
+	text := fs.Bool("text", false, "emit human-readable text instead of binary")
+	inspect := fs.String("inspect", "", "summarize an existing binary trace file instead of generating")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *inspect != "" {
-		if err := inspectTrace(*inspect); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+		if err := inspectTrace(*inspect, stdout); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	spec := nvmwear.WorkloadSpec{
@@ -44,48 +61,65 @@ func main() {
 	}
 	stream, label, err := spec.Build(*lines)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
-
-	var w io.Writer = os.Stdout
+	w := stdout
+	var f io.WriteCloser
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+		if f, err = create(*out); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
 		}
-		defer f.Close()
 		w = f
 	}
-
-	if *text {
-		reqs := make([]trace.Request, 0, *n)
-		for i := uint64(0); i < *n; i++ {
-			reqs = append(reqs, stream.Next())
-		}
-		if err := trace.WriteText(w, reqs); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-	} else {
-		tw := trace.NewWriter(w)
-		for i := uint64(0); i < *n; i++ {
-			if err := tw.Write(stream.Next()); err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
-		}
-		if err := tw.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+	err = writeTrace(w, stream, *n, *text)
+	// A file system may report a failed write only at close.
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d %s requests\n", *n, label)
+	if err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
+	}
+	fmt.Fprintf(stderr, "tracegen: wrote %d %s requests\n", *n, label)
+	return 0
 }
 
-// inspectTrace prints summary statistics of a binary trace file.
-func inspectTrace(path string) error {
+// textChunk is how many requests the text writer holds at a time.
+const textChunk = 4096
+
+// writeTrace writes the next n requests of stream to w, in the binary
+// format or, with text set, the text format.
+func writeTrace(w io.Writer, stream trace.Stream, n uint64, text bool) error {
+	reqs := trace.NewCursor(stream, n)
+	if text {
+		// Write in chunks: n comes from the command line and may be far
+		// larger than memory.
+		rs := make([]trace.Request, 0, textChunk)
+		for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+			if rs = append(rs, r); len(rs) == textChunk {
+				if err := trace.WriteText(w, rs); err != nil {
+					return err
+				}
+				rs = rs[:0]
+			}
+		}
+		return trace.WriteText(w, rs)
+	}
+	tw := trace.NewWriter(w)
+	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+		if err := tw.Write(r); err != nil {
+			return err
+		}
+	}
+	return tw.Flush()
+}
+
+// inspectTrace prints summary statistics of a binary trace file to w.
+func inspectTrace(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -123,16 +157,16 @@ func inspectTrace(path string) error {
 		}
 	}
 	if reqs == 0 {
-		fmt.Println("empty trace")
+		fmt.Fprintln(w, "empty trace")
 		return nil
 	}
 	uniq := fmt.Sprintf("%d", len(unique))
 	if saturated {
 		uniq = ">= " + uniq
 	}
-	fmt.Printf("requests      %d\n", reqs)
-	fmt.Printf("writes        %d (%.1f%%)\n", writes, 100*float64(writes)/float64(reqs))
-	fmt.Printf("address range [%#x, %#x]\n", minA, maxA)
-	fmt.Printf("unique addrs  %s\n", uniq)
+	fmt.Fprintf(w, "requests      %d\n", reqs)
+	fmt.Fprintf(w, "writes        %d (%.1f%%)\n", writes, 100*float64(writes)/float64(reqs))
+	fmt.Fprintf(w, "address range [%#x, %#x]\n", minA, maxA)
+	fmt.Fprintf(w, "unique addrs  %s\n", uniq)
 	return nil
 }

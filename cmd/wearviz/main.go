@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"nvmwear"
+	"nvmwear/internal/trace"
 )
 
 // shades maps a wear bucket to a glyph, cold to hot.
@@ -57,9 +58,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wearviz:", err)
 		os.Exit(1)
 	}
-	for i := uint64(0); i < *n; i++ {
-		r := stream.Next()
-		if r.Op == 1 {
+	reqs := trace.NewCursor(stream, *n)
+	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+		if r.Op == trace.Write {
 			sys.Write(r.Addr)
 		} else {
 			sys.Read(r.Addr)

@@ -8,6 +8,7 @@ import (
 	"nvmwear"
 	"nvmwear/internal/core"
 	"nvmwear/internal/rng"
+	"nvmwear/internal/trace"
 )
 
 // ExampleNewSystem builds a SAWL-protected system and serves a few
@@ -57,7 +58,7 @@ func ExampleWorkloadSpec_Build() {
 	stream, name, _ := nvmwear.WorkloadSpec{
 		Kind: nvmwear.WorkloadSPEC, Name: "gcc", Seed: 1,
 	}.Build(1 << 20)
-	r := stream.Next()
+	r, _ := trace.NewCursor(stream, 1).Next()
 	fmt.Println(name, r.Addr < 1<<20)
 	// Output: gcc true
 }

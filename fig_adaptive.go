@@ -2,8 +2,10 @@ package nvmwear
 
 import (
 	"fmt"
+	"math"
 
 	"nvmwear/internal/core"
+	"nvmwear/internal/lifetime"
 )
 
 // This file implements the adaptive-behavior experiments: the sensitivity
@@ -52,7 +54,7 @@ func runTrace(sc Scale, bench string, sow, ssw uint64) (hit, size Series, avgHit
 	if err != nil {
 		return hit, size, 0, err
 	}
-	sys.serve(stream, sc.Requests)
+	lifetime.Serve(sys.dev, sys.lv, stream, math.MaxUint64, sc.Requests)
 	if n > 0 {
 		avgHit = 100 * sum / float64(n)
 	}
@@ -326,6 +328,6 @@ func runNWLHitRate(sc Scale, bench string, gran uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	sys.serve(stream, sc.Requests)
+	lifetime.Serve(sys.dev, sys.lv, stream, math.MaxUint64, sc.Requests)
 	return 100 * sys.Stats().CMTHitRate, nil
 }

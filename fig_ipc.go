@@ -1,6 +1,9 @@
 package nvmwear
 
 import (
+	"math"
+
+	"nvmwear/internal/lifetime"
 	"nvmwear/internal/metrics"
 	"nvmwear/internal/sim"
 	"nvmwear/internal/workload"
@@ -165,7 +168,7 @@ func runTiming(sc Scale, scheme SchemeKind, bench string) (TimingResult, error) 
 	}
 	// Warm up untimed (standard simulation methodology): caches fill and
 	// SAWL's granularity adaptation converges before measurement begins.
-	sys.serve(stream, sc.Requests)
+	lifetime.Serve(sys.dev, sys.lv, stream, math.MaxUint64, sc.Requests)
 	return sim.Run(sys.lv, stream, sim.Config{
 		Requests:           requests,
 		InstrPerMemReq:     instrFor(name),

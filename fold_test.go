@@ -2,6 +2,7 @@ package nvmwear
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"nvmwear/internal/fault"
@@ -113,10 +114,11 @@ func checkFold(t *testing.T, c foldCase) {
 	t.Helper()
 	maxWrites := max(1, uint64(c.budget)%200_001)
 	fold, stream := c.build(t)
-	lifetime.Run(fold.dev, fold.lv, stream, lifetime.Options{MaxWrites: maxWrites, NoTiming: true})
+	lifetime.Run(fold.dev, fold.lv, stream, lifetime.Options{MaxWrites: maxWrites})
 	unfold, stream := c.build(t)
+	reqs := trace.NewCursor(stream, math.MaxUint64)
 	for writes := uint64(0); writes < maxWrites && unfold.dev.Alive(); {
-		r := stream.Next()
+		r, _ := reqs.Next()
 		unfold.lv.Access(r.Op, r.Addr)
 		if r.Op == trace.Write {
 			writes++
@@ -153,7 +155,7 @@ func (c foldCase) build(t *testing.T) (*System, trace.Stream) {
 		t.Fatalf("Build workload: %v", err)
 	}
 	if len(c.runs) > 0 {
-		stream = &runStream{base: stream, runs: c.runs}
+		stream = &runStream{base: trace.NewCursor(stream, math.MaxUint64), runs: c.runs}
 	}
 	return sys, stream
 }
@@ -161,22 +163,25 @@ func (c foldCase) build(t *testing.T) (*System, trace.Stream) {
 // runStream stretches a base stream into long repeated runs: the i-th base
 // request is issued 1+4*runs[i%len(runs)] times in a row.
 type runStream struct {
-	base trace.Stream
+	base *trace.Cursor
 	runs []byte
 	i    int
 	cur  trace.Request
 	left int
 }
 
-// Next implements trace.Stream.
-func (s *runStream) Next() trace.Request {
-	if s.left == 0 {
-		s.cur = s.base.Next()
-		s.left = 1 + 4*int(s.runs[s.i%len(s.runs)])
-		s.i++
+// NextBatch implements trace.Stream.
+func (s *runStream) NextBatch(ops []trace.Op, addrs []uint64) int {
+	for i := range ops {
+		if s.left == 0 {
+			s.cur, _ = s.base.Next()
+			s.left = 1 + 4*int(s.runs[s.i%len(s.runs)])
+			s.i++
+		}
+		s.left--
+		ops[i], addrs[i] = s.cur.Op, s.cur.Addr
 	}
-	s.left--
-	return s.cur
+	return len(ops)
 }
 
 // TestAccessBatchAllocatesNothing pins every scheme's steady-state access

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"nvmwear/internal/nvm"
@@ -35,8 +36,8 @@ func TestEndToEndDataIntegrity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 40000; i++ {
-				r := stream.Next()
+			reqs := trace.NewCursor(stream, 40000)
+			for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
 				sys.lv.Access(r.Op, r.Addr)
 			}
 			wltest.CheckBijection(t, sys.dev, sys.lv)
@@ -59,8 +60,8 @@ func TestDeterministicRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream, _, _ := WorkloadSpec{Kind: WorkloadSPEC, Name: "soplex", Seed: 33}.Build(1 << 12)
-		for i := 0; i < 200000; i++ {
-			r := stream.Next()
+		reqs := trace.NewCursor(stream, 200000)
+		for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
 			sys.lv.Access(r.Op, r.Addr)
 		}
 		return sys.Stats()
@@ -92,8 +93,8 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	w := trace.NewWriter(&buf)
 	gen, _, _ := WorkloadSpec{Kind: WorkloadSPEC, Name: "milc", Seed: 5}.Build(1 << 10)
 	direct := mkSys()
-	for i := 0; i < n; i++ {
-		r := gen.Next()
+	reqs := trace.NewCursor(gen, n)
+	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
@@ -224,10 +225,11 @@ func TestSAWLConsistencyAfterLongMixedRun(t *testing.T) {
 	wltest.Fill(sys.dev, sys.lv)
 	// Alternate scattered and hot phases to force merge and split storms.
 	streamA, _, _ := WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 0.7, Seed: 23}.Build(1 << 12)
+	reqsA := trace.NewCursor(streamA, math.MaxUint64)
 	for phase := 0; phase < 6; phase++ {
 		if phase%2 == 0 {
 			for i := 0; i < 60000; i++ {
-				r := streamA.Next()
+				r, _ := reqsA.Next()
 				sys.lv.Access(r.Op, r.Addr)
 			}
 		} else {

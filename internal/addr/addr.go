@@ -16,7 +16,8 @@
 // two) and key is the per-region offset parameter. The paper's Integrated
 // Mapping Table packs (prn, key) into a single value D = prn*Q + key
 // (Sec 3.3 step 5: prn = D/Q, key = D%Q); Pack and Unpack implement exactly
-// that encoding.
+// that encoding. Every Q is a power of two, so both take log2(Q) and shift
+// and mask instead of dividing.
 package addr
 
 import "math/bits"
@@ -37,40 +38,21 @@ func Log2(v uint64) uint {
 	return uint(63 - bits.LeadingZeros64(v))
 }
 
-// Split decomposes a line address into (region, offset) for a granularity of
-// q lines per region. q must be a power of two.
-func Split(a Line, q uint64) (region, offset uint64) {
-	return a / q, a & (q - 1)
-}
-
-// Join recomposes a line address from (region, offset).
-func Join(region, offset, q uint64) Line {
-	return region*q + offset
-}
-
-// Map translates an intra-region logical offset with the region's XOR key.
-// Because XOR with a constant is an involution over [0, q) when key < q,
-// Map is its own inverse and is always a bijection on the region.
-func Map(lao, key uint64) uint64 {
-	return lao ^ key
-}
-
 // Pack encodes a (prn, key) pair into the single table value D used by IMT
-// entries: D = prn*q + key. key must be < q.
-func Pack(prn, key, q uint64) uint64 {
-	return prn*q + key
+// entries: D = prn*Q + key, for Q = 1<<qShift. key must be < Q.
+func Pack(prn, key uint64, qShift uint) uint64 {
+	return prn<<qShift | key
 }
 
-// Unpack decodes D into (prn, key) for granularity q.
-func Unpack(d, q uint64) (prn, key uint64) {
-	return d / q, d % q
+// Unpack decodes D into (prn, key) for Q = 1<<qShift.
+func Unpack(d uint64, qShift uint) (prn, key uint64) {
+	return d >> qShift, d & (1<<qShift - 1)
 }
 
 // Translate performs the full hybrid-scheme translation of a logical line
-// address given the region's packed address info d and granularity q:
-// steps 5-7 of the paper's Fig 11 workflow.
-func Translate(lma Line, d, q uint64) Line {
-	prn, key := Unpack(d, q)
-	lao := lma & (q - 1)
-	return prn*q + (lao ^ key)
+// address given the region's packed address info d and granularity
+// Q = 1<<qShift: steps 5-7 of the paper's Fig 11 workflow.
+func Translate(lma Line, d uint64, qShift uint) Line {
+	prn, key := Unpack(d, qShift)
+	return Pack(prn, lma&(1<<qShift-1)^key, qShift)
 }

@@ -36,45 +36,15 @@ func TestLog2PanicsOnZero(t *testing.T) {
 	Log2(0)
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	err := quick.Check(func(a uint64, qBits uint8) bool {
-		q := uint64(1) << (qBits % 20)
-		a %= 1 << 40
-		r, o := Split(a, q)
-		return o < q && Join(r, o, q) == a
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMapIsInvolutionAndBijection(t *testing.T) {
-	const q = 64
-	for key := uint64(0); key < q; key++ {
-		seen := make(map[uint64]bool)
-		for lao := uint64(0); lao < q; lao++ {
-			p := Map(lao, key)
-			if p >= q {
-				t.Fatalf("Map(%d,%d) = %d escapes region", lao, key, p)
-			}
-			if Map(p, key) != lao {
-				t.Fatalf("Map not involution at lao=%d key=%d", lao, key)
-			}
-			if seen[p] {
-				t.Fatalf("Map collision at key=%d", key)
-			}
-			seen[p] = true
-		}
-	}
-}
-
 func TestPackUnpackRoundTrip(t *testing.T) {
 	err := quick.Check(func(prn, key uint64, qBits uint8) bool {
-		q := uint64(1) << (qBits % 16)
+		qShift := uint(qBits % 16)
+		q := uint64(1) << qShift
 		prn %= 1 << 30
 		key &= q - 1
-		p, k := Unpack(Pack(prn, key, q), q)
-		return p == prn && k == key
+		d := Pack(prn, key, qShift)
+		p, k := Unpack(d, qShift)
+		return p == prn && k == key && d == prn*q+key
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +53,11 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 
 func TestTranslateMatchesManualSteps(t *testing.T) {
 	// Paper Fig 11 example arithmetic: Q=8, prn=5, key=3, lma=19.
-	const q, prn, key = 8, 5, 3
-	d := Pack(prn, key, q)
+	const q, qShift, prn, key = 8, 3, 5, 3
+	d := Pack(prn, key, qShift)
 	lma := uint64(19) // lrn=2, lao=3
 	want := uint64(prn*q + (3 ^ key))
-	if got := Translate(lma, d, q); got != want {
+	if got := Translate(lma, d, qShift); got != want {
 		t.Fatalf("Translate = %d, want %d", got, want)
 	}
 }
@@ -95,11 +65,11 @@ func TestTranslateMatchesManualSteps(t *testing.T) {
 func TestTranslateBijectionPerRegion(t *testing.T) {
 	// For a fixed (d, q), Translate restricted to one logical region must be
 	// a bijection onto one physical region.
-	const q = 32
-	d := Pack(7, 21, q)
+	const q, qShift = 32, 5
+	d := Pack(7, 21, qShift)
 	seen := make(map[uint64]bool)
 	for lao := uint64(0); lao < q; lao++ {
-		p := Translate(4*q+lao, d, q)
+		p := Translate(4*q+lao, d, qShift)
 		if p/q != 7 {
 			t.Fatalf("escaped physical region: %d", p)
 		}

@@ -108,9 +108,6 @@ func NewWithPolicy(capacity int, regions uint64, policy Policy) *Cache {
 	return c
 }
 
-// Capacity returns the entry capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the current entry count.
 func (c *Cache) Len() int { return c.size }
 

@@ -289,7 +289,6 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 func (s *Scheme) rebuildEntry(idx uint64, level uint8, want uint16) (uint64, bool) {
 	span := uint64(1) << level
 	base := idx &^ (span - 1)
-	q := s.p << level
 	for slot := uint64(0); slot < s.nRegions; slot++ {
 		lrn := uint64(s.rev[slot])
 		if lrn < base || lrn >= base+span {
@@ -298,7 +297,7 @@ func (s *Scheme) rebuildEntry(idx uint64, level uint8, want uint16) (uint64, boo
 		sub := lrn - base
 		prn := slot / span
 		keyHigh := (slot % span) ^ sub
-		d0 := prn*q + keyHigh*s.p
+		d0 := addr.Pack(prn, keyHigh<<s.pShift, s.pShift+uint(level))
 		for k := uint64(0); k < s.p; k++ {
 			if imt.EntrySum(idx, d0+k, level) == want {
 				return d0 + k, true
@@ -318,13 +317,8 @@ func (s *Scheme) lookup(lrn0 uint64) (cmt.Entry, bool) {
 	}
 	ent := s.table.Read(lrn0)
 	span := uint64(1) << ent.Level
-	qShift := s.pShift + uint(ent.Level)
-	e := cmt.Entry{
-		Base:  lrn0 &^ (span - 1),
-		Level: ent.Level,
-		Prn:   ent.D >> qShift,
-		Key:   ent.D & (uint64(1)<<qShift - 1),
-	}
+	e := cmt.Entry{Base: lrn0 &^ (span - 1), Level: ent.Level}
+	e.Prn, e.Key = s.unpack(ent)
 	s.cache.Insert(e)
 	return e, false
 }
@@ -483,10 +477,8 @@ func (s *Scheme) InverseTranslate(pma uint64) uint64 {
 	slot := pma / s.p
 	lrn0 := uint64(s.rev[slot])
 	base, _, e := s.table.Region(lrn0)
-	q := s.p << e.Level
-	prn := e.D / q
-	key := e.D % q
-	off := (pma - prn*q) ^ key
+	prn, key := s.unpack(e)
+	off := (pma - prn*(s.p<<e.Level)) ^ key
 	return base*s.p + off
 }
 
@@ -498,11 +490,6 @@ func (s *Scheme) Splits() uint64 { return s.splits }
 
 // CurrentMode returns the current adaptation mode.
 func (s *Scheme) CurrentMode() Mode { return s.mode }
-
-// AvgRegionLines returns the average cached region size in lines.
-func (s *Scheme) AvgRegionLines() float64 {
-	return s.cache.AvgRegionUnits() * float64(s.p)
-}
 
 // OverheadBits implements wl.Leveler: CMT entries plus the GTD table. Each
 // CMT entry carries the lrn tag, level, prn and key — bounded by
@@ -532,13 +519,10 @@ func (s *Scheme) CheckConsistency() error {
 		if i != base {
 			continue
 		}
-		q := s.p << e.Level
-		prn := e.D / q
-		key := e.D % q
-		keyHigh := (key &^ (s.p - 1)) / s.p
+		prn, key := s.unpack(e)
 		span := uint64(1) << e.Level
 		for sub := uint64(0); sub < span; sub++ {
-			slot := prn*span + (sub ^ keyHigh)
+			slot := s.revSlot(prn*span, key, sub)
 			if uint64(s.rev[slot]) != base+sub {
 				return fmt.Errorf("core: rev[%d] = %d, want %d (region %d level %d)",
 					slot, s.rev[slot], base+sub, base, e.Level)
@@ -552,8 +536,7 @@ func (s *Scheme) CheckConsistency() error {
 			return fmt.Errorf("core: CMT level %d != IMT level %d at base %d",
 				ce.Level, ent.Level, ce.Base)
 		}
-		q := s.p << ent.Level
-		if ce.Prn != ent.D/q || ce.Key != ent.D%q {
+		if prn, key := s.unpack(ent); ce.Prn != prn || ce.Key != key {
 			return fmt.Errorf("core: CMT entry stale at base %d", ce.Base)
 		}
 	}

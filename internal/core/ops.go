@@ -1,7 +1,9 @@
 package core
 
 import (
+	"nvmwear/internal/addr"
 	"nvmwear/internal/cmt"
+	"nvmwear/internal/imt"
 )
 
 // This file implements the three structural operations of the tiered
@@ -22,22 +24,30 @@ import (
 // line-level key, and level.
 func (s *Scheme) regionOf(idx uint64) (base, span, physSlot, key uint64, level uint8) {
 	base, span, e := s.table.Region(idx)
-	qShift := s.pShift + uint(e.Level) // q = p << Level is a power of two
-	prn := e.D >> qShift
-	key = e.D & (uint64(1)<<qShift - 1)
+	prn, key := s.unpack(e)
 	return base, span, prn * span, key, e.Level
+}
+
+// unpack decodes an IMT entry's word D = prn·Q + key, where Q = P << Level.
+func (s *Scheme) unpack(e imt.Entry) (prn, key uint64) {
+	return addr.Unpack(e.D, s.pShift+uint(e.Level))
+}
+
+// revSlot is the physical slot holding sub-region sub of a region whose
+// physical block starts at slot physSlot: the key's bits above P permute
+// the region's slots, as they permute its lines.
+func (s *Scheme) revSlot(physSlot, key, sub uint64) uint64 {
+	return physSlot + (sub ^ key>>s.pShift)
 }
 
 // setRegion commits a region's mapping to the IMT, refreshes the CMT if the
 // entry is cached, and rebuilds rev for the region's slots.
 func (s *Scheme) setRegion(base, span, physSlot, key uint64, level uint8) {
-	q := s.p << level
 	prn := physSlot >> level // span = 1 << level
-	s.table.SetRange(base, span, prn*q+key, level)
+	s.table.SetRange(base, span, addr.Pack(prn, key, s.pShift+uint(level)), level)
 	s.cache.Update(level, base, prn, key)
-	keyHigh := key >> s.pShift
 	for sub := uint64(0); sub < span; sub++ {
-		s.rev[physSlot+(sub^keyHigh)] = uint32(base + sub)
+		s.rev[s.revSlot(physSlot, key, sub)] = uint32(base + sub)
 	}
 }
 
@@ -144,10 +154,8 @@ func (s *Scheme) tryMerge(lrn0 uint64) bool {
 	// (relocateOccupants); re-derive the mapping.
 	var aSlot, aKey uint64
 	aBase, span, aSlot, aKey, level = s.regionOf(aBase)
-	bEnt := s.table.Get(bBase)
 	q := s.p << level
-	bPrn := bEnt.D / q
-	bKey := bEnt.D % q
+	bPrn, bKey := s.unpack(s.table.Get(bBase))
 	bSlot := bPrn * span
 
 	other := aSlot ^ span // the other half of a's aligned physical pair

@@ -146,12 +146,9 @@ func (s *Scheme) rebuildRev() error {
 		if base != i {
 			return fmt.Errorf("core: region scan misaligned at %d", i)
 		}
-		q := s.p << e.Level
-		prn := e.D / q
-		key := e.D % q
-		keyHigh := key / s.p
+		prn, key := s.unpack(e)
 		for sub := uint64(0); sub < span; sub++ {
-			slot := prn*span + (sub ^ keyHigh)
+			slot := s.revSlot(prn*span, key, sub)
 			if slot >= s.nRegions || seen[slot] {
 				return fmt.Errorf("core: IMT is not a bijection at region %d", base)
 			}

@@ -166,7 +166,7 @@ func New(dir *gtd.Directory, dataLines, initGran, entriesPerLine uint64) *Table 
 		levels:         make([]uint8, n),
 	}
 	for i := uint64(0); i < n; i++ {
-		t.entries[i] = i * initGran // prn=i, key=0
+		t.entries[i] = addr.Pack(i, 0, addr.Log2(initGran))
 	}
 	return t
 }
@@ -251,8 +251,7 @@ func (t *Table) Translate(lma uint64) uint64 {
 	if t.fs != nil {
 		t.verify(idx)
 	}
-	q := t.initGran << t.levels[idx]
-	return addr.Translate(lma, t.entries[idx], q)
+	return addr.Translate(lma, t.entries[idx], addr.Log2(t.initGran)+uint(t.levels[idx]))
 }
 
 // VerifyLevels cross-checks the explicit level array against the paper's

@@ -13,6 +13,7 @@ package lifetime
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"nvmwear/internal/metrics"
@@ -66,41 +67,39 @@ type Options struct {
 	MaxWrites uint64
 	// Workload label for reporting.
 	Workload string
-	// NoTiming skips the wall-clock measurement around the request loop
-	// (Result.Elapsed stays zero). Benchmarks and the inner runs of a
-	// sharded decomposition — whose Elapsed is discarded by the merge — set
-	// it so short runs do not charge time.Now pairs on the hot path.
-	NoTiming bool
+}
+
+// writeBudget is the demand-write bound of a run on dev: maxWrites, or 4x
+// the device's ideal writes when it is 0.
+func writeBudget(dev *nvm.Device, maxWrites uint64) uint64 {
+	if maxWrites == 0 {
+		return 4 * dev.IdealWrites()
+	}
+	return maxWrites
 }
 
 // Run pumps requests from the stream through the scheme until the device
 // dies or the write budget is exhausted.
 func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Result {
-	maxWrites := opts.MaxWrites
-	if maxWrites == 0 {
-		maxWrites = 4 * dev.IdealWrites()
-	}
-	var start time.Time
-	if !opts.NoTiming {
-		start = time.Now()
-	}
-	serve(dev, lv, stream, maxWrites)
-	var elapsed time.Duration
-	if !opts.NoTiming {
-		elapsed = time.Since(start)
-	}
-	st := lv.Stats()
-	ds := dev.Stats()
+	start := time.Now()
+	Serve(dev, lv, stream, writeBudget(dev, opts.MaxWrites), math.MaxUint64)
+	elapsed := time.Since(start)
+	return newResult(lv.Name(), opts.Workload, lv.Stats(), dev.Stats(), dev.WearCounts(), dev.IdealWrites(), elapsed)
+}
+
+// newResult assembles a run's Result from the scheme's and the device's
+// accounting, the device's per-line wear and its ideal writes.
+func newResult(scheme, workload string, st wl.Stats, ds nvm.Stats, wear []uint32, ideal uint64, elapsed time.Duration) Result {
 	res := Result{
-		Scheme:        lv.Name(),
-		Workload:      opts.Workload,
+		Scheme:        scheme,
+		Workload:      workload,
 		Served:        st.DataWrites,
-		Ideal:         dev.IdealWrites(),
+		Ideal:         ideal,
 		WriteOverhead: st.WriteOverhead(),
-		WearGini:      metrics.GiniUint32(dev.WearCounts()),
+		WearGini:      metrics.GiniUint32(wear),
 		HitRate:       st.HitRate(),
 		Elapsed:       elapsed,
-		TimedOut:      dev.Alive(),
+		TimedOut:      !ds.Dead,
 		Reads:         ds.TotalReads,
 		Uncorrectable: ds.Uncorrectable,
 		SparesUsed:    ds.SparesUsed,
@@ -109,34 +108,46 @@ func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Resu
 		DeviceStats:   ds,
 		SchemeStats:   st,
 	}
-	if res.Ideal > 0 {
-		res.Normalized = float64(res.Served) / float64(res.Ideal)
+	if ideal > 0 {
+		res.Normalized = float64(res.Served) / float64(ideal)
 	}
 	return res
 }
 
 // refill is how many requests are pulled from the stream and handed to the
-// scheme per AccessBatch call. Prefetching ahead of consumption is
-// unobservable: streams are exclusively owned by the run and a Result never
-// depends on the stream's final position.
+// scheme per AccessBatch call.
 const refill = 4096
 
-// serve refills a request buffer with trace.FillBatch and hands each whole
-// refill to AccessBatch, which is observably the per-request Access loop
-// with a liveness check before every request. The refill holding the write
-// that exhausts the budget is cut right after that write, so requests past
-// it are never applied; only a refill with more requests than the budget
-// has writes left can hold that write, so no other refill is scanned. The
-// writes a refill applied are the delta of the scheme's DataWrites: a live
-// device serves every write handed to it, and the Leveler contract counts
-// each one. A short AccessBatch means the device died, which ends the loop.
-func serve(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites uint64) {
+// Serve drives requests from stream through the scheme until the device
+// dies, maxWrites demand writes have been served, or maxReqs requests have
+// been drawn, whichever comes first; math.MaxUint64 sets no bound. It is
+// the one request loop of budgeted lifetime runs and of fixed-length runs
+// on devices that cannot die within them.
+//
+// Serve refills a request buffer with trace.FillBatch, never drawing past
+// maxReqs, so a fixed-length run leaves the stream where its last request
+// put it and a caller may go on reading it. A run that ends on its write
+// budget or on device death may have drawn requests it never applied; its
+// stream is its own, and no Result depends on where it stopped. Each
+// refill goes whole to
+// AccessBatch, which is observably the per-request Access loop with a
+// liveness check before every request. The refill holding the write that
+// exhausts the write budget is cut right after that write, so requests
+// past it are never applied; only a refill with more requests than the
+// budget has writes left can hold that write, so no other refill is
+// scanned. The writes a refill applied are the delta of the scheme's
+// DataWrites: a live device serves every write handed to it, and the
+// Leveler contract counts each one. A short AccessBatch means the device
+// died, which ends the loop.
+func Serve(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites, maxReqs uint64) {
 	ops := make([]trace.Op, refill)
 	addrs := make([]uint64, refill)
 	start := lv.Stats().DataWrites
 	var writes uint64
-	for writes < maxWrites && dev.Alive() {
-		n := trace.FillBatch(stream, ops, addrs)
+	for writes < maxWrites && maxReqs > 0 && dev.Alive() {
+		k := min(maxReqs, refill)
+		n := trace.FillBatch(stream, ops[:k], addrs[:k])
+		maxReqs -= uint64(n)
 		o, a := ops[:n], addrs[:n]
 		if writes+uint64(n) > maxWrites {
 			cut := cutAfterWrites(o, maxWrites-writes)

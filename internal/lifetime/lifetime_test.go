@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -91,8 +92,8 @@ func TestMaxRequestsBudget(t *testing.T) {
 			// The reference: the reads the stream issues before its
 			// budget-th write.
 			var reads, writes uint64
-			for ref := c.stream(); writes < c.budget; {
-				if ref.Next().Op == trace.Write {
+			for ref := trace.NewCursor(c.stream(), math.MaxUint64); writes < c.budget; {
+				if r, _ := ref.Next(); r.Op == trace.Write {
 					writes++
 				} else {
 					reads++
@@ -105,6 +106,28 @@ func TestMaxRequestsBudget(t *testing.T) {
 				t.Fatalf("budget %d, %d reads before its last write: %+v", c.budget, reads, res)
 			}
 		})
+	}
+}
+
+// TestServeStopsAtRequestBound checks a fixed-length Serve: it applies
+// exactly maxReqs requests and leaves the stream at the next one.
+func TestServeStopsAtRequestBound(t *testing.T) {
+	const n = 2*refill + 5
+	ref := trace.NewCursor(workload.NewUniform(4, 1024, 0.5), n+1)
+	for i := 0; i < n; i++ {
+		ref.Next()
+	}
+	want, _ := ref.Next()
+
+	stream := workload.NewUniform(4, 1024, 0.5)
+	dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 1, Endurance: 1 << 30})
+	lv := wl.NewIdentity(dev)
+	Serve(dev, lv, stream, math.MaxUint64, n)
+	if st := lv.Stats(); st.DataWrites+st.DataReads != n {
+		t.Fatalf("served %d requests, want %d", st.DataWrites+st.DataReads, n)
+	}
+	if got, _ := trace.NewCursor(stream, 1).Next(); got != want {
+		t.Fatalf("stream left at %+v, want request %d %+v", got, n, want)
 	}
 }
 

@@ -14,10 +14,10 @@ package lifetime
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"nvmwear/internal/exec"
-	"nvmwear/internal/metrics"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
@@ -42,14 +42,6 @@ type ShardedOptions struct {
 	Context context.Context
 }
 
-// shardOutcome is the per-shard job result: the run plus the raw scheme and
-// device accounting the merge needs (Result alone only carries ratios).
-type shardOutcome struct {
-	res Result
-	st  wl.Stats
-	ds  nvm.Stats
-}
-
 // RunSharded runs each shard on the exec pool and merges the outcomes:
 //
 //   - Served and Ideal writes are sums, so Normalized stays ΣServed/ΣIdeal.
@@ -72,22 +64,13 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 	if len(shards) == 1 {
 		return Run(shards[0].Dev, shards[0].Lv, shards[0].Stream, opts.Options), nil
 	}
-	var start time.Time
-	if !opts.NoTiming {
-		start = time.Now()
-	}
+	start := time.Now()
 	pool := &exec.Pool{Workers: opts.Parallelism, Context: opts.Context}
 	n := uint64(len(shards))
-	outs, err := exec.Map(pool, len(shards), func(i int, _ uint64) (shardOutcome, error) {
+	_, err := exec.Map(pool, len(shards), func(i int, _ uint64) (struct{}, error) {
 		sh := shards[i]
-		res := Run(sh.Dev, sh.Lv, sh.Stream, Options{
-			MaxWrites: nvm.ShareLines(opts.MaxWrites, uint64(i), n),
-			Workload:  opts.Workload,
-			// The merge discards per-shard Elapsed; never charge the inner
-			// loops for it.
-			NoTiming: true,
-		})
-		return shardOutcome{res: res, st: sh.Lv.Stats(), ds: sh.Dev.Stats()}, nil
+		Serve(sh.Dev, sh.Lv, sh.Stream, writeBudget(sh.Dev, nvm.ShareLines(opts.MaxWrites, uint64(i), n)), math.MaxUint64)
+		return struct{}{}, nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -95,13 +78,13 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 
 	var st wl.Stats
 	var parts []nvm.Stats
-	var lines uint64
-	for i, out := range outs {
-		st.Add(out.st)
-		parts = append(parts, out.ds)
-		lines += shards[i].Dev.Lines()
+	var lines, ideal uint64
+	for _, sh := range shards {
+		st.Add(sh.Lv.Stats())
+		parts = append(parts, sh.Dev.Stats())
+		lines += sh.Dev.Lines()
+		ideal += sh.Dev.IdealWrites()
 	}
-	ds := nvm.MergeStats(parts...)
 
 	// Concatenated wear vector: one buffer, each shard snapshots into its
 	// own capacity-bounded segment (no per-shard allocation).
@@ -112,33 +95,6 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 		sh.Dev.WearCountsInto(wear[off : off : off+ln])
 		off += ln
 	}
-
-	var elapsed time.Duration
-	if !opts.NoTiming {
-		elapsed = time.Since(start)
-	}
-	res := Result{
-		Scheme:        shards[0].Lv.Name(),
-		Workload:      opts.Workload,
-		WriteOverhead: st.WriteOverhead(),
-		WearGini:      metrics.GiniUint32(wear),
-		HitRate:       st.HitRate(),
-		Elapsed:       elapsed,
-		TimedOut:      !ds.Dead,
-		Reads:         ds.TotalReads,
-		Uncorrectable: ds.Uncorrectable,
-		SparesUsed:    ds.SparesUsed,
-		FaultRemaps:   FaultRemaps(ds),
-		Cause:         Classify(ds),
-		DeviceStats:   ds,
-		SchemeStats:   st,
-	}
-	for _, out := range outs {
-		res.Served += out.res.Served
-		res.Ideal += out.res.Ideal
-	}
-	if res.Ideal > 0 {
-		res.Normalized = float64(res.Served) / float64(res.Ideal)
-	}
-	return res, nil
+	elapsed := time.Since(start)
+	return newResult(shards[0].Lv.Name(), opts.Workload, st, nvm.MergeStats(parts...), wear, ideal, elapsed), nil
 }

@@ -1,8 +1,8 @@
 // Package metrics provides the statistics used throughout the evaluation:
-// wear-distribution summaries (Gini coefficient, min/max/mean), harmonic
-// means for cross-benchmark aggregation (the paper reports Hmean in Fig 16
-// and 17), histograms, and the sliding windows that SAWL uses to observe the
-// runtime cache hit rate (Sec 4.2).
+// the wear-distribution Gini coefficient, harmonic means for
+// cross-benchmark aggregation (the paper reports Hmean in Fig 16 and 17),
+// histograms, and the sliding windows that SAWL uses to observe the runtime
+// cache hit rate (Sec 4.2).
 package metrics
 
 import (
@@ -10,40 +10,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum, sumSq float64
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-		sumSq += x * x
-	}
-	s.Mean = sum / float64(s.N)
-	variance := sumSq/float64(s.N) - s.Mean*s.Mean
-	if variance > 0 {
-		s.Stddev = math.Sqrt(variance)
-	}
-	return s
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
 // interpolation between order statistics, without mutating xs. The exact
@@ -181,31 +147,6 @@ func SortUint32(a []uint32) {
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
-}
-
-// CoV returns the coefficient of variation (stddev/mean) of per-line write
-// counts, another standard wear-uniformity measure. Returns 0 if the mean
-// is 0.
-func CoV(xs []uint32) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		f := float64(x)
-		sum += f
-		sumSq += f * f
-	}
-	n := float64(len(xs))
-	mean := sum / n
-	if mean == 0 {
-		return 0
-	}
-	variance := sumSq/n - mean*mean
-	if variance <= 0 {
-		return 0
-	}
-	return math.Sqrt(variance) / mean
 }
 
 // Histogram is a fixed-width histogram over [0, max).

@@ -116,33 +116,3 @@ func (w *HitWindow) Reset() {
 	w.curCount = 0
 	w.filled = false
 }
-
-// Series records (x, y) points for figure regeneration: the benches emit the
-// same time series the paper plots (hit rate vs. runtime, region size vs.
-// runtime).
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// MeanY returns the average of the Y values (0 if empty).
-func (s *Series) MeanY() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, y := range s.Y {
-		sum += y
-	}
-	return sum / float64(len(s.Y))
-}

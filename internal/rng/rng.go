@@ -95,25 +95,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Shuffle permutes the first n indices using the supplied swap function,
-// exactly like math/rand.Shuffle but on a deterministic Source.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Fork derives a new independent Source from this one. Forking is used to
 // give each simulation component (workload, leveler, device) its own stream
 // so that adding draws in one component does not perturb another.

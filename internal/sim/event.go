@@ -109,6 +109,7 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 		push(computeNs, evCoreIssue, c)
 	}
 
+	reqs := trace.NewCursor(stream, cfg.Requests)
 	var issued uint64
 	var pendingWrites int
 	var lastTime float64
@@ -191,7 +192,7 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 				continue
 			}
 			issued++
-			r := stream.Next()
+			r, _ := reqs.Next()
 			if !send(r.Op, r.Addr, ev.id, ev.time) {
 				// Posted write: the core computes on; a read reissues the
 				// core when the bank completes it.

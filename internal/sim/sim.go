@@ -168,9 +168,10 @@ func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 	computeNs := cfg.InstrPerMemReq / FreqGHz
 	var coreTime [Cores]float64
 	var bankBusy [Banks]float64
+	reqs := trace.NewCursor(stream, cfg.Requests)
 	for i := uint64(0); i < cfg.Requests; i++ {
 		c := i % Cores
-		r := stream.Next()
+		r, _ := reqs.Next()
 		issue := coreTime[c] + computeNs
 		a := m.step(r.Op, r.Addr)
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -34,37 +33,6 @@ func FuzzReader(f *testing.F) {
 		w.Flush()
 		if len(decoded) > 0 && !bytes.Equal(buf.Bytes(), data[:len(decoded)*recordSize]) {
 			t.Fatalf("re-encode mismatch for %d records", len(decoded))
-		}
-	})
-}
-
-// FuzzParseText checks the text parser never panics and that accepted
-// input round-trips through WriteText/ParseText.
-func FuzzParseText(f *testing.F) {
-	f.Add("W 0x10\nR 32\n")
-	f.Add("# comment\n\nw 1\n")
-	f.Add("X 5\n")
-	f.Add("W\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		reqs, err := ParseText(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, reqs); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ParseText(&buf)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %v", err)
-		}
-		if len(again) != len(reqs) {
-			t.Fatalf("round trip lost records: %d -> %d", len(reqs), len(again))
-		}
-		for i := range reqs {
-			if reqs[i] != again[i] {
-				t.Fatalf("record %d changed: %+v -> %+v", i, reqs[i], again[i])
-			}
 		}
 	})
 }

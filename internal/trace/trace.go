@@ -1,7 +1,7 @@
 // Package trace defines the memory-request representation shared by the
-// workload generators, the wear-leveling schemes and the simulators, plus
-// binary/text codecs so traces can be captured to disk by cmd/tracegen and
-// replayed later.
+// workload generators, the wear-leveling schemes and the simulators, a
+// binary codec so traces can be captured to disk by cmd/tracegen and
+// replayed later, and a human-readable text writer.
 //
 // A request addresses one memory line (the last-level-cache-line-sized
 // atomic access unit of Sec 2.1). Streams of requests are what the paper
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Op is a request type.
@@ -47,64 +46,64 @@ type Request struct {
 }
 
 // Stream produces an unbounded request sequence. Workload generators
-// implement Stream; the measurement engines pull from it until their stop
-// condition (device failure, request budget) is met.
+// implement Stream; the engines draw from it until their stop condition
+// (device failure, write or request budget) is met. NextBatch fills ops and
+// addrs, two parallel slices of equal length, with the stream's next
+// len(ops) requests and returns the count filled (always len(ops) for the
+// unbounded generator streams). The sequence a stream produces does not
+// depend on how its reader cuts it into batches.
 type Stream interface {
-	Next() Request
-}
-
-// StreamFunc adapts a function to the Stream interface.
-type StreamFunc func() Request
-
-// Next implements Stream.
-func (f StreamFunc) Next() Request { return f() }
-
-// BatchStream is a Stream that can fill whole request batches at once,
-// avoiding one interface dispatch (and one Request copy) per request on the
-// lifetime hot path. NextBatch fills ops and addrs — two parallel slices of
-// equal length — with the stream's next len(ops) requests and returns the
-// count filled (always len(ops) for the unbounded generator streams).
-//
-// The sequence of requests produced must be exactly the sequence Next would
-// produce: NextBatch is a vectorization, not a different stream.
-type BatchStream interface {
-	Stream
 	NextBatch(ops []Op, addrs []uint64) int
 }
 
-// FillBatch fills ops/addrs (equal lengths) from s, using the stream's
-// vectorized path when it has one and falling back to per-request Next
-// calls otherwise. It returns the number of requests filled.
+// FillBatch fills ops/addrs (equal lengths) with the next requests of s and
+// returns the number of requests filled.
 func FillBatch(s Stream, ops []Op, addrs []uint64) int {
-	if bs, ok := s.(BatchStream); ok {
-		return bs.NextBatch(ops, addrs)
-	}
-	for i := range ops {
-		r := s.Next()
-		ops[i] = r.Op
-		addrs[i] = r.Addr
-	}
-	return len(ops)
+	return s.NextBatch(ops, addrs)
 }
 
-// Limit wraps a Stream as a bounded Reader yielding at most n requests.
-func Limit(s Stream, n uint64) *LimitedReader {
-	return &LimitedReader{s: s, remaining: n}
+// cursorRefill is how many requests a Cursor draws per FillBatch call.
+const cursorRefill = 4096
+
+// Cursor reads a bounded prefix of a Stream one request at a time, for the
+// consumers that act on each request in turn (the timing models, the
+// per-request reference loops, the commands). It draws from the stream in
+// FillBatch refills, but never past its bound, so the stream is left where
+// the bound puts it and another reader may go on from there.
+type Cursor struct {
+	s     Stream
+	left  uint64 // requests the cursor may still draw from s
+	ops   []Op
+	addrs []uint64
+	next  int // index of the next buffered request
 }
 
-// LimitedReader is a bounded view over a Stream.
-type LimitedReader struct {
-	s         Stream
-	remaining uint64
+// NewCursor returns a cursor over the next n requests of s.
+func NewCursor(s Stream, n uint64) *Cursor {
+	k := min(n, cursorRefill)
+	return &Cursor{s: s, left: n, ops: make([]Op, 0, k), addrs: make([]uint64, 0, k)}
 }
 
-// Next returns the next request, or io.EOF once exhausted.
-func (l *LimitedReader) Next() (Request, error) {
-	if l.remaining == 0 {
-		return Request{}, io.EOF
+// Next returns the next request, or false once the cursor's n requests
+// have been read.
+func (c *Cursor) Next() (Request, bool) {
+	if c.next == len(c.ops) && !c.refill() {
+		return Request{}, false
 	}
-	l.remaining--
-	return l.s.Next(), nil
+	i := c.next
+	c.next++
+	return Request{Op: c.ops[i], Addr: c.addrs[i]}, true
+}
+
+// refill draws the next buffer of requests, up to the bound; it reports
+// whether any were drawn.
+func (c *Cursor) refill() bool {
+	k := min(c.left, uint64(cap(c.ops)))
+	n := FillBatch(c.s, c.ops[:k], c.addrs[:k])
+	c.ops, c.addrs = c.ops[:n], c.addrs[:n]
+	c.left -= uint64(n)
+	c.next = 0
+	return n > 0
 }
 
 // recordSize is the on-disk size of one binary record: op byte + 8-byte
@@ -178,94 +177,6 @@ func WriteText(w io.Writer, rs []Request) error {
 	return bw.Flush()
 }
 
-// ParseText decodes the text format produced by WriteText.
-func ParseText(r io.Reader) ([]Request, error) {
-	var out []Request
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var opStr string
-		var addr uint64
-		if _, err := fmt.Sscanf(line, "%s %v", &opStr, &addr); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %q: %w", lineNo, line, err)
-		}
-		var op Op
-		switch opStr {
-		case "R", "r":
-			op = Read
-		case "W", "w":
-			op = Write
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, opStr)
-		}
-		out = append(out, Request{Op: op, Addr: addr})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Stats summarizes a request sequence.
-type Stats struct {
-	Requests uint64
-	Writes   uint64
-	Reads    uint64
-	MinAddr  uint64
-	MaxAddr  uint64
-	// UniqueApprox counts distinct addresses exactly up to uniqueCap and
-	// saturates afterwards (a full map over a 64 GB trace is not viable).
-	UniqueApprox uint64
-	Saturated    bool
-}
-
-const uniqueCap = 1 << 22
-
-// Collect consumes up to n requests from a stream and summarizes them.
-func Collect(s Stream, n uint64) Stats {
-	st := Stats{MinAddr: ^uint64(0)}
-	seen := make(map[uint64]struct{})
-	for i := uint64(0); i < n; i++ {
-		r := s.Next()
-		st.Requests++
-		if r.Op == Write {
-			st.Writes++
-		} else {
-			st.Reads++
-		}
-		if r.Addr < st.MinAddr {
-			st.MinAddr = r.Addr
-		}
-		if r.Addr > st.MaxAddr {
-			st.MaxAddr = r.Addr
-		}
-		if !st.Saturated {
-			seen[r.Addr] = struct{}{}
-			if len(seen) >= uniqueCap {
-				st.Saturated = true
-			}
-		}
-	}
-	st.UniqueApprox = uint64(len(seen))
-	if st.Requests == 0 {
-		st.MinAddr = 0
-	}
-	return st
-}
-
-// WriteRatio returns the fraction of writes.
-func (s Stats) WriteRatio() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return float64(s.Writes) / float64(s.Requests)
-}
-
 // ReadAll decodes an entire binary trace.
 func ReadAll(r io.Reader) ([]Request, error) {
 	tr := NewReader(r)
@@ -298,17 +209,7 @@ func NewLoop(reqs []Request) *Loop {
 	return &Loop{reqs: reqs}
 }
 
-// Next implements Stream.
-func (l *Loop) Next() Request {
-	r := l.reqs[l.next]
-	l.next++
-	if l.next == len(l.reqs) {
-		l.next = 0
-	}
-	return r
-}
-
-// NextBatch implements BatchStream by copying from the cycle.
+// NextBatch implements Stream by copying from the cycle.
 func (l *Loop) NextBatch(ops []Op, addrs []uint64) int {
 	for i := range ops {
 		r := l.reqs[l.next]
@@ -321,6 +222,3 @@ func (l *Loop) NextBatch(ops []Op, addrs []uint64) int {
 	}
 	return len(ops)
 }
-
-// Len returns the underlying trace length.
-func (l *Loop) Len() int { return len(l.reqs) }

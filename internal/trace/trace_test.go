@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"io"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -94,85 +93,46 @@ func TestReaderRejectsTruncatedAndInvalid(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	reqs := []Request{{Write, 16}, {Read, 0xff}}
+func TestWriteText(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteText(&buf, reqs); err != nil {
+	if err := WriteText(&buf, []Request{{Write, 16}, {Read, 0xff}, {Read, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
-		t.Fatalf("round trip: %+v", got)
+	if got, want := buf.String(), "W 0x10\nR 0xff\nR 0x0\n"; got != want {
+		t.Fatalf("WriteText wrote %q, want %q", got, want)
 	}
 }
 
-func TestParseTextSkipsCommentsAndBlank(t *testing.T) {
-	in := "# header\n\nW 0x10\n  r 32 \n"
-	got, err := ParseText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
+// counter is a stream of writes to 0, 1, 2, ... that records how many
+// requests it has produced.
+type counter struct{ drawn uint64 }
+
+func (c *counter) NextBatch(ops []Op, addrs []uint64) int {
+	for i := range ops {
+		ops[i], addrs[i] = Write, c.drawn
+		c.drawn++
 	}
-	if len(got) != 2 || got[0] != (Request{Write, 16}) || got[1] != (Request{Read, 32}) {
-		t.Fatalf("parsed: %+v", got)
-	}
+	return len(ops)
 }
 
-func TestParseTextErrors(t *testing.T) {
-	for _, in := range []string{"X 12\n", "W\n", "W zzz\n"} {
-		if _, err := ParseText(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
+// TestCursorStopsAtItsBound checks that a cursor yields its stream's first
+// n requests in order, then stops, having drawn none past them.
+func TestCursorStopsAtItsBound(t *testing.T) {
+	for _, n := range []uint64{0, 1, cursorRefill - 1, cursorRefill, 2*cursorRefill + 5} {
+		s := &counter{}
+		c := NewCursor(s, n)
+		for i := uint64(0); i < n; i++ {
+			r, ok := c.Next()
+			if !ok || r != (Request{Write, i}) {
+				t.Fatalf("n=%d: request %d = %+v, %v", n, i, r, ok)
+			}
 		}
-	}
-}
-
-func TestLimit(t *testing.T) {
-	n := uint64(0)
-	s := StreamFunc(func() Request {
-		n++
-		return Request{Write, n}
-	})
-	l := Limit(s, 3)
-	for i := 0; i < 3; i++ {
-		if _, err := l.Next(); err != nil {
-			t.Fatal(err)
+		if _, ok := c.Next(); ok {
+			t.Fatalf("n=%d: cursor read past its bound", n)
 		}
-	}
-	if _, err := l.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("stream pulled %d times", n)
-	}
-}
-
-func TestCollect(t *testing.T) {
-	i := uint64(0)
-	s := StreamFunc(func() Request {
-		i++
-		op := Read
-		if i%4 == 0 {
-			op = Write
+		if s.drawn != n {
+			t.Fatalf("n=%d: cursor drew %d requests", n, s.drawn)
 		}
-		return Request{op, i % 10}
-	})
-	st := Collect(s, 100)
-	if st.Requests != 100 || st.Writes != 25 || st.Reads != 75 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.UniqueApprox != 10 || st.MinAddr != 0 || st.MaxAddr != 9 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if wr := st.WriteRatio(); wr != 0.25 {
-		t.Fatalf("write ratio %v", wr)
-	}
-	if (Stats{}).WriteRatio() != 0 {
-		t.Fatal("empty write ratio")
-	}
-	if empty := Collect(s, 0); empty.MinAddr != 0 || empty.Requests != 0 {
-		t.Fatalf("empty stats: %+v", empty)
 	}
 }
 
@@ -192,13 +152,11 @@ func TestReadAll(t *testing.T) {
 
 func TestLoopCycles(t *testing.T) {
 	l := NewLoop([]Request{{Write, 1}, {Read, 2}})
-	if l.Len() != 2 {
-		t.Fatal("len")
-	}
-	seq := []uint64{1, 2, 1, 2, 1}
-	for i, want := range seq {
-		if got := l.Next().Addr; got != want {
-			t.Fatalf("step %d: %d != %d", i, got, want)
+	ops, addrs := make([]Op, 5), make([]uint64, 5)
+	for i, want := range []Request{{Write, 1}, {Read, 2}, {Write, 1}, {Read, 2}, {Write, 1}} {
+		FillBatch(l, ops[i:i+1], addrs[i:i+1])
+		if got := (Request{ops[i], addrs[i]}); got != want {
+			t.Fatalf("step %d: %+v != %+v", i, got, want)
 		}
 	}
 }

@@ -40,17 +40,16 @@ func NewRateMode(p Profile, seed, lines uint64, copies int) *RateMode {
 	return r
 }
 
-// Next implements trace.Stream.
-func (r *RateMode) Next() trace.Request {
-	i := r.next
-	r.next++
-	if r.next == len(r.gens) {
-		r.next = 0
+// NextBatch implements trace.Stream.
+func (r *RateMode) NextBatch(ops []trace.Op, addrs []uint64) int {
+	for i := range ops {
+		c := r.next
+		r.next++
+		if r.next == len(r.gens) {
+			r.next = 0
+		}
+		req := r.gens[c].step()
+		ops[i], addrs[i] = req.Op, req.Addr+r.base[c]
 	}
-	req := r.gens[i].Next()
-	req.Addr += r.base[i]
-	return req
+	return len(ops)
 }
-
-// Copies returns the number of benchmark instances.
-func (r *RateMode) Copies() int { return len(r.gens) }

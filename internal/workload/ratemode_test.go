@@ -8,14 +8,9 @@ import (
 
 func TestRateModePartitionsDisjoint(t *testing.T) {
 	p, _ := ProfileByName("bzip2")
-	r := NewRateMode(p, 3, 1<<16, 8)
-	if r.Copies() != 8 {
-		t.Fatalf("copies = %d", r.Copies())
-	}
 	part := uint64(1<<16) / 8
 	counts := make([]int, 8)
-	for i := 0; i < 80000; i++ {
-		req := r.Next()
+	for _, req := range take(NewRateMode(p, 3, 1<<16, 8), 80000) {
 		if req.Addr >= 1<<16 {
 			t.Fatalf("address %d out of space", req.Addr)
 		}
@@ -32,12 +27,11 @@ func TestRateModePartitionsDisjoint(t *testing.T) {
 
 func TestRateModeCopiesNotLockstep(t *testing.T) {
 	p, _ := ProfileByName("gcc")
-	r := NewRateMode(p, 7, 1<<16, 2)
+	reqs := take(NewRateMode(p, 7, 1<<16, 2), 2000)
 	part := uint64(1<<16) / 2
 	same := 0
-	for i := 0; i < 1000; i++ {
-		a := r.Next()
-		b := r.Next()
+	for i := 0; i < len(reqs); i += 2 {
+		a, b := reqs[i], reqs[i+1]
 		if a.Addr == b.Addr-part && a.Op == b.Op {
 			same++
 		}
@@ -49,10 +43,9 @@ func TestRateModeCopiesNotLockstep(t *testing.T) {
 
 func TestRateModeDeterministic(t *testing.T) {
 	p, _ := ProfileByName("mcf")
-	a := NewRateMode(p, 9, 1<<14, 4)
-	b := NewRateMode(p, 9, 1<<14, 4)
-	for i := 0; i < 10000; i++ {
-		if a.Next() != b.Next() {
+	a, b := take(NewRateMode(p, 9, 1<<14, 4), 10000), take(NewRateMode(p, 9, 1<<14, 4), 10000)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("diverged at %d", i)
 		}
 	}
@@ -78,7 +71,7 @@ func TestRateModePanics(t *testing.T) {
 func TestRateModeIsAStream(t *testing.T) {
 	p, _ := ProfileByName("milc")
 	var s trace.Stream = NewRateMode(p, 1, 1<<14, 2)
-	if s.Next().Addr >= 1<<14 {
+	if take(s, 1)[0].Addr >= 1<<14 {
 		t.Fatal("stream contract")
 	}
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"nvmwear/internal/rng"
 	"nvmwear/internal/trace"
@@ -152,8 +151,8 @@ func (g *Gen) permPage(rank uint64) uint64 {
 	return (rank*g.permMul + g.permAdd + g.phaseBase) & g.pageMask
 }
 
-// Next implements trace.Stream.
-func (g *Gen) Next() trace.Request {
+// step produces the generator's next request.
+func (g *Gen) step() trace.Request {
 	g.count++
 	if g.p.PhaseEvery != 0 && g.count%g.p.PhaseEvery == 0 {
 		jump := uint64(float64(g.pages) * g.p.PhaseJump)
@@ -205,12 +204,12 @@ func (g *Gen) Next() trace.Request {
 	return trace.Request{Op: op, Addr: addr}
 }
 
-// NextBatch implements trace.BatchStream. The generator's per-request state
-// machine (phases, runs, scans) does not vectorize, but the direct method
-// call still skips the per-request interface dispatch of the scalar path.
+// NextBatch implements trace.Stream. The generator's per-request state
+// machine (phases, runs, scans) does not vectorize, but one call per batch
+// spares each request an interface dispatch.
 func (g *Gen) NextBatch(ops []trace.Op, addrs []uint64) int {
 	for i := range ops {
-		r := g.Next()
+		r := g.step()
 		ops[i] = r.Op
 		addrs[i] = r.Addr
 	}
@@ -279,12 +278,5 @@ func Footprints(names []string) []float64 {
 			out[i] = float64(p.Pages)
 		}
 	}
-	return out
-}
-
-// SortedNames returns the profile names sorted alphabetically.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }

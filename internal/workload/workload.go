@@ -26,12 +26,7 @@ type RAA struct {
 // NewRAA returns an RAA stream against the given logical line.
 func NewRAA(target uint64) *RAA { return &RAA{Target: target} }
 
-// Next implements trace.Stream.
-func (a *RAA) Next() trace.Request {
-	return trace.Request{Op: trace.Write, Addr: a.Target}
-}
-
-// NextBatch implements trace.BatchStream.
+// NextBatch implements trace.Stream.
 func (a *RAA) NextBatch(ops []trace.Op, addrs []uint64) int {
 	fill(ops, trace.Write)
 	fill(addrs, a.Target)
@@ -61,18 +56,8 @@ func NewBPA(seed, lines, repeats uint64) *BPA {
 	return &BPA{src: rng.New(seed), lines: lines, repeats: repeats}
 }
 
-// Next implements trace.Stream.
-func (a *BPA) Next() trace.Request {
-	if a.left == 0 {
-		a.cur = a.src.Uint64n(a.lines)
-		a.left = a.repeats
-	}
-	a.left--
-	return trace.Request{Op: trace.Write, Addr: a.cur}
-}
-
-// NextBatch implements trace.BatchStream: whole repeat-runs are emitted with
-// one RNG draw, in exactly the order Next produces them.
+// NextBatch implements trace.Stream: each repeat run costs one RNG draw,
+// and a run cut by the batch end goes on in the next batch.
 func (a *BPA) NextBatch(ops []trace.Op, addrs []uint64) int {
 	fill(ops, trace.Write)
 	for i := 0; i < len(addrs); {
@@ -121,16 +106,7 @@ func NewUniform(seed, lines uint64, writeRatio float64) *Uniform {
 	return &Uniform{src: rng.New(seed), lines: lines, writeRatio: writeRatio}
 }
 
-// Next implements trace.Stream.
-func (u *Uniform) Next() trace.Request {
-	op := trace.Read
-	if u.src.Bool(u.writeRatio) {
-		op = trace.Write
-	}
-	return trace.Request{Op: op, Addr: u.src.Uint64n(u.lines)}
-}
-
-// NextBatch implements trace.BatchStream.
+// NextBatch implements trace.Stream.
 func (u *Uniform) NextBatch(ops []trace.Op, addrs []uint64) int {
 	for i := range ops {
 		op := trace.Read
@@ -160,21 +136,7 @@ func NewSequential(seed, lines uint64, writeRatio float64) *Sequential {
 	return &Sequential{lines: lines, writeRatio: writeRatio, src: rng.New(seed)}
 }
 
-// Next implements trace.Stream.
-func (s *Sequential) Next() trace.Request {
-	op := trace.Read
-	if s.src.Bool(s.writeRatio) {
-		op = trace.Write
-	}
-	a := s.next
-	s.next++
-	if s.next == s.lines {
-		s.next = 0
-	}
-	return trace.Request{Op: op, Addr: a}
-}
-
-// NextBatch implements trace.BatchStream.
+// NextBatch implements trace.Stream.
 func (s *Sequential) NextBatch(ops []trace.Op, addrs []uint64) int {
 	for i := range ops {
 		op := trace.Read

@@ -7,10 +7,19 @@ import (
 	"nvmwear/internal/trace"
 )
 
+// take fills the stream's next n requests in one batch.
+func take(s trace.Stream, n int) []trace.Request {
+	ops, addrs := make([]trace.Op, n), make([]uint64, n)
+	trace.FillBatch(s, ops, addrs)
+	out := make([]trace.Request, n)
+	for i := range out {
+		out[i] = trace.Request{Op: ops[i], Addr: addrs[i]}
+	}
+	return out
+}
+
 func TestRAA(t *testing.T) {
-	a := NewRAA(42)
-	for i := 0; i < 100; i++ {
-		r := a.Next()
+	for _, r := range take(NewRAA(42), 100) {
 		if r.Op != trace.Write || r.Addr != 42 {
 			t.Fatalf("RAA emitted %+v", r)
 		}
@@ -18,12 +27,11 @@ func TestRAA(t *testing.T) {
 }
 
 func TestBPARepeatsPrecisely(t *testing.T) {
-	a := NewBPA(1, 1<<20, 8)
-	prev := a.Next()
+	reqs := take(NewBPA(1, 1<<20, 8), 8000)
+	prev := reqs[0]
 	run := 1
 	runs := make(map[uint64]int)
-	for i := 0; i < 8000-1; i++ {
-		r := a.Next()
+	for _, r := range reqs[1:] {
 		if r.Op != trace.Write {
 			t.Fatal("BPA emitted a read")
 		}
@@ -45,54 +53,9 @@ func TestBPARepeatsPrecisely(t *testing.T) {
 	}
 }
 
-// TestNextBatchMatchesNext pins every generator's NextBatch to its Next,
-// request for request, at odd batch sizes, so repeat runs straddle batch
-// ends and a batch can end mid-run or hold many runs.
-func TestNextBatchMatchesNext(t *testing.T) {
-	gcc, _ := ProfileByName("gcc")
-	cases := []struct {
-		name string
-		new  func() trace.BatchStream
-	}{
-		{"raa", func() trace.BatchStream { return NewRAA(7) }},
-		{"bpa/repeats=1", func() trace.BatchStream { return NewBPA(3, 1<<14, 1) }},
-		{"bpa/repeats=7", func() trace.BatchStream { return NewBPA(3, 1<<14, 7) }},
-		{"bpa/repeats=512", func() trace.BatchStream { return NewBPA(3, 1<<14, 512) }},
-		{"bpa/repeats=5000", func() trace.BatchStream { return NewBPA(3, 1<<14, 5000) }},
-		{"uniform", func() trace.BatchStream { return NewUniform(5, 1<<12, 0.7) }},
-		{"sequential", func() trace.BatchStream { return NewSequential(5, 1000, 0.5) }},
-		{"spec/gcc", func() trace.BatchStream { return gcc.New(9, 1<<12) }},
-	}
-	sizes := []int{1, 3, 17, 255, 1021, 4093}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			batched, single := c.new(), c.new()
-			ops := make([]trace.Op, sizes[len(sizes)-1])
-			addrs := make([]uint64, len(ops))
-			var at int
-			for round := 0; round < 6; round++ {
-				for _, n := range sizes {
-					got := batched.NextBatch(ops[:n], addrs[:n])
-					if got != n {
-						t.Fatalf("NextBatch(%d) returned %d", n, got)
-					}
-					for i := 0; i < n; i++ {
-						if want := single.Next(); ops[i] != want.Op || addrs[i] != want.Addr {
-							t.Fatalf("request %d: NextBatch gave (%v, %d), Next gave (%v, %d)",
-								at+i, ops[i], addrs[i], want.Op, want.Addr)
-						}
-					}
-					at += n
-				}
-			}
-		})
-	}
-}
-
 func TestBPABounds(t *testing.T) {
-	a := NewBPA(3, 1024, 4)
-	for i := 0; i < 10000; i++ {
-		if r := a.Next(); r.Addr >= 1024 {
+	for _, r := range take(NewBPA(3, 1024, 4), 10000) {
+		if r.Addr >= 1024 {
 			t.Fatalf("address %d out of range", r.Addr)
 		}
 	}
@@ -106,11 +69,9 @@ func TestBPADefaultRepeats(t *testing.T) {
 }
 
 func TestUniformCoversSpace(t *testing.T) {
-	u := NewUniform(5, 64, 0.5)
 	seen := make(map[uint64]bool)
 	writes := 0
-	for i := 0; i < 10000; i++ {
-		r := u.Next()
+	for _, r := range take(NewUniform(5, 64, 0.5), 10000) {
 		if r.Addr >= 64 {
 			t.Fatalf("address %d out of range", r.Addr)
 		}
@@ -128,12 +89,9 @@ func TestUniformCoversSpace(t *testing.T) {
 }
 
 func TestSequentialWraps(t *testing.T) {
-	s := NewSequential(1, 10, 1.0)
-	for round := 0; round < 3; round++ {
-		for want := uint64(0); want < 10; want++ {
-			if r := s.Next(); r.Addr != want {
-				t.Fatalf("round %d: got %d want %d", round, r.Addr, want)
-			}
+	for i, r := range take(NewSequential(1, 10, 1.0), 30) {
+		if want := uint64(i % 10); r.Addr != want {
+			t.Fatalf("request %d: got %d want %d", i, r.Addr, want)
 		}
 	}
 }
@@ -161,21 +119,19 @@ func TestSpecDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("gcc profile missing")
 	}
-	a := p.New(7, 1<<22)
-	b := p.New(7, 1<<22)
-	for i := 0; i < 10000; i++ {
-		if a.Next() != b.Next() {
+	a, b := take(p.New(7, 1<<22), 10000), take(p.New(7, 1<<22), 10000)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("streams diverged at %d", i)
 		}
 	}
 }
 
 func TestSpecProfilesDistinctUnderSameSeed(t *testing.T) {
-	a := SpecProfiles[0].New(7, 1<<22)
-	b := SpecProfiles[1].New(7, 1<<22)
+	a, b := take(SpecProfiles[0].New(7, 1<<22), 1000), take(SpecProfiles[1].New(7, 1<<22), 1000)
 	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Next() == b.Next() {
+	for i := range a {
+		if a[i] == b[i] {
 			same++
 		}
 	}
@@ -191,8 +147,7 @@ func TestSpecAddressesInBounds(t *testing.T) {
 		if fp > 1<<20 {
 			t.Fatalf("%s: footprint %d exceeds space", p.Name, fp)
 		}
-		for i := 0; i < 20000; i++ {
-			r := g.Next()
+		for _, r := range take(g, 20000) {
 			if r.Addr >= 1<<20 {
 				t.Fatalf("%s: address %d out of space", p.Name, r.Addr)
 			}
@@ -210,9 +165,13 @@ func TestSpecFootprintShrinksToFit(t *testing.T) {
 
 func TestSpecWriteRatioRealized(t *testing.T) {
 	for _, p := range SpecProfiles {
-		g := p.New(13, 1<<22)
-		st := trace.Collect(g, 50000)
-		got := st.WriteRatio()
+		writes := 0
+		for _, r := range take(p.New(13, 1<<22), 50000) {
+			if r.Op == trace.Write {
+				writes++
+			}
+		}
+		got := float64(writes) / 50000
 		if got < p.WriteRatio-0.05 || got > p.WriteRatio+0.05 {
 			t.Errorf("%s: write ratio %.3f, profile %.3f", p.Name, got, p.WriteRatio)
 		}
@@ -224,9 +183,14 @@ func TestSpecLocalityClassesDiffer(t *testing.T) {
 	// the streaming benchmarks over the same horizon.
 	hm, _ := ProfileByName("hmmer")
 	lbm, _ := ProfileByName("lbm")
-	const n = 200000
-	hmu := trace.Collect(hm.New(17, 1<<24), n).UniqueApprox
-	lbmu := trace.Collect(lbm.New(17, 1<<24), n).UniqueApprox
+	unique := func(p Profile) int {
+		seen := make(map[uint64]bool)
+		for _, r := range take(p.New(17, 1<<24), 200000) {
+			seen[r.Addr] = true
+		}
+		return len(seen)
+	}
+	hmu, lbmu := unique(hm), unique(lbm)
 	if hmu*4 > lbmu {
 		t.Fatalf("hmmer unique %d not << lbm unique %d", hmu, lbmu)
 	}
@@ -234,18 +198,15 @@ func TestSpecLocalityClassesDiffer(t *testing.T) {
 
 func TestPhaseChangesMoveWorkingSet(t *testing.T) {
 	p := Profile{Name: "phasey", Pages: 256, ZipfAlpha: 1.3, WriteRatio: 0.5, PhaseEvery: 5000, PhaseJump: 0.5}
-	g := p.New(19, 1<<20)
+	// The second window follows the first after several phase changes.
+	reqs := take(p.New(19, 1<<20), 28000)
 	first := make(map[uint64]int)
-	for i := 0; i < 4000; i++ {
-		first[g.Next().Addr/PageLines]++
-	}
-	// Drain through several phase changes.
-	for i := 0; i < 20000; i++ {
-		g.Next()
+	for _, r := range reqs[:4000] {
+		first[r.Addr/PageLines]++
 	}
 	second := make(map[uint64]int)
-	for i := 0; i < 4000; i++ {
-		second[g.Next().Addr/PageLines]++
+	for _, r := range reqs[24000:] {
+		second[r.Addr/PageLines]++
 	}
 	// The hottest page should differ between phases.
 	top := func(m map[uint64]int) uint64 {
@@ -273,12 +234,6 @@ func TestNames(t *testing.T) {
 	if len(Names()) != 14 {
 		t.Fatalf("%d profiles, want 14", len(Names()))
 	}
-	sorted := SortedNames()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] > sorted[i] {
-			t.Fatal("SortedNames not sorted")
-		}
-	}
 }
 
 func TestPow2Helpers(t *testing.T) {
@@ -304,21 +259,15 @@ func BenchmarkSpecGen(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reqSink = gens[i%len(gens)].Next()
+				reqSink = gens[i%len(gens)].step()
 			}
 		})
 	}
 }
 
-// BenchmarkBPA draws single requests, and 4096-request batches over the
-// bpa-lifetime benchmark's 2^14 lines at the repeat counts its jobs use.
+// BenchmarkBPA fills 4096-request batches over the bpa-lifetime
+// benchmark's 2^14 lines at the repeat counts its jobs use.
 func BenchmarkBPA(b *testing.B) {
-	b.Run("next", func(b *testing.B) {
-		g := NewBPA(1, 1<<24, 64)
-		for i := 0; i < b.N; i++ {
-			reqSink = g.Next()
-		}
-	})
 	for _, repeats := range []uint64{32, 512} {
 		b.Run(fmt.Sprintf("batch/repeats=%d", repeats), func(b *testing.B) {
 			g := NewBPA(1, 1<<14, repeats)

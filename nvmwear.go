@@ -440,26 +440,6 @@ func (s *System) RunTiming(w WorkloadSpec, requests uint64, instrPerMemReq float
 	}), nil
 }
 
-// serveBatch is how many requests serve pulls from the stream and hands to
-// the scheme per refill.
-const serveBatch = 4096
-
-// serve drives exactly n requests of stream through the scheme, one
-// trace.FillBatch and one AccessBatch call per refill, and leaves the
-// stream where n Next calls would, so a caller may go on reading it. It
-// is for fixed-length runs on devices that cannot die within them: a dead
-// device makes AccessBatch stop short, and serve does not check.
-func (s *System) serve(stream trace.Stream, n uint64) {
-	ops := make([]trace.Op, serveBatch)
-	addrs := make([]uint64, serveBatch)
-	for n > 0 {
-		k := min(n, serveBatch)
-		trace.FillBatch(stream, ops[:k], addrs[:k])
-		s.lv.AccessBatch(ops[:k], addrs[:k])
-		n -= k
-	}
-}
-
 // SpecBenchmarks returns the 14 SPEC CPU2006 profile names in the paper's
 // evaluation order.
 func SpecBenchmarks() []string { return workload.Names() }

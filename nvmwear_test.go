@@ -68,8 +68,9 @@ func TestWorkloadSpecBuild(t *testing.T) {
 		if name == "" {
 			t.Fatalf("%s: empty name", w.Kind)
 		}
-		for i := 0; i < 100; i++ {
-			if r := stream.Next(); r.Addr >= 1<<12 {
+		reqs := trace.NewCursor(stream, 100)
+		for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+			if r.Addr >= 1<<12 {
 				t.Fatalf("%s: address out of range", w.Kind)
 			}
 		}
@@ -391,8 +392,9 @@ func TestAblationSplitTrigger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 400000; i++ {
-			sys.Write(stream.Next().Addr)
+		reqs := trace.NewCursor(stream, 400000)
+		for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+			sys.Write(r.Addr)
 		}
 		for i := uint64(0); i < 400000; i++ {
 			sys.Write(i % 256)
@@ -495,8 +497,9 @@ func TestWorkloadFileRoundTrip(t *testing.T) {
 	if name == "" {
 		t.Fatal("empty name")
 	}
-	for i := 0; i < 300; i++ { // loops past the 100-entry trace
-		if r := stream.Next(); r.Addr >= 64 {
+	reqs := trace.NewCursor(stream, 300) // loops past the 100-entry trace
+	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+		if r.Addr >= 64 {
 			t.Fatalf("address %d not folded", r.Addr)
 		}
 	}
