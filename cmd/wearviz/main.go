@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,19 +25,36 @@ import (
 var shades = []byte(" .:-=+*#%@")
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes wearviz with the given arguments and returns its exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
 	var kinds []string
 	for _, k := range nvmwear.Schemes() {
 		kinds = append(kinds, string(k))
 	}
-	scheme := flag.String("scheme", "sawl", "scheme: "+strings.Join(kinds, "|"))
-	workloadKind := flag.String("workload", "raa", "workload: raa|bpa|uniform|sequential|spec")
-	name := flag.String("name", "gcc", "SPEC profile (workload=spec)")
-	n := flag.Uint64("n", 1<<21, "requests to run")
-	lines := flag.Uint64("lines", 1<<14, "device data lines")
-	period := flag.Uint64("period", 16, "swapping period")
-	seed := flag.Uint64("seed", 42, "seed")
-	width := flag.Int("width", 64, "heat map width in cells")
-	flag.Parse()
+	fs := flag.NewFlagSet("wearviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scheme := fs.String("scheme", "sawl", "scheme: "+strings.Join(kinds, "|"))
+	workloadKind := fs.String("workload", "raa", "workload: raa|bpa|uniform|sequential|spec")
+	name := fs.String("name", "gcc", "SPEC profile (workload=spec)")
+	n := fs.Uint64("n", 1<<21, "requests to run")
+	lines := fs.Uint64("lines", 1<<14, "device data lines")
+	period := fs.Uint64("period", 16, "swapping period")
+	seed := fs.Uint64("seed", 42, "seed")
+	width := fs.Int("width", 64, "heat map width in cells")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *width < 1 {
+		fmt.Fprintf(stderr, "wearviz: -width %d: the heat map needs at least one cell per row\n", *width)
+		return 1
+	}
 
 	sys, err := nvmwear.NewSystem(nvmwear.SystemConfig{
 		Scheme:     nvmwear.SchemeKind(*scheme),
@@ -48,15 +67,15 @@ func main() {
 		Seed:       *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wearviz:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "wearviz:", err)
+		return 1
 	}
 	stream, label, err := nvmwear.WorkloadSpec{
 		Kind: nvmwear.WorkloadKind(*workloadKind), Name: *name, Seed: *seed,
 	}.Build(*lines)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wearviz:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "wearviz:", err)
+		return 1
 	}
 	reqs := trace.NewCursor(stream, *n)
 	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
@@ -68,10 +87,7 @@ func main() {
 	}
 
 	counts := sys.WearCounts()
-	cells := *width * 16
-	if cells > len(counts) {
-		cells = len(counts)
-	}
+	cells := min(*width*16, len(counts))
 	per := len(counts) / cells
 	sums := make([]uint64, cells)
 	var maxSum uint64
@@ -84,19 +100,20 @@ func main() {
 		}
 	}
 	st := sys.Stats()
-	fmt.Printf("scheme=%s workload=%s requests=%d\n", sys.SchemeName(), label, *n)
-	fmt.Printf("wear: max=%d gini=%.3f overhead=%.2f%% cmt-hit=%.1f%%\n",
+	fmt.Fprintf(stdout, "scheme=%s workload=%s requests=%d\n", sys.SchemeName(), label, *n)
+	fmt.Fprintf(stdout, "wear: max=%d gini=%.3f overhead=%.2f%% cmt-hit=%.1f%%\n",
 		st.MaxWear, st.WearGini, 100*st.WriteOverhead, 100*st.CMTHitRate)
-	fmt.Printf("heat map (%d lines per cell, @=hottest):\n", per)
+	fmt.Fprintf(stdout, "heat map (%d lines per cell, @=hottest):\n", per)
 	for i := 0; i < cells; i++ {
 		if i%*width == 0 && i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		idx := 0
 		if maxSum > 0 {
 			idx = int(sums[i] * uint64(len(shades)-1) / maxSum)
 		}
-		fmt.Printf("%c", shades[idx])
+		fmt.Fprintf(stdout, "%c", shades[idx])
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	return 0
 }

@@ -82,7 +82,7 @@ func main() {
 	bandwidthGB := flag.Float64("bandwidth", 1, "project: write traffic in GB/s")
 	svgDir := flag.String("svg", "", "also write each figure as an SVG into this directory")
 	sweepScheme := flag.String("scheme", "pcms", "sweep: scheme to sweep")
-	wearModel := flag.String("wear", "", "wear model for lifetime runs: uniform|variation|compress (default: historical behavior)")
+	wearModel := flag.String("wear", "", "wear model for lifetime runs: "+strings.Join(nvmwear.WearModels(), "|")+" (default: historical behavior)")
 	devices := flag.String("devices", "", "fleet: devices per scheme: N, scheme=N overrides, or both (\"32,rbsg=64\"; default 16)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -134,10 +134,11 @@ func main() {
 	default:
 		sc.Shards = *shards
 	}
-	// -wear and -scheme are validated up front — both the CLI and serve
-	// paths inherit the checked names, so a typo fails fast instead of
-	// erroring per sweep job.
-	if err := errors.Join(nvmwear.CheckWearModel(*wearModel), nvmwear.CheckScheme(*sweepScheme)); err != nil {
+	// -wear, -scheme and -format are validated up front — both the CLI and
+	// serve paths inherit the checked names, so a typo fails fast instead
+	// of erroring per sweep job or after the whole sweep.
+	if err := errors.Join(nvmwear.CheckWearModel(*wearModel), nvmwear.CheckScheme(*sweepScheme),
+		nvmwear.CheckFormat(*format)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

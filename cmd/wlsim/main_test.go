@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -163,15 +164,16 @@ func TestSIGKILLedSweepResumesByteIdentical(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal test")
 	}
-	reference, _, err := wlsim(t, nil, "-scale", "small", "-j", "4", "-q", "fault")
+	reference, _, err := wlsim(t, nil, "-scale", "tiny", "-j", "4", "-q", "fault")
 	if err != nil {
 		t.Fatalf("uncached reference run: %v", err)
 	}
 
 	dir := t.TempDir()
 	// The per-job delay stretches the sweep past the kill point so some
-	// jobs are persisted and some are not.
-	cmd := osexec.Command(os.Args[0], "-scale", "small", "-j", "4", "-q", "-cache", dir, "fault")
+	// jobs are persisted and some are not: the delays run one at a time, so
+	// the 55 jobs take over 16 s even at tiny scale.
+	cmd := osexec.Command(os.Args[0], "-scale", "tiny", "-j", "4", "-q", "-cache", dir, "fault")
 	cmd.Env = append(os.Environ(), "WLSIM_RUN_MAIN=1", "WLSIM_JOB_DELAY_MS=300")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -182,7 +184,7 @@ func TestSIGKILLedSweepResumesByteIdentical(t *testing.T) {
 	}
 	cmd.Wait()
 
-	stdout, stderr, err := wlsim(t, nil, "-scale", "small", "-j", "4", "-q", "-cache", dir, "fault")
+	stdout, stderr, err := wlsim(t, nil, "-scale", "tiny", "-j", "4", "-q", "-cache", dir, "fault")
 	if err != nil {
 		t.Fatalf("resume run failed: %v\nstderr:\n%s", err, stderr)
 	}
@@ -198,7 +200,10 @@ func TestSIGKILLedSweepResumesByteIdentical(t *testing.T) {
 		t.Fatalf("no cache summary in stdout:\n%s", stdout)
 	}
 	if hits < 1 {
-		t.Errorf("resume served %d cache hits, want >= 1 (kill landed after %d jobs persisted?)", hits, hits)
+		t.Errorf("resume served %d cache hits, want >= 1 (kill landed before any job persisted?)", hits)
+	}
+	if misses < 1 {
+		t.Errorf("resume recomputed %d jobs, want >= 1 (kill landed after the sweep ended?)", misses)
 	}
 	if want := len(nvmwear.FaultSchemes) * len(nvmwear.FaultRates); hits+misses != want {
 		t.Errorf("cache summary covers %d jobs, want %d", hits+misses, want)
@@ -422,6 +427,64 @@ func TestSchemeFlagValidatedViaCLI(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `unknown scheme "bogus"`) {
 		t.Errorf("no unknown-scheme diagnostic on stderr:\n%s", stderr)
+	}
+}
+
+// An unknown -format is a usage error caught before any sweep job runs,
+// not after fig16's 112 jobs have all finished.
+func TestFormatFlagValidatedViaCLI(t *testing.T) {
+	stdout, stderr, err := wlsim(t, nil, "-scale", "tiny", "-format", "xml", "fig16")
+	if ee, ok := err.(*osexec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("unknown -format: err = %v, want exit 2; stderr:\n%s", err, stderr)
+	}
+	if !strings.Contains(stderr, `unknown format "xml"`) {
+		t.Errorf("no unknown-format diagnostic on stderr:\n%s", stderr)
+	}
+	if stdout != "" || strings.Contains(stderr, ": job ") {
+		t.Errorf("jobs ran before -format was rejected:\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+}
+
+// TestFormatAppliesToEveryTable checks that tables no series carries follow
+// -format too: json output is a stream of JSON documents and csv output
+// parses as CSV, once the per-run summary line is dropped.
+func TestFormatAppliesToEveryTable(t *testing.T) {
+	stdout, stderr, err := wlsim(t, nil, "-format", "json", "table1")
+	if err != nil {
+		t.Fatalf("-format json table1: %v\nstderr:\n%s", err, stderr)
+	}
+	dec := json.NewDecoder(strings.NewReader(tableLines(stdout)))
+	docs := 0
+	for {
+		var doc struct {
+			Title   string
+			Columns []string
+			Rows    [][]string
+		}
+		if err := dec.Decode(&doc); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("-format json table1 is not a JSON stream: %v\n%s", err, stdout)
+		}
+		if !strings.HasPrefix(doc.Title, "Table 1") || len(doc.Columns) != 2 || len(doc.Rows) == 0 {
+			t.Errorf("table1 document = %+v", doc)
+		}
+		docs++
+	}
+	if docs != 1 {
+		t.Errorf("-format json table1 printed %d documents, want 1:\n%s", docs, stdout)
+	}
+
+	stdout, stderr, err = wlsim(t, nil, "-format", "csv", "overhead")
+	if err != nil {
+		t.Fatalf("-format csv overhead: %v\nstderr:\n%s", err, stderr)
+	}
+	records, err := csv.NewReader(strings.NewReader(tableLines(stdout))).ReadAll()
+	if err != nil {
+		t.Fatalf("-format csv overhead is not CSV: %v\n%s", err, stdout)
+	}
+	if len(records) < 2 || strings.Join(records[0], ",") != "item,value" {
+		t.Errorf("-format csv overhead = %q", records)
 	}
 }
 

@@ -273,10 +273,10 @@ func (rs *runState) run(e *Experiment) error {
 
 // emit writes an experiment's rendered output. Text mode prints every
 // table (series figures print their text-table twin). csv/json emit the
-// series streams via FormatSeries and print only the tables that carry
-// data no series holds (Fig 13's averages, Fig 14's summary, table1,
-// overhead). With the sinks' SVGDir set, every figure is also written as
-// an SVG file.
+// series streams via FormatSeries, and in the same format only the tables
+// that carry data no series holds (Fig 13's averages, Fig 14's summary,
+// table1, overhead). With the sinks' SVGDir set, every figure is also
+// written as an SVG file.
 func (rs *runState) emit(tables []Table, svgs []SVG) error {
 	w := rs.sinks.Out
 	text := rs.d.Format == "" || rs.d.Format == "text"
@@ -284,7 +284,7 @@ func (rs *runState) emit(tables []Table, svgs []SVG) error {
 		if !text && t.fromSeries {
 			continue // the series stream below carries this table's data
 		}
-		if _, err := io.WriteString(w, t.Render()); err != nil {
+		if err := formatTable(w, rs.d.Format, t); err != nil {
 			return err
 		}
 	}

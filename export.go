@@ -93,20 +93,47 @@ func unionX(series []Series) []float64 {
 	return xs
 }
 
+// CheckFormat validates an output format name before a run starts (wlsim
+// -format, serve's spec): "text", "csv" or "json"; empty means text.
+func CheckFormat(format string) error {
+	switch format {
+	case "", "text", "csv", "json":
+		return nil
+	}
+	return fmt.Errorf("nvmwear: unknown format %q (text|csv|json)", format)
+}
+
 // FormatSeries renders series in the requested format ("text", "csv" or
-// "json") — the cmd/wlsim -format switch.
+// "json") — the cmd/wlsim -format switch. Text is the series' table.
 func FormatSeries(w io.Writer, format, title, xName string, series []Series) error {
 	switch format {
-	case "", "text":
-		_, err := io.WriteString(w, SeriesTable(title, xName, series, "%.2f").Render())
-		return err
 	case "csv":
 		return WriteSeriesCSV(w, xName, series)
 	case "json":
 		return WriteSeriesJSON(w, xName, series)
-	default:
-		return fmt.Errorf("nvmwear: unknown format %q (text|csv|json)", format)
 	}
+	return formatTable(w, format, SeriesTable(title, xName, series, "%.2f"))
+}
+
+// formatTable renders a table in the requested format: aligned text, CSV,
+// or one JSON document {"title": ..., "columns": [...], "rows": [[...]]}.
+func formatTable(w io.Writer, format string, t Table) error {
+	switch format {
+	case "", "text":
+		_, err := io.WriteString(w, t.Render())
+		return err
+	case "csv":
+		return WriteTableCSV(w, t)
+	case "json":
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(struct {
+			Title   string     `json:"title"`
+			Columns []string   `json:"columns"`
+			Rows    [][]string `json:"rows"`
+		}{t.Title, t.Columns, t.Rows})
+	}
+	return CheckFormat(format)
 }
 
 // WriteSVG renders the experiment figure as an SVG line chart with its

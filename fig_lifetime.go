@@ -160,7 +160,7 @@ func fig3Sweep(sc Scale) *lifetimeSweep {
 				s.point(float64(regions), SystemConfig{
 					Scheme: TLSR, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
 					Endurance: endurance, Regions: regions,
-					Period: period, OuterPeriod: 32,
+					Period: period,
 				}, bpaAttack(period*(sc.AttackLines/regions)/2))
 			}
 		}

@@ -283,7 +283,7 @@ func fleetDraw(sc Scale, scheme SchemeKind, device int, seed uint64) (lifetime.D
 		Scheme: scheme, Lines: sc.AttackLines, SpareLines: sc.attackSpares(),
 		Endurance: endurance, Variation: variation, Period: 8,
 		RegionLines: 64, InitGran: 4, CMTEntries: sc.CMTEntries,
-		Regions: maxU64(sc.AttackLines/64, 1),
+		Regions: max(sc.AttackLines/64, 1),
 		Seed:    rng.SeedStream(seed, fleetStreamDevice),
 	}
 	if rate > 0 {
@@ -305,13 +305,6 @@ func fleetDraw(sc Scale, scheme SchemeKind, device int, seed uint64) (lifetime.D
 		Seed:      seed,
 	}
 	return desc, cfg, w
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fleetPlanLabel renders the planned population for the summary title:

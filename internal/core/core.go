@@ -66,6 +66,14 @@ func (m Mode) String() string {
 	}
 }
 
+// The paper's fixed parameters (Sec 3.1, 3.2, 4.2, 4.5).
+const (
+	lowThreshold   = 0.90 // hit rate below which regions merge
+	highThreshold  = 0.95 // hit rate above which regions split
+	entriesPerLine = 6    // K: IMT entries per translation line
+	gtdGranularity = 32   // Kt: translation lines per GTD region
+)
+
 // Config parameterizes the tiered engine.
 type Config struct {
 	Lines    uint64 // M: logical data lines (power of two)
@@ -84,18 +92,14 @@ type Config struct {
 	// (NWL) at fixed granularity InitGran.
 	Adaptive bool
 
-	// Thresholds and windows (Sec 3.2 and 4.2 defaults).
-	LowThreshold      float64 // region-merge threshold (default 0.90)
-	HighThreshold     float64 // region-split threshold (default 0.95)
+	// Adaptation windows (Sec 4.2 defaults; the merge/split thresholds are
+	// the constants lowThreshold and highThreshold).
 	SubQueueThreshold float64 // LRU sub-queue imbalance (default 0.99)
 	ObservationWindow uint64  // SOW (default 1<<22)
 	SettlingWindow    uint64  // SSW (default 1<<22)
 	CheckEvery        uint64  // hit-rate sampling interval (default 100000)
 
-	// Translation-table plumbing.
-	EntriesPerTransLine uint64 // K (default 6)
-	GTDGranularity      uint64 // Kt translation lines per GTD region (default 32)
-	GTDPeriod           uint64 // GTD swapping period (default 128)
+	GTDPeriod uint64 // GTD swapping period (default 128)
 
 	Seed uint64
 
@@ -124,12 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.CMTEntries == 0 {
 		c.CMTEntries = 32768
 	}
-	if c.LowThreshold == 0 {
-		c.LowThreshold = 0.90
-	}
-	if c.HighThreshold == 0 {
-		c.HighThreshold = 0.95
-	}
 	if c.SubQueueThreshold == 0 {
 		c.SubQueueThreshold = 0.99
 	}
@@ -142,12 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckEvery == 0 {
 		c.CheckEvery = 100000
 	}
-	if c.EntriesPerTransLine == 0 {
-		c.EntriesPerTransLine = 6
-	}
-	if c.GTDGranularity == 0 {
-		c.GTDGranularity = 32
-	}
 	if c.GTDPeriod == 0 {
 		c.GTDPeriod = 128
 	}
@@ -159,8 +151,8 @@ func (c Config) withDefaults() Config {
 // they occupy once rounded to GTD regions.
 func (c Config) TranslationArea() (transLines, physLines uint64) {
 	c = c.withDefaults()
-	tl := imt.TranslationLines(c.Lines, c.InitGran, c.EntriesPerTransLine)
-	g := gtd.Config{Lines: tl, Granularity: c.GTDGranularity}
+	tl := imt.TranslationLines(c.Lines, c.InitGran, entriesPerLine)
+	g := gtd.Config{Lines: tl, Granularity: gtdGranularity}
 	return tl, g.PhysLines()
 }
 
@@ -241,7 +233,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 	dir := gtd.New(dev, gtd.Config{
 		Base:        cfg.Lines,
 		Lines:       transLines,
-		Granularity: cfg.GTDGranularity,
+		Granularity: gtdGranularity,
 		Period:      cfg.GTDPeriod,
 		Seed:        cfg.Seed ^ 0x61d,
 	})
@@ -258,7 +250,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		pShift:   uint(addr.Log2(cfg.InitGran)),
 		nRegions: nRegions,
 		maxLevel: maxLevel,
-		table:    imt.New(dir, cfg.Lines, cfg.InitGran, cfg.EntriesPerTransLine),
+		table:    imt.New(dir, cfg.Lines, cfg.InitGran, entriesPerLine),
 		dir:      dir,
 		cache:    cmt.New(cfg.CMTEntries, nRegions),
 		rev:      make([]uint32, nRegions),
@@ -368,7 +360,7 @@ func (s *Scheme) commit(base, q, n uint64) {
 // adapt drives the observation window, the mode state machine, and the
 // lazy merge/split application (Sec 3.2 item 3).
 func (s *Scheme) adapt(hit bool, lrn0 uint64) {
-	s.window.Record(hit)
+	s.window.RecordRun(hit, 1)
 	s.requests++
 	if !s.cfg.Adaptive {
 		if s.requests%s.cfg.CheckEvery == 0 {
@@ -410,12 +402,12 @@ func (s *Scheme) check() {
 		(1-firstShare) >= s.cfg.SubQueueThreshold
 	s.cache.ResetHalfCounters()
 
-	if rate < s.cfg.LowThreshold {
+	if rate < lowThreshold {
 		s.lowRun += s.cfg.CheckEvery
 	} else {
 		s.lowRun = 0
 	}
-	if rate > s.cfg.HighThreshold && imbalanced {
+	if rate > highThreshold && imbalanced {
 		s.highRun += s.cfg.CheckEvery
 	} else {
 		s.highRun = 0

@@ -99,11 +99,6 @@ const (
 type Injector struct {
 	cfg Config
 	src *rng.Source
-
-	transients  uint64
-	stucks      uint64
-	disturbs    uint64
-	corruptions uint64
 }
 
 // NewInjector builds the injector for one component substream. It returns
@@ -125,11 +120,9 @@ func (in *Injector) WriteFault() WriteFaultKind {
 	}
 	p := in.src.Float64()
 	if p < in.cfg.StuckAtRate {
-		in.stucks++
 		return WriteStuck
 	}
 	if p < in.cfg.StuckAtRate+in.cfg.TransientWriteRate {
-		in.transients++
 		return WriteTransient
 	}
 	return WriteOK
@@ -154,7 +147,6 @@ func (in *Injector) ReadDisturb() int {
 	if !in.src.Bool(in.cfg.ReadDisturbRate) {
 		return 0
 	}
-	in.disturbs++
 	return 1 + in.src.Intn(in.cfg.MaxBitErrors)
 }
 
@@ -164,36 +156,11 @@ func (in *Injector) CorruptMetadata() bool {
 	if in == nil || in.cfg.MetadataRate == 0 {
 		return false
 	}
-	if !in.src.Bool(in.cfg.MetadataRate) {
-		return false
-	}
-	in.corruptions++
-	return true
+	return in.src.Bool(in.cfg.MetadataRate)
 }
 
 // Intn draws a uniform value in [0, n) — used by victims-of-corruption
 // selection (which entry on the line, which bit of the word).
 func (in *Injector) Intn(n int) int {
 	return in.src.Intn(n)
-}
-
-// Stats counts the events an injector has produced.
-type Stats struct {
-	TransientWrites     uint64 // transient write failures injected
-	StuckLines          uint64 // hard stuck-at faults injected
-	ReadDisturbs        uint64 // read events that returned bit errors
-	MetadataCorruptions uint64 // table entries corrupted
-}
-
-// Stats returns cumulative injection counters (zero for a nil injector).
-func (in *Injector) Stats() Stats {
-	if in == nil {
-		return Stats{}
-	}
-	return Stats{
-		TransientWrites:     in.transients,
-		StuckLines:          in.stucks,
-		ReadDisturbs:        in.disturbs,
-		MetadataCorruptions: in.corruptions,
-	}
 }

@@ -24,9 +24,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 			t.Fatal("nil injector retry failure")
 		}
 	}
-	if in.Stats() != (Stats{}) {
-		t.Fatal("nil injector non-zero stats")
-	}
 }
 
 func TestDeterministicAcrossInstances(t *testing.T) {
@@ -46,9 +43,6 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 		if a.CorruptMetadata() != b.CorruptMetadata() {
 			t.Fatalf("metadata stream diverged at %d", i)
 		}
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 }
 
@@ -85,10 +79,6 @@ func TestRatesRoughlyHonored(t *testing.T) {
 	}
 	if f := float64(stuck) / n; f < 0.04 || f > 0.06 {
 		t.Errorf("stuck rate %.3f, want ~0.05", f)
-	}
-	st := in.Stats()
-	if st.TransientWrites != uint64(transient) || st.StuckLines != uint64(stuck) {
-		t.Errorf("stats %+v disagree with observed %d/%d", st, transient, stuck)
 	}
 }
 

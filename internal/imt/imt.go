@@ -181,9 +181,6 @@ func TranslationLines(dataLines, initGran, entriesPerLine uint64) uint64 {
 // NumEntries returns the number of (initial-granularity) entries.
 func (t *Table) NumEntries() uint64 { return uint64(len(t.entries)) }
 
-// InitGran returns P.
-func (t *Table) InitGran() uint64 { return t.initGran }
-
 // lineOf returns the translation line holding entry idx.
 func (t *Table) lineOf(idx uint64) uint64 { return idx / t.entriesPerLine }
 
@@ -235,11 +232,6 @@ func (t *Table) Region(idx uint64) (base, span uint64, e Entry) {
 	span = uint64(1) << e.Level
 	base = idx &^ (span - 1)
 	return base, span, e
-}
-
-// Granularity returns the region size in lines for entry idx.
-func (t *Table) Granularity(idx uint64) uint64 {
-	return t.initGran << t.levels[idx]
 }
 
 // Translate maps a logical line address through the table (no device

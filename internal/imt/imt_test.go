@@ -20,7 +20,7 @@ func harness(dataLines, initGran uint64) (*nvm.Device, *gtd.Directory, *Table) {
 
 func TestInitialIdentity(t *testing.T) {
 	_, _, tab := harness(256, 4)
-	if tab.NumEntries() != 64 || tab.InitGran() != 4 {
+	if tab.NumEntries() != 64 || tab.initGran != 4 {
 		t.Fatal("geometry")
 	}
 	for lma := uint64(0); lma < 256; lma++ {
@@ -43,7 +43,7 @@ func TestSetRangeAndRegion(t *testing.T) {
 	if base != 4 || span != 4 || e.D != d || e.Level != 2 {
 		t.Fatalf("region: base=%d span=%d %+v", base, span, e)
 	}
-	if g := tab.Granularity(5); g != 16 {
+	if g := tab.initGran << tab.levels[5]; g != 16 {
 		t.Fatalf("granularity = %d", g)
 	}
 	if err := tab.VerifyLevels(); err != nil {

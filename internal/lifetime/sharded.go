@@ -86,14 +86,10 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 		ideal += sh.Dev.IdealWrites()
 	}
 
-	// Concatenated wear vector: one buffer, each shard snapshots into its
-	// own capacity-bounded segment (no per-shard allocation).
-	wear := make([]uint32, lines)
-	off := uint64(0)
+	// Concatenated wear vector: one buffer, each shard's counters appended.
+	wear := make([]uint32, 0, lines)
 	for _, sh := range shards {
-		ln := sh.Dev.Lines()
-		sh.Dev.WearCountsInto(wear[off : off : off+ln])
-		off += ln
+		wear = append(wear, sh.Dev.WearCounts()...)
 	}
 	elapsed := time.Since(start)
 	return newResult(shards[0].Lv.Name(), opts.Workload, st, nvm.MergeStats(parts...), wear, ideal, elapsed), nil

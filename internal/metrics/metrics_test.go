@@ -1,7 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -159,36 +162,48 @@ func TestHistogramPanics(t *testing.T) {
 	NewHistogram(0, 1)
 }
 
+// record is the per-event reference RecordRun is checked against: one
+// event, sliding the ring by a sub-bucket whenever the current one is full.
+func record(w *HitWindow, hit bool) {
+	if w.curCount == w.bucketCap {
+		w.cur++
+		if w.cur == len(w.hits) {
+			w.cur = 0
+		}
+		w.hits[w.cur] = 0
+		w.total[w.cur] = 0
+		w.curCount = 0
+	}
+	w.curCount++
+	w.total[w.cur]++
+	if hit {
+		w.hits[w.cur]++
+	}
+}
+
 func TestHitWindowExact(t *testing.T) {
 	w := NewHitWindow(100, 10)
-	for i := 0; i < 50; i++ {
-		w.Record(true)
-	}
-	for i := 0; i < 50; i++ {
-		w.Record(false)
-	}
+	w.RecordRun(true, 50)
+	w.RecordRun(false, 50)
 	if r := w.Rate(); math.Abs(r-0.5) > 1e-9 {
 		t.Fatalf("rate = %v", r)
 	}
-	if w.Events() != 100 {
-		t.Fatalf("events = %d", w.Events())
+	var events uint64
+	for _, n := range w.total {
+		events += n
+	}
+	if events != 100 {
+		t.Fatalf("events = %d", events)
 	}
 }
 
 func TestHitWindowSlides(t *testing.T) {
 	w := NewHitWindow(100, 10)
-	for i := 0; i < 100; i++ {
-		w.Record(false)
-	}
+	w.RecordRun(false, 100)
 	// Now fill with hits; old misses must age out.
-	for i := 0; i < 200; i++ {
-		w.Record(true)
-	}
+	w.RecordRun(true, 200)
 	if r := w.Rate(); r < 0.95 {
 		t.Fatalf("stale misses not evicted: rate = %v", r)
-	}
-	if !w.Full() {
-		t.Fatal("window not marked full")
 	}
 }
 
@@ -199,20 +214,58 @@ func TestHitWindowEmptyRateIsOne(t *testing.T) {
 	}
 }
 
-func TestHitWindowReset(t *testing.T) {
-	w := NewHitWindow(10, 2)
-	for i := 0; i < 20; i++ {
-		w.Record(false)
+// TestRecordRunMatchesPerEvent checks that RecordRun(hit, n) leaves the
+// ring exactly as n per-event records do, on runs that stop short of a
+// sub-bucket, end on its boundary, span several, and wrap the ring.
+func TestRecordRunMatchesPerEvent(t *testing.T) {
+	type run struct {
+		hit bool
+		n   uint64
 	}
-	w.Reset()
-	if w.Events() != 0 || w.Full() || w.Rate() != 1 {
-		t.Fatal("reset incomplete")
+	type tcase struct {
+		name    string
+		window  uint64
+		buckets int
+		runs    []run
+	}
+	cases := []tcase{
+		{"within a bucket", 100, 10, []run{{true, 3}, {false, 4}, {true, 2}}},
+		{"to the boundary", 100, 10, []run{{true, 7}, {false, 3}, {true, 10}}},
+		{"across boundaries", 100, 10, []run{{false, 7}, {true, 25}, {false, 13}}},
+		{"wraps the ring", 100, 10, []run{{true, 95}, {false, 30}, {true, 250}}},
+		{"wraps many times", 64, 4, []run{{false, 1000}, {true, 17}, {false, 1}, {true, 333}}},
+		{"one bucket", 8, 1, []run{{true, 5}, {false, 9}, {true, 8}, {false, 3}}},
+		{"unit buckets", 4, 4, []run{{true, 1}, {false, 6}, {true, 2}}},
+		{"empty run", 100, 10, []run{{true, 0}, {false, 12}, {true, 0}}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		c := tcase{name: fmt.Sprintf("random %d", i), window: uint64(1 + rng.Intn(200)), buckets: 1 + rng.Intn(16)}
+		for j := 0; j < 30; j++ {
+			c.runs = append(c.runs, run{rng.Intn(2) == 0, uint64(rng.Intn(3 * int(c.window)))})
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		got, want := NewHitWindow(c.window, c.buckets), NewHitWindow(c.window, c.buckets)
+		for k, r := range c.runs {
+			got.RecordRun(r.hit, r.n)
+			for e := uint64(0); e < r.n; e++ {
+				record(want, r.hit)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: after run %d (%v x%d):\n got %+v\nwant %+v", c.name, k, r.hit, r.n, got, want)
+			}
+			if got.Rate() != want.Rate() {
+				t.Fatalf("%s: after run %d: rate %v, want %v", c.name, k, got.Rate(), want.Rate())
+			}
+		}
 	}
 }
 
 func TestHitWindowDegenerateSizes(t *testing.T) {
 	w := NewHitWindow(0, 0) // must clamp, not panic
-	w.Record(true)
+	w.RecordRun(true, 1)
 	if w.Rate() != 1 {
 		t.Fatalf("rate = %v", w.Rate())
 	}

@@ -14,7 +14,6 @@ type HitWindow struct {
 	total     []uint64
 	cur       int
 	curCount  uint64
-	filled    bool
 }
 
 // NewHitWindow returns a window covering `window` events using `buckets`
@@ -33,27 +32,8 @@ func NewHitWindow(window uint64, buckets int) *HitWindow {
 	}
 }
 
-// Record adds one event.
-func (w *HitWindow) Record(hit bool) {
-	if w.curCount == w.bucketCap {
-		w.cur++
-		if w.cur == len(w.hits) {
-			w.cur = 0
-			w.filled = true
-		}
-		w.hits[w.cur] = 0
-		w.total[w.cur] = 0
-		w.curCount = 0
-	}
-	w.curCount++
-	w.total[w.cur]++
-	if hit {
-		w.hits[w.cur]++
-	}
-}
-
 // RecordRun adds n identical events at once, leaving the ring in exactly
-// the state n Record(hit) calls would: whole sub-buckets are filled per
+// the state n single events would: whole sub-buckets are filled per
 // iteration instead of per event.
 func (w *HitWindow) RecordRun(hit bool, n uint64) {
 	for n > 0 {
@@ -61,16 +41,12 @@ func (w *HitWindow) RecordRun(hit bool, n uint64) {
 			w.cur++
 			if w.cur == len(w.hits) {
 				w.cur = 0
-				w.filled = true
 			}
 			w.hits[w.cur] = 0
 			w.total[w.cur] = 0
 			w.curCount = 0
 		}
-		take := w.bucketCap - w.curCount
-		if take > n {
-			take = n
-		}
+		take := min(w.bucketCap-w.curCount, n)
 		w.curCount += take
 		w.total[w.cur] += take
 		if hit {
@@ -81,7 +57,7 @@ func (w *HitWindow) RecordRun(hit bool, n uint64) {
 }
 
 // Rate returns the hit rate over the window. Before any event it returns 1,
-// so that a freshly reset window never looks like a low-hit-rate emergency.
+// so that a fresh window never looks like a low-hit-rate emergency.
 func (w *HitWindow) Rate() float64 {
 	var h, t uint64
 	for i := range w.hits {
@@ -92,27 +68,4 @@ func (w *HitWindow) Rate() float64 {
 		return 1
 	}
 	return float64(h) / float64(t)
-}
-
-// Events returns the number of events currently covered by the window.
-func (w *HitWindow) Events() uint64 {
-	var t uint64
-	for _, v := range w.total {
-		t += v
-	}
-	return t
-}
-
-// Full reports whether the window has seen at least one full span of events.
-func (w *HitWindow) Full() bool { return w.filled }
-
-// Reset clears the window.
-func (w *HitWindow) Reset() {
-	for i := range w.hits {
-		w.hits[i] = 0
-		w.total[i] = 0
-	}
-	w.cur = 0
-	w.curCount = 0
-	w.filled = false
 }

@@ -49,11 +49,6 @@ type Config struct {
 	// verify data integrity across swaps.
 	TrackData bool
 
-	// Energy per line access in picojoules. Defaults follow published MLC
-	// PCM figures (~2 pJ/bit read, ~30 pJ/bit write on a 64 B line).
-	ReadEnergyPJ  float64
-	WriteEnergyPJ float64
-
 	// Fault enables probabilistic fault injection (internal/fault). The
 	// zero value disables it entirely: no RNG draws, behaviour identical
 	// to the clean wear-out model.
@@ -73,12 +68,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.ReadEnergyPJ == 0 {
-		c.ReadEnergyPJ = 1024 // 2 pJ/bit * 512 bits
-	}
-	if c.WriteEnergyPJ == 0 {
-		c.WriteEnergyPJ = 15360 // 30 pJ/bit * 512 bits
-	}
 	if c.ECCBits == 0 {
 		c.ECCBits = 4
 	}
@@ -114,11 +103,17 @@ type Device struct {
 	uncorrectable    uint64 // reads lost beyond the ECC budget
 }
 
+// Energy per line access in picojoules, after published MLC PCM figures
+// (~2 pJ/bit read, ~30 pJ/bit write on a 64 B line).
+const (
+	readEnergyPJ  = 1024  // 2 pJ/bit * 512 bits
+	writeEnergyPJ = 15360 // 30 pJ/bit * 512 bits
+)
+
 // EnergyPJ returns the total access energy consumed so far in picojoules:
 // the dynamic-energy figure that motivates NVM adoption in Sec 1.
 func (d *Device) EnergyPJ() float64 {
-	return float64(d.totalReads)*d.cfg.ReadEnergyPJ +
-		float64(d.totalWrites)*d.cfg.WriteEnergyPJ
+	return float64(d.totalReads)*readEnergyPJ + float64(d.totalWrites)*writeEnergyPJ
 }
 
 // New constructs a device. Lines must be nonzero.
@@ -149,9 +144,6 @@ func New(cfg Config) *Device {
 	d.inj = fault.NewInjector(cfg.Fault, fault.StreamDevice)
 	return d
 }
-
-// Config returns the (defaulted) configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Lines returns the number of addressable data lines.
 func (d *Device) Lines() uint64 { return d.cfg.Lines }
@@ -453,29 +445,11 @@ func (d *Device) Stats() Stats {
 }
 
 // WearCounts exposes the per-line wear counters (shared slice; callers must
-// not modify it). Used by metrics (Gini) and the wear visualizer. Results
-// that outlive the caller's exclusive ownership of the device — anything
-// returned from a parallel experiment job — must use WearCountsCopy
-// instead, so no analysis aliases a slice another goroutine could mutate.
+// not modify it). Used by metrics (Gini) and the wear visualizer. A result
+// that outlives the caller's exclusive ownership of the device — anything
+// returned from a parallel experiment job — must clone it, so no analysis
+// aliases a slice another goroutine could mutate.
 func (d *Device) WearCounts() []uint32 { return d.writes }
-
-// WearCountsCopy returns a snapshot of the per-line wear counters. The
-// returned slice is owned by the caller.
-func (d *Device) WearCountsCopy() []uint32 { return d.WearCountsInto(nil) }
-
-// WearCountsInto copies the per-line wear counters into buf, reusing its
-// backing array when it has the capacity, and returns the filled slice.
-// This is the allocation-free snapshot primitive for loops that take many
-// snapshots (the sharded-lifetime merge concatenates every bank's wear
-// vector into slices of one preallocated buffer).
-func (d *Device) WearCountsInto(buf []uint32) []uint32 {
-	if cap(buf) < len(d.writes) {
-		buf = make([]uint32, len(d.writes))
-	}
-	buf = buf[:len(d.writes)]
-	copy(buf, d.writes)
-	return buf
-}
 
 // IdealWrites returns the total number of writes the device would absorb
 // under perfectly uniform wear: every line (including spares) worn exactly

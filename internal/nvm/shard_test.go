@@ -72,35 +72,3 @@ func TestMergeStatsMatchesWholeDevice(t *testing.T) {
 		t.Fatalf("merged halves diverge from whole device:\nwhole %+v\nmerge %+v", w, m)
 	}
 }
-
-func TestWearCountsInto(t *testing.T) {
-	d := New(Config{Lines: 8, SpareLines: 2, Endurance: 100})
-	for i := 0; i < 5; i++ {
-		d.Write(2)
-	}
-	// Nil buffer: allocates.
-	got := d.WearCountsInto(nil)
-	if len(got) != 8 || got[2] != 5 {
-		t.Fatalf("WearCountsInto(nil) = %v", got)
-	}
-	// A snapshot, not an alias of the live counters.
-	got[2] = 99
-	if d.WearCounts()[2] != 5 {
-		t.Fatal("WearCountsInto returned the live slice")
-	}
-	// Sufficient capacity: reused, even with zero length.
-	buf := make([]uint32, 0, 16)
-	out := d.WearCountsInto(buf)
-	if len(out) != 8 || out[2] != 5 {
-		t.Fatalf("reused-buffer snapshot = %v", out)
-	}
-	if &out[0] != &buf[:1][0] {
-		t.Fatal("capacity-sufficient buffer was not reused")
-	}
-	// Insufficient capacity: falls back to allocating.
-	small := make([]uint32, 2)
-	out2 := d.WearCountsInto(small)
-	if len(out2) != 8 || out2[2] != 5 {
-		t.Fatalf("small-buffer snapshot = %v", out2)
-	}
-}

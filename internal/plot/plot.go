@@ -15,11 +15,7 @@ type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int  // default 800
-	Height int  // default 480
 	LogX   bool // log2 x axis (region-count sweeps)
-	YMin   float64
-	YMax   float64 // 0 = auto
 	Series []Line
 }
 
@@ -37,26 +33,19 @@ var palette = []string{
 }
 
 const (
+	width        = 800
+	height       = 480
 	marginLeft   = 70.0
 	marginRight  = 160.0
 	marginTop    = 40.0
 	marginBottom = 55.0
+	plotW        = width - marginLeft - marginRight
+	plotH        = height - marginTop - marginBottom
 )
 
 // Render writes the chart as an SVG document.
 func (c Chart) Render(w io.Writer) error {
-	if c.Width == 0 {
-		c.Width = 800
-	}
-	if c.Height == 0 {
-		c.Height = 480
-	}
 	xMin, xMax, yMin, yMax := c.bounds()
-	plotW := float64(c.Width) - marginLeft - marginRight
-	plotH := float64(c.Height) - marginTop - marginBottom
-	if plotW <= 0 || plotH <= 0 {
-		return fmt.Errorf("plot: chart too small")
-	}
 
 	xPos := func(x float64) float64 {
 		if c.LogX {
@@ -76,7 +65,7 @@ func (c Chart) Render(w io.Writer) error {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		c.Width, c.Height, c.Width, c.Height)
+		width, height, width, height)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	fmt.Fprintf(&b, `<text x="%g" y="24" font-family="sans-serif" font-size="16" font-weight="bold">%s</text>`+"\n",
 		marginLeft, escape(c.Title))
@@ -111,7 +100,7 @@ func (c Chart) Render(w io.Writer) error {
 
 	// Axis labels.
 	fmt.Fprintf(&b, `<text x="%g" y="%g" font-family="sans-serif" font-size="12" text-anchor="middle">%s</text>`+"\n",
-		marginLeft+plotW/2, float64(c.Height)-12, escape(c.XLabel))
+		marginLeft+plotW/2, height-12.0, escape(c.XLabel))
 	fmt.Fprintf(&b, `<text x="16" y="%g" font-family="sans-serif" font-size="12" text-anchor="middle" transform="rotate(-90 16 %g)">%s</text>`+"\n",
 		marginTop+plotH/2, marginTop+plotH/2, escape(c.YLabel))
 
@@ -193,9 +182,7 @@ func (c Chart) bounds() (xMin, xMax, yMin, yMax float64) {
 	if math.IsInf(xMin, 1) {
 		xMin, xMax, yMin, yMax = 0, 1, 0, 1
 	}
-	if c.YMax != 0 {
-		yMin, yMax = c.YMin, c.YMax
-	} else if yMin > 0 {
+	if yMin > 0 {
 		yMin = 0
 	}
 	if yMax == yMin {

@@ -60,26 +60,6 @@ func TestRenderEmptyChart(t *testing.T) {
 	}
 }
 
-func TestRenderTooSmall(t *testing.T) {
-	c := demoChart()
-	c.Width, c.Height = 10, 10
-	if err := c.Render(&bytes.Buffer{}); err == nil {
-		t.Fatal("tiny chart accepted")
-	}
-}
-
-func TestFixedYRange(t *testing.T) {
-	c := demoChart()
-	c.YMin, c.YMax = 0, 100
-	var buf bytes.Buffer
-	if err := c.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), ">100<") {
-		t.Fatal("fixed y max not labeled")
-	}
-}
-
 func TestFormatTick(t *testing.T) {
 	cases := map[float64]string{
 		5:       "5",

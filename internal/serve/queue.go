@@ -65,10 +65,8 @@ func (s *Server) resolve(spec Spec) (*run, *admitError) {
 	if format == "" {
 		format = s.cfg.Format
 	}
-	switch format {
-	case "text", "csv", "json":
-	default:
-		return nil, &admitError{http.StatusBadRequest, fmt.Sprintf("unknown format %q (text|csv|json)", format), false}
+	if err := nvmwear.CheckFormat(format); err != nil {
+		return nil, &admitError{http.StatusBadRequest, err.Error(), false}
 	}
 	spec.Format = format
 	timeout := s.cfg.RunTimeout

@@ -114,7 +114,6 @@ const recordSize = 9
 type Writer struct {
 	w   *bufio.Writer
 	buf [recordSize]byte
-	n   uint64
 }
 
 // NewWriter creates a trace writer.
@@ -126,15 +125,9 @@ func NewWriter(w io.Writer) *Writer {
 func (tw *Writer) Write(r Request) error {
 	tw.buf[0] = byte(r.Op)
 	binary.LittleEndian.PutUint64(tw.buf[1:], r.Addr)
-	if _, err := tw.w.Write(tw.buf[:]); err != nil {
-		return err
-	}
-	tw.n++
-	return nil
+	_, err := tw.w.Write(tw.buf[:])
+	return err
 }
-
-// Count returns the number of requests written.
-func (tw *Writer) Count() uint64 { return tw.n }
 
 // Flush flushes buffered records.
 func (tw *Writer) Flush() error { return tw.w.Flush() }

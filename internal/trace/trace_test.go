@@ -27,9 +27,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != uint64(len(reqs)) {
-		t.Fatalf("count = %d", w.Count())
-	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

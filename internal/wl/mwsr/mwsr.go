@@ -269,12 +269,6 @@ func (s *Scheme) Lines() uint64 { return s.cfg.Lines }
 // Name implements wl.Leveler.
 func (s *Scheme) Name() string { return "MWSR" }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
-// Regions returns the number of wear-leveling regions.
-func (s *Scheme) Regions() uint64 { return s.regions }
-
 // OverheadBits implements wl.Leveler: two physical addresses, two offsets
 // and a write counter per region (Sec 2.2 item 4).
 func (s *Scheme) OverheadBits() uint64 {

@@ -20,8 +20,8 @@ func TestInitialIdentity(t *testing.T) {
 			t.Fatalf("initial mapping not identity at %d", lma)
 		}
 	}
-	if s.Regions() != 32 {
-		t.Fatalf("regions = %d", s.Regions())
+	if s.regions != 32 {
+		t.Fatalf("regions = %d", s.regions)
 	}
 }
 

@@ -160,12 +160,6 @@ func (s *Scheme) Lines() uint64 { return s.cfg.Lines }
 // Name implements wl.Leveler.
 func (s *Scheme) Name() string { return "PCM-S" }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
-// Regions returns the number of wear-leveling regions.
-func (s *Scheme) Regions() uint64 { return s.regions }
-
 // OverheadBits implements wl.Leveler: the scheme keeps (prn, key) per
 // region on chip (Sec 2.2 point 4), plus the write counter.
 func (s *Scheme) OverheadBits() uint64 {

@@ -234,9 +234,6 @@ func (s *Scheme) Name() string {
 	return "TLSR"
 }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
 // OverheadBits implements wl.Leveler: per inner region two keys, the
 // refresh pointer and a write counter; one outer instance of the same shape.
 func (s *Scheme) OverheadBits() uint64 {

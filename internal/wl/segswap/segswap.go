@@ -139,9 +139,6 @@ func (s *Scheme) Lines() uint64 { return s.cfg.Lines }
 // Name implements wl.Leveler.
 func (s *Scheme) Name() string { return "SegmentSwap" }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
 // OverheadBits implements wl.Leveler: the full mapping table plus two
 // counters per segment live on chip.
 func (s *Scheme) OverheadBits() uint64 {

@@ -161,12 +161,6 @@ func (s *Scheme) Lines() uint64 { return s.cfg.Lines }
 // Name implements wl.Leveler.
 func (s *Scheme) Name() string { return "SoftWear" }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
-// Pages returns the number of remappable pages.
-func (s *Scheme) Pages() uint64 { return s.pages }
-
 // OverheadBits implements wl.Leveler: zero. The page table and the sampled
 // counters live in ordinary DRAM managed by software — SoftWear's whole
 // premise is that the memory controller carries no wear-leveling state.

@@ -20,8 +20,8 @@ func TestInitialIdentity(t *testing.T) {
 			t.Fatalf("initial mapping not identity at %d", lma)
 		}
 	}
-	if s.Pages() != 32 {
-		t.Fatalf("pages = %d", s.Pages())
+	if s.pages != 32 {
+		t.Fatalf("pages = %d", s.pages)
 	}
 }
 

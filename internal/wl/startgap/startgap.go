@@ -150,9 +150,6 @@ func (s *Scheme) Name() string {
 	return "RBSG"
 }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
 // OverheadBits implements wl.Leveler: two registers plus a write counter
 // per region.
 func (s *Scheme) OverheadBits() uint64 {

@@ -75,10 +75,10 @@ type Kernel interface {
 	Commit(lma, n uint64)
 }
 
-// Driver derives Access and AccessBatch from a Kernel. Schemes embed it, so
-// the liveness check, run detection, read folding, headroom clamping, the
-// killing-write rule and the demand counters are written once for the
-// whole catalogue.
+// Driver derives Access, AccessBatch and Stats from a Kernel. Schemes embed
+// it, so the liveness check, run detection, read folding, headroom
+// clamping, the killing-write rule and the demand counters are written once
+// for the whole catalogue.
 type Driver struct {
 	dev   *nvm.Device
 	k     Kernel
@@ -143,6 +143,10 @@ func (d *Driver) AccessBatch(ops []trace.Op, addrs []uint64) int {
 	}
 	return n
 }
+
+// Stats implements Leveler: the demand counters the driver charges plus
+// whatever the kernel adds to the same struct.
+func (d *Driver) Stats() Stats { return *d.stats }
 
 // Stats is the shared accounting every scheme reports.
 type Stats struct {
@@ -231,9 +235,6 @@ func (l *Identity) Lines() uint64 { return l.lines }
 
 // Name implements Leveler.
 func (l *Identity) Name() string { return "Baseline" }
-
-// Stats implements Leveler.
-func (l *Identity) Stats() Stats { return l.stats }
 
 // OverheadBits implements Leveler.
 func (l *Identity) OverheadBits() uint64 { return 0 }

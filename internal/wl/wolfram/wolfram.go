@@ -133,9 +133,6 @@ func (s *Scheme) Lines() uint64 { return s.cfg.Lines }
 // Name implements wl.Leveler.
 func (s *Scheme) Name() string { return "WoLFRaM" }
 
-// Stats implements wl.Leveler.
-func (s *Scheme) Stats() wl.Stats { return s.stats }
-
 // OverheadBits implements wl.Leveler: the mapping lives *in* the address
 // decoder, not in a table the controller must carry; the only conventional
 // state is the swap counter and period register.

@@ -92,20 +92,17 @@ type SystemConfig struct {
 	Wear string
 
 	// Shared scheme knobs.
-	RegionLines  uint64 // Q for segswap/pcms/mwsr, page size for softwear (default 4)
-	Regions      uint64 // region count for rbsg/tlsr (default 1024)
-	Period       uint64 // swapping period ψ (default 128)
-	OuterPeriod  uint64 // TLSR outer period (default 32)
-	SamplePeriod uint64 // softwear write-sampling period S (default 8)
+	RegionLines uint64 // Q for segswap/pcms/mwsr, page size for softwear (default 4)
+	Regions     uint64 // region count for rbsg/tlsr (default 1024)
+	Period      uint64 // swapping period ψ (default 128)
 
 	// Tiered-scheme knobs (NWL/SAWL).
 	InitGran     uint64 // P (default 4; use 64 for NWL-64)
 	MaxGranLines uint64 // SAWL region-size cap (default 256)
 	CMTEntries   int    // mapping-cache capacity (default 32768 = 256 KB)
 
-	// SAWL adaptation parameters (defaults = paper Sec 4.2).
-	LowThreshold      float64
-	HighThreshold     float64
+	// SAWL adaptation parameters (defaults = paper Sec 4.2; the merge and
+	// split thresholds are the engine's fixed 90 % / 95 %).
 	SubQueueThreshold float64
 	ObservationWindow uint64
 	SettlingWindow    uint64
@@ -122,12 +119,6 @@ type SystemConfig struct {
 	// fault-free build. When Fault.Seed is zero, Seed is used so a system's
 	// fault stream follows its experiment seed.
 	Fault fault.Config
-	// ECCBits is the per-line ECC correction budget for read-disturb errors
-	// (default 4; see nvm.Config.ECCBits).
-	ECCBits int
-	// WriteRetries bounds re-programming pulses after a transient write
-	// fault before the line escalates to a spare remap (default 3).
-	WriteRetries int
 
 	Seed uint64
 
@@ -157,12 +148,6 @@ func (c SystemConfig) withDefaults() SystemConfig {
 	}
 	if c.Period == 0 {
 		c.Period = 128
-	}
-	if c.OuterPeriod == 0 {
-		c.OuterPeriod = 32
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 8
 	}
 	if c.InitGran == 0 {
 		c.InitGran = 4
@@ -210,16 +195,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 
 	dev := nvm.New(nvm.Config{
-		Lines:        cfg.Lines + extra,
-		SpareLines:   cfg.SpareLines,
-		Endurance:    cfg.Endurance,
-		Variation:    cfg.Variation,
-		Wear:         wear,
-		Seed:         cfg.Seed,
-		TrackData:    cfg.TrackData,
-		Fault:        cfg.Fault,
-		ECCBits:      cfg.ECCBits,
-		WriteRetries: cfg.WriteRetries,
+		Lines:      cfg.Lines + extra,
+		SpareLines: cfg.SpareLines,
+		Endurance:  cfg.Endurance,
+		Variation:  cfg.Variation,
+		Wear:       wear,
+		Seed:       cfg.Seed,
+		TrackData:  cfg.TrackData,
+		Fault:      cfg.Fault,
 	})
 	return &System{cfg: cfg, dev: dev, lv: e.build(dev, cfg)}, nil
 }
@@ -445,13 +428,10 @@ func (s *System) RunTiming(w WorkloadSpec, requests uint64, instrPerMemReq float
 func SpecBenchmarks() []string { return workload.Names() }
 
 // WearCounts exposes the device's per-line wear counters (shared slice —
-// treat as read-only). Used by cmd/wearviz and analysis tooling.
+// treat as read-only). Used by cmd/wearviz and analysis tooling; a result
+// that must outlive the caller's exclusive ownership of the system clones
+// it (slices.Clone).
 func (s *System) WearCounts() []uint32 { return s.dev.WearCounts() }
-
-// WearCountsCopy returns a caller-owned snapshot of the per-line wear
-// counters — the safe accessor when the result must outlive this
-// goroutine's exclusive ownership of the system (parallel sweep jobs).
-func (s *System) WearCountsCopy() []uint32 { return s.dev.WearCountsCopy() }
 
 // coreScheme returns the underlying tiered engine when the scheme is NWL
 // or SAWL, or nil otherwise. Used by ablation benches and tests that need

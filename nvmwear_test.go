@@ -406,6 +406,40 @@ func TestAblationSplitTrigger(t *testing.T) {
 	}
 }
 
+// TestRAAVulnerability pins the Sec 2.2 RAA claim EXPERIMENTS.md quotes
+// (Baseline 3.1 %, RBSG 3.1 %, PCM-S 61.1 %, SAWL 55.7 % of ideal) at its
+// 4096-line geometry: a repeated-address attack wears out schemes that
+// remap only within a region, while whole-memory exchanges disperse it, so
+// PCM-S and SAWL each outlive Baseline and RBSG at least tenfold. -v logs
+// every scheme's lifetime, Segment Swapping's and TLSR's included.
+func TestRAAVulnerability(t *testing.T) {
+	life := map[SchemeKind]float64{}
+	for _, kind := range []SchemeKind{Baseline, SegmentSwap, RBSG, TLSR, PCMS, SAWL} {
+		sys, err := NewSystem(SystemConfig{
+			Scheme: kind, Lines: 1 << 12, SpareLines: 1 << 7,
+			Endurance: 2000, Period: 8,
+			RegionLines: 4, Regions: 16, CMTEntries: 1024, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.RunLifetime(WorkloadSpec{Kind: WorkloadRAA, Target: 99}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		life[kind] = res.Normalized
+		t.Logf("%-8s %5.1f%% of ideal", kind, 100*res.Normalized)
+	}
+	for _, strong := range []SchemeKind{PCMS, SAWL} {
+		for _, weak := range []SchemeKind{Baseline, RBSG} {
+			if life[strong] < 10*life[weak] {
+				t.Errorf("RAA lifetime: %s %.1f%% is under 10x %s's %.1f%%",
+					strong, 100*life[strong], weak, 100*life[weak])
+			}
+		}
+	}
+}
+
 func TestRunFig12Produces(t *testing.T) {
 	series := must(RunFig12(tinyScale()))
 	if len(series) != 4 {

@@ -58,7 +58,7 @@ var schemes = []scheme{
 	{kind: TLSR, unit: linesPerRegion, unitName: "region", minUnits: 2, split: splitRegions,
 		schemePkg: viaConfig(func(c SystemConfig) secref.Config {
 			return secref.Config{Lines: c.Lines, Regions: c.Regions,
-				InnerPeriod: c.Period, OuterPeriod: c.OuterPeriod, Seed: c.Seed}
+				InnerPeriod: c.Period, OuterPeriod: 32, Seed: c.Seed} // Sec 2.2's outer period
 		}, secref.New)},
 	{kind: PCMS, unit: regionLines, unitName: "region", minUnits: 2,
 		schemePkg: viaConfig(func(c SystemConfig) pcms.Config {
@@ -73,7 +73,7 @@ var schemes = []scheme{
 	{kind: SoftWear, unit: regionLines, unitName: "page", minUnits: 2,
 		schemePkg: viaConfig(func(c SystemConfig) softwear.Config {
 			return softwear.Config{Lines: c.Lines, PageLines: c.RegionLines,
-				SamplePeriod: c.SamplePeriod, Trigger: c.Period}
+				SamplePeriod: 8, Trigger: c.Period} // charge every 8th demand write
 		}, softwear.New)},
 	{kind: WoLFRaM, unit: oneLine, unitName: "line", minUnits: 2,
 		schemePkg: viaConfig(func(c SystemConfig) wolfram.Config {
@@ -128,8 +128,6 @@ func coreConfig(cfg SystemConfig) core.Config {
 		Period:            cfg.Period,
 		CMTEntries:        cfg.CMTEntries,
 		Adaptive:          cfg.Scheme == SAWL,
-		LowThreshold:      cfg.LowThreshold,
-		HighThreshold:     cfg.HighThreshold,
 		SubQueueThreshold: cfg.SubQueueThreshold,
 		ObservationWindow: cfg.ObservationWindow,
 		SettlingWindow:    cfg.SettlingWindow,
