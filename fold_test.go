@@ -8,6 +8,7 @@ import (
 	"nvmwear/internal/fault"
 	"nvmwear/internal/lifetime"
 	"nvmwear/internal/trace"
+	"nvmwear/internal/workload"
 )
 
 // foldFaults is the fault configuration of the faults-on fold cases.
@@ -17,25 +18,27 @@ var foldFaults = fault.Config{
 }
 
 // foldCase is one fold-vs-unfold comparison: a scheme from the catalogue,
-// faults on or off, a base workload (BPA or a 70%-write uniform mix)
-// stretched into repeated runs by a run-length pattern, and a write budget.
+// faults on or off, a base workload (BPA, a 70%-write uniform mix or a
+// SPEC profile) stretched into repeated runs by a run-length pattern, and
+// a write budget.
 type foldCase struct {
-	scheme  uint8  // index into Schemes(), modulo its length
-	faults  bool   // inject foldFaults
-	uniform bool   // uniform base workload instead of BPA
-	seed    uint64 // workload seed
-	budget  uint32 // demand-write budget, modulo 200001, at least 1
-	runs    []byte // request i repeats 1+4*runs[i%len(runs)] times; empty = as generated
+	scheme uint8  // index into Schemes(), modulo its length
+	faults bool   // inject foldFaults
+	work   uint8  // base workload, modulo 2+len(workload.SpecProfiles): BPA, uniform, then each SPEC profile
+	seed   uint64 // workload seed
+	budget uint32 // demand-write budget, modulo 200001, at least 1
+	runs   []byte // request i repeats 1+4*runs[i%len(runs)] times; empty = as generated
 }
 
 // foldSeeds are the catalogue-wide cases: every scheme, faults off and on,
-// BPA and uniform, on the unmodified workloads with a 120k-write budget.
+// on BPA, uniform and one SPEC profile (scheme i takes profile i), on the
+// unmodified workloads with a 120k-write budget.
 func foldSeeds() []foldCase {
 	var cs []foldCase
 	for i := range Schemes() {
 		for _, faults := range []bool{false, true} {
-			for _, uniform := range []bool{false, true} {
-				cs = append(cs, foldCase{scheme: uint8(i), faults: faults, uniform: uniform, seed: 9, budget: 120_000})
+			for _, work := range []int{0, 1, 2 + i} {
+				cs = append(cs, foldCase{scheme: uint8(i), faults: faults, work: uint8(work), seed: 9, budget: 120_000})
 			}
 		}
 	}
@@ -44,8 +47,8 @@ func foldSeeds() []foldCase {
 
 // TestBatchScalarEquivalence runs the catalogue-wide FuzzFold cases under
 // readable names: every registered scheme, with and without fault
-// injection, on a run-heavy workload (BPA) and a mixed read/write one
-// (uniform). Endurance is low enough that some combinations kill the
+// injection, on a run-heavy workload (BPA), a mixed read/write one
+// (uniform) and a SPEC profile, which lifetime.Run reads ahead. Endurance is low enough that some combinations kill the
 // device mid-run, so the death orderings of nvm.WriteRun/ReadRun are
 // exercised too.
 func TestBatchScalarEquivalence(t *testing.T) {
@@ -62,21 +65,22 @@ func TestBatchScalarEquivalence(t *testing.T) {
 }
 
 // FuzzFold pins the folded access path to the per-request one. The fold
-// path is lifetime.Run, which hands whole request refills to AccessBatch;
-// the unfold path calls Access once per request with a liveness check
-// before each. wl.Stats, nvm.Stats and the per-line wear vector — which
-// every lifetime.Result field is computed from — must match exactly.
+// path is lifetime.Run, which hands whole request refills to AccessBatch,
+// drawn on a second goroutine for a SPEC profile or a run-stretched
+// stream; the unfold path calls Access once per request with a liveness
+// check before each. wl.Stats, nvm.Stats and the per-line wear vector —
+// which every lifetime.Result field is computed from — must match exactly.
 // Repeated runs cross the schemes' trigger boundaries, and the write budget
 // and device death land mid-run.
 func FuzzFold(f *testing.F) {
 	for _, c := range foldSeeds() {
-		f.Add(c.scheme, c.faults, c.uniform, c.seed, c.budget, c.runs)
+		f.Add(c.scheme, c.faults, c.work, c.seed, c.budget, c.runs)
 	}
 	for i := range Schemes() {
-		f.Add(uint8(i), i%2 == 1, i%3 == 0, uint64(i), uint32(31_337+i), []byte{200, 0, 63, 255, 7, 1})
+		f.Add(uint8(i), i%2 == 1, uint8(i%3), uint64(i), uint32(31_337+i), []byte{200, 0, 63, 255, 7, 1})
 	}
-	f.Fuzz(func(t *testing.T, scheme uint8, faults, uniform bool, seed uint64, budget uint32, runs []byte) {
-		checkFold(t, foldCase{scheme, faults, uniform, seed, budget, runs})
+	f.Fuzz(func(t *testing.T, scheme uint8, faults bool, work uint8, seed uint64, budget uint32, runs []byte) {
+		checkFold(t, foldCase{scheme, faults, work, seed, budget, runs})
 	})
 }
 
@@ -101,11 +105,14 @@ func (c foldCase) system() (SystemConfig, WorkloadSpec) {
 	if c.faults {
 		cfg.Fault = foldFaults
 	}
-	w := WorkloadSpec{Kind: WorkloadBPA, Seed: c.seed}
-	if c.uniform {
-		w = WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 0.7, Seed: c.seed}
+	switch work := int(c.work) % (2 + len(workload.SpecProfiles)); work {
+	case 0:
+		return cfg, WorkloadSpec{Kind: WorkloadBPA, Seed: c.seed}
+	case 1:
+		return cfg, WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 0.7, Seed: c.seed}
+	default:
+		return cfg, WorkloadSpec{Kind: WorkloadSPEC, Name: workload.SpecProfiles[work-2].Name, Seed: c.seed}
 	}
-	return cfg, w
 }
 
 // checkFold runs the case down both paths on fresh systems and compares
@@ -161,7 +168,9 @@ func (c foldCase) build(t *testing.T) (*System, trace.Stream) {
 }
 
 // runStream stretches a base stream into long repeated runs: the i-th base
-// request is issued 1+4*runs[i%len(runs)] times in a row.
+// request is issued 1+4*runs[i%len(runs)] times in a row. It is a
+// trace.Generator, as its fill touches only its own state, so the fold
+// path reads it ahead whatever its base.
 type runStream struct {
 	base *trace.Cursor
 	runs []byte
@@ -183,6 +192,9 @@ func (s *runStream) NextBatch(ops []trace.Op, addrs []uint64) int {
 	}
 	return len(ops)
 }
+
+// Generator implements trace.Generator.
+func (s *runStream) Generator() {}
 
 // TestAccessBatchAllocatesNothing pins every scheme's steady-state access
 // path to zero heap allocations: after warm-up, one 4096-request

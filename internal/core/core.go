@@ -552,7 +552,7 @@ func (s *Scheme) ForceExchange(lrn0 uint64) { s.exchange(lrn0) }
 // merging that Sec 3.2 item 3 argues against: it merges every region one
 // level in a single burst, and returns the number of line writes the burst
 // cost. The lazy scheme spreads the same work across accesses instead of
-// stalling the system; BenchmarkAblation_LazyMerge contrasts the two.
+// stalling the system; TestAblationLazyMerge contrasts the two.
 func (s *Scheme) MergeAllOnce() uint64 {
 	st := s.stats
 	before := st.MergeWrites + st.SwapWrites

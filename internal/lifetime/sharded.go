@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"nvmwear/internal/exec"
+	"nvmwear/internal/metrics"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
@@ -86,11 +87,13 @@ func RunSharded(shards []ShardRun, opts ShardedOptions) (Result, error) {
 		ideal += sh.Dev.IdealWrites()
 	}
 
-	// Concatenated wear vector: one buffer, each shard's counters appended.
+	// Concatenated wear vector: one buffer, each shard's counters appended,
+	// then sorted in place for the Gini, which needs no copy of its own.
 	wear := make([]uint32, 0, lines)
 	for _, sh := range shards {
 		wear = append(wear, sh.Dev.WearCounts()...)
 	}
 	elapsed := time.Since(start)
-	return newResult(shards[0].Lv.Name(), opts.Workload, st, nvm.MergeStats(parts...), wear, ideal, elapsed), nil
+	metrics.SortUint32(wear)
+	return newResult(shards[0].Lv.Name(), opts.Workload, st, nvm.MergeStats(parts...), metrics.GiniSorted(wear), ideal, elapsed), nil
 }

@@ -78,19 +78,26 @@ func CycleCost(weights []float64) func(i int) float64 {
 // GiniUint32 computes the Gini coefficient of a non-negative integer sample
 // (per-line write counts). 0 means perfectly uniform wear; values near 1
 // mean writes concentrated on few lines. Returns 0 for empty or all-zero
-// samples. The input is not modified.
+// samples. The input is not modified: GiniUint32 sorts a copy, since its
+// callers pass a device's live wear counters.
 //
 // This runs on every lifetime result over the device's full wear array, so
 // it is a sweep hot path: sorting uses a byte-wise LSD radix sort instead
 // of a comparison sort (no per-comparison closure calls, O(n) passes), and
 // skips passes whose key byte is constant across the sample.
 func GiniUint32(xs []uint32) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	sorted := make([]uint32, len(xs))
 	copy(sorted, xs)
 	SortUint32(sorted)
+	return GiniSorted(sorted)
+}
+
+// GiniSorted is GiniUint32 of a sample already sorted ascending, for a
+// caller that owns its sample and sorts it in place with SortUint32.
+func GiniSorted(sorted []uint32) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	var cum, total float64
 	n := float64(len(sorted))
 	for i, x := range sorted {

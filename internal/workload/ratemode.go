@@ -53,3 +53,6 @@ func (r *RateMode) NextBatch(ops []trace.Op, addrs []uint64) int {
 	}
 	return len(ops)
 }
+
+// Generator implements trace.Generator, as its copies do.
+func (r *RateMode) Generator() {}

@@ -216,6 +216,10 @@ func (g *Gen) NextBatch(ops []trace.Op, addrs []uint64) int {
 	return len(ops)
 }
 
+// Generator implements trace.Generator: a lifetime run fills g's refills
+// ahead of the scheme.
+func (g *Gen) Generator() {}
+
 // SpecProfiles are the 14 SPEC CPU2006 applications the paper evaluates
 // (Sec 4.1), modeled by locality class:
 //

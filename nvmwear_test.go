@@ -406,6 +406,112 @@ func TestAblationSplitTrigger(t *testing.T) {
 	}
 }
 
+// TestAblationXORSplitCost is the XOR-mapping ablation (DESIGN.md §4,
+// Fig 9): merging two buddy regions moves data (8 line writes, 2Q at
+// Q = 4), while splitting the merged region back costs no line writes at
+// all, because the XOR intra-region mapping keeps every line where it is.
+func TestAblationXORSplitCost(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{
+		Scheme: SAWL, Lines: 1 << 12, SpareLines: 1, Endurance: 1 << 30,
+		Period: 1 << 20, CMTEntries: 256, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := sys.coreScheme()
+	// Randomize region placement first: with the initial identity mapping
+	// a buddy merge happens to need no movement.
+	core.ForceExchange(0)
+	core.ForceExchange(4)
+	before := movedLines(sys)
+	core.ForceMerge(0)
+	mid := movedLines(sys)
+	core.ForceSplit(0)
+	merge, split := mid-before, movedLines(sys)-mid
+	t.Logf("merge %d line writes, split %d", merge, split)
+	if merge == 0 || split != 0 {
+		t.Fatalf("merge cost %d line writes, split %d; want > 0 and 0", merge, split)
+	}
+}
+
+// TestAblationLazyMerge is the lazy-merging ablation (DESIGN.md §4, Sec 3.2
+// item 3): merging every region at once, stop-the-world, writes more lines
+// in one burst (1128) than SAWL's lazy merging, which merges only cached
+// regions on access, ever writes for a single access (384 over 50,000
+// writes and 1011 merges).
+func TestAblationLazyMerge(t *testing.T) {
+	// Stop-the-world: one burst over a randomized placement (fresh
+	// identity layouts make buddy merges accidentally free).
+	stw, err := NewSystem(SystemConfig{
+		Scheme: SAWL, Lines: 1 << 12, SpareLines: 1, Endurance: 1 << 30,
+		Period: 1 << 20, CMTEntries: 256, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := uint64(0); r < 1<<10; r += 8 {
+		stw.coreScheme().ForceExchange(r)
+	}
+	burst := stw.coreScheme().MergeAllOnce()
+
+	// Lazy: a low-locality workload drives SAWL into merge mode; record
+	// the largest line-write cost of one access.
+	lazy, err := NewSystem(SystemConfig{
+		Scheme: SAWL, Lines: 1 << 12, SpareLines: 1, Endurance: 1 << 30,
+		Period: 8, CMTEntries: 64, Seed: 9,
+		ObservationWindow: 1 << 10, SettlingWindow: 1 << 10, CheckEvery: 1 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _, err := WorkloadSpec{Kind: WorkloadUniform, WriteRatio: 1, Seed: 9}.Build(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lazyMax uint64
+	prev := movedLines(lazy)
+	reqs := trace.NewCursor(stream, 50000)
+	for r, ok := reqs.Next(); ok; r, ok = reqs.Next() {
+		lazy.Write(r.Addr)
+		cur := movedLines(lazy)
+		lazyMax = max(lazyMax, cur-prev)
+		prev = cur
+	}
+	t.Logf("stop-the-world burst %d line writes, lazy per-access max %d, merges %d", burst, lazyMax, lazy.Merges())
+	if lazy.Merges() == 0 || burst <= lazyMax {
+		t.Fatalf("stop-the-world burst %d line writes, lazy per-access max %d over %d merges; want a burst above the max",
+			burst, lazyMax, lazy.Merges())
+	}
+}
+
+// movedLines is the line writes the scheme's data movement (exchanges and
+// merges) has cost so far.
+func movedLines(sys *System) uint64 {
+	st := sys.lv.Stats()
+	return st.SwapWrites + st.MergeWrites
+}
+
+// TestAblationNoAdapt is the adaptive-granularity ablation (DESIGN.md §4):
+// on gcc, SAWL's CMT hit rate lands between the fixed fine (NWL-4) and
+// coarse (NWL-64) granularities, recovering most of the coarse hit rate
+// while it keeps fine-grained wear leveling where locality is poor. It runs
+// at ScaleSmall (65.03 / 89.84 / 93.33 %); at ScaleTiny's 2^17 requests
+// SAWL's hit rate overtakes NWL-64's.
+func TestAblationNoAdapt(t *testing.T) {
+	sc := ScaleSmall
+	nwl4 := must(runNWLHitRate(sc, "gcc", 4))
+	nwl64 := must(runNWLHitRate(sc, "gcc", 64))
+	_, _, sawl, err := runTrace(sc, "gcc", sc.Requests/128, sc.Requests/128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("gcc hit rate: NWL-4 %.2f%%, SAWL %.2f%%, NWL-64 %.2f%%", nwl4, sawl, nwl64)
+	if !(nwl4 < sawl && sawl < nwl64) {
+		t.Fatalf("gcc hit rate: NWL-4 %.2f%%, SAWL %.2f%%, NWL-64 %.2f%%; want them in that order",
+			nwl4, sawl, nwl64)
+	}
+}
+
 // TestRAAVulnerability pins the Sec 2.2 RAA claim EXPERIMENTS.md quotes
 // (Baseline 3.1 %, RBSG 3.1 %, PCM-S 61.1 %, SAWL 55.7 % of ideal) at its
 // 4096-line geometry: a repeated-address attack wears out schemes that
