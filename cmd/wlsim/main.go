@@ -23,8 +23,8 @@
 // scaled-down device (see EXPERIMENTS.md for the scaling rules and the
 // paper-vs-measured record). All per-experiment behavior — dispatch, job
 // planning, cache freshness, rendering — comes from the nvmwear experiment
-// registry through nvmwear.Driver; this file only parses flags and wires
-// signals and stderr.
+// registry through nvmwear.RunAt, RunAll and List; this file only parses
+// flags and wires signals, stderr and the pprof profiles.
 package main
 
 import (
@@ -238,22 +238,15 @@ func main() {
 	}
 	sc.Context = ctx
 
-	d := &nvmwear.Driver{
-		Scale:      sc,
-		Out:        os.Stdout,
-		Format:     *format,
-		SVGDir:     *svgDir,
-		Force:      *force,
-		CPUProfile: *cpuProfile,
-		MemProfile: *memProfile,
-	}
-	if err := d.StartProfiling(); err != nil {
+	sinks := nvmwear.RunSinks{Out: os.Stdout, Format: *format, SVGDir: *svgDir}
+	prof := &profiles{cpu: *cpuProfile, mem: *memProfile}
+	if err := prof.start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		closeCache()
 		os.Exit(1)
 	}
 	stopProfiles := func() {
-		if err := d.StopProfiling(); err != nil {
+		if err := prof.stop(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
@@ -261,13 +254,13 @@ func main() {
 		// Per-job progress on stderr: one carriage-returned counter line
 		// per sweep, cleared when the sweep completes; plus a notice as
 		// each series of a figure completes (pipeline rendering).
-		d.Progress = func(name string, done, total int) {
+		sinks.Progress = func(name string, done, total int) {
 			fmt.Fprintf(os.Stderr, "\r%s: job %d/%d", name, done, total)
 			if done == total {
 				fmt.Fprint(os.Stderr, "\r\033[K")
 			}
 		}
-		d.SeriesDone = func(fig string, s nvmwear.Series) {
+		sinks.SeriesDone = func(fig string, s nvmwear.Series) {
 			fmt.Fprintf(os.Stderr, "\r\033[K%s: series %q complete\n", fig, s.Label)
 		}
 	}
@@ -275,8 +268,8 @@ func main() {
 	// a test hook that widens the window for signal-delivery integration
 	// tests without slowing real runs.
 	if ms, _ := strconv.Atoi(os.Getenv("WLSIM_JOB_DELAY_MS")); ms > 0 {
-		inner := d.Progress
-		d.Progress = func(name string, done, total int) {
+		inner := sinks.Progress
+		sinks.Progress = func(name string, done, total int) {
 			time.Sleep(time.Duration(ms) * time.Millisecond)
 			if inner != nil {
 				inner(name, done, total)
@@ -306,9 +299,9 @@ func main() {
 
 	switch target := flag.Arg(0); target {
 	case "all":
-		fail(d.RunAll())
+		fail(nvmwear.RunAll(sc, sinks, *force))
 	case "list":
-		fail(d.List())
+		fail(nvmwear.List(sc, os.Stdout))
 	default:
 		e, ok := nvmwear.LookupExperiment(target)
 		if !ok {
@@ -327,7 +320,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		fail(d.Run(target))
+		fail(nvmwear.RunAt(target, sc, sinks))
 	}
 	stopProfiles()
 }

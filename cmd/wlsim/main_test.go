@@ -128,6 +128,47 @@ func TestTimeoutFlushesPartialTable(t *testing.T) {
 	}
 }
 
+// TestProfilesWritten checks -cpuprofile and -memprofile on both ways a
+// run ends: a completed run, and a -timeout run that exits 130 through
+// fail. Each must leave both files non-empty and gzip-compressed, as pprof
+// writes them.
+func TestProfilesWritten(t *testing.T) {
+	cases := []struct {
+		name string
+		env  []string
+		args []string
+		code int
+	}{
+		{"completed", nil, []string{"-scale", "tiny", "-q", "fig3"}, 0},
+		{"timeout", []string{"WLSIM_JOB_DELAY_MS=300"}, []string{"-scale", "tiny", "-j", "1", "-q", "-timeout", "1500ms", "fig3"}, 130},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+			_, stderr, err := wlsim(t, c.env, append([]string{"-cpuprofile", cpu, "-memprofile", mem}, c.args...)...)
+			code := 0
+			if ee, ok := err.(*osexec.ExitError); ok {
+				code = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if code != c.code {
+				t.Fatalf("exit code %d, want %d; stderr:\n%s", code, c.code, stderr)
+			}
+			for _, path := range []string{cpu, mem} {
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+					t.Errorf("%s: %d bytes without the gzip header 1f 8b", filepath.Base(path), len(b))
+				}
+			}
+		})
+	}
+}
+
 // tableLines strips the per-sweep summary ("[fault completed in ...]")
 // from captured stdout, leaving only the experiment tables — the bytes the
 // determinism and resume guarantees are stated over. Summary lines report

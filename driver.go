@@ -6,57 +6,22 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"nvmwear/internal/metrics"
 	"nvmwear/internal/store"
 )
 
-// Driver executes registered experiments with the shared presentation
-// pipeline cmd/wlsim fronts: rendering in the selected format, SVG export
-// with progressive partial figures, per-sweep telemetry summaries, and the
-// whole-experiment cache skip in RunAll. It exists so the CLI holds no
-// per-experiment logic at all — `wlsim <name>` is LookupExperiment plus
-// Driver.Run for every name the registry knows.
-//
-// Run/RunAll drive the Driver's own Scale and sinks — the single-run CLI
-// shape. RunAt is the concurrency-safe entry point behind wlsim serve: it
-// takes an explicit Scale and per-run RunSinks, keeps every piece of
-// per-run mutable state (job counters, partial-SVG accumulation) on the
-// invocation, and never writes a Driver field, so one Driver can execute
-// any number of experiments concurrently as long as each call gets its own
-// sinks. (The profiling fields remain single-run CLI conveniences.)
-type Driver struct {
-	Scale  Scale
-	Out    io.Writer // experiment output; nil means os.Stdout
-	Format string    // text|csv|json ("" = text)
-	SVGDir string    // when non-empty, each figure is also written as SVGDir/<name>.svg
-	Force  bool      // RunAll: re-run experiments even when fully cached
-
-	// Progress, when non-nil, observes every completed sweep job of the
-	// running experiment (the driver chains it behind its own job counter).
-	Progress func(name string, done, total int)
-	// SeriesDone, when non-nil, observes each completed series before the
-	// driver updates the experiment's accumulating partial SVG.
-	SeriesDone func(fig string, s Series)
-
-	// CPUProfile and MemProfile name pprof output files. StartProfiling
-	// begins the CPU profile; StopProfiling ends it and snapshots the heap.
-	// Empty fields disable the respective profile.
-	CPUProfile string
-	MemProfile string
-
-	cpuFile  *os.File
-	profDone bool
-}
-
-// RunSinks carries one run's output destinations. Every field is optional;
-// the zero value discards everything except the error RunAt returns.
+// RunSinks carries one run's output destinations and format. Every field
+// is optional; the zero value discards everything except the error RunAt
+// returns.
 type RunSinks struct {
 	// Out receives the rendered tables and the completion summary — what
 	// the CLI prints to stdout. Nil discards.
 	Out io.Writer
+	// Format is the tables' output format: text, csv or json ("" = text;
+	// CheckFormat validates it).
+	Format string
 	// SVGDir, when non-empty, receives each figure as <fig>.svg plus the
 	// accumulating <fig>.partial.svg while the sweep is running.
 	SVGDir string
@@ -74,9 +39,8 @@ type RunSinks struct {
 
 // runState is the mutable state of one experiment invocation: job
 // counters, per-job wall times, partial-SVG accumulation. It lives on the
-// RunAt call, not the Driver, so concurrent runs never share it.
+// RunAt call, so concurrent runs never share it.
 type runState struct {
-	d     *Driver
 	sc    Scale
 	sinks RunSinks
 
@@ -86,122 +50,34 @@ type runState struct {
 	partialFiles  map[string]bool
 }
 
-// StartProfiling opens CPUProfile (if set) and starts the CPU profile.
-// Callers must pair it with StopProfiling on every exit path, or the
-// profile file is truncated and unusable.
-func (d *Driver) StartProfiling() error {
-	if d.CPUProfile == "" {
-		return nil
-	}
-	f, err := os.Create(d.CPUProfile)
-	if err != nil {
-		return err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	d.cpuFile = f
-	return nil
-}
-
-// StopProfiling flushes the running CPU profile and, with MemProfile set,
-// writes a post-GC heap snapshot. Idempotent: only the first call writes.
-func (d *Driver) StopProfiling() error {
-	if d.profDone {
-		return nil
-	}
-	d.profDone = true
-	var first error
-	if d.cpuFile != nil {
-		pprof.StopCPUProfile()
-		if err := d.cpuFile.Close(); err != nil {
-			first = err
-		}
-		d.cpuFile = nil
-	}
-	if d.MemProfile != "" {
-		f, err := os.Create(d.MemProfile)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			return first
-		}
-		runtime.GC() // settle allocations so the snapshot reflects live heap
-		if err := pprof.WriteHeapProfile(f); err != nil && first == nil {
-			first = err
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (d *Driver) out() io.Writer {
-	if d.Out != nil {
-		return d.Out
-	}
-	return os.Stdout
-}
-
-// logf reports through the Driver's own Scale — the single-run CLI paths
-// (RunAll staleness report, skip notices). Per-run diagnostics go through
-// the Scale each runState carries instead.
-func (d *Driver) logf(format string, args ...any) {
-	if d.Scale.Logf != nil {
-		d.Scale.Logf(format, args...)
-	}
-}
-
-// sinks assembles the Driver-level sinks — the CLI shape Run/RunAll use.
-func (d *Driver) sinks() RunSinks {
-	return RunSinks{
-		Out:        d.out(),
-		SVGDir:     d.SVGDir,
-		Progress:   d.Progress,
-		SeriesDone: d.SeriesDone,
-	}
-}
-
-// Run executes one registered experiment end to end: run, render, emit,
-// summary line. An interrupted or failed sweep still emits the completed
-// prefix of its tables and figures (partial flush) before the error is
-// returned; the telemetry summary is printed only on success.
-func (d *Driver) Run(name string) error {
-	return d.RunAt(name, d.Scale, d.sinks())
-}
-
-// RunAt executes one registered experiment at an explicit scale with
-// explicit per-run sinks — the concurrency-safe entry point behind wlsim
-// serve. The Driver contributes only read-only presentation config
-// (Format); all mutable run state lives on this call, so concurrent RunAt
-// calls on one Driver are safe provided each gets its own Scale sinks
-// (Logf, Context, Drain) and RunSinks.
-func (d *Driver) RunAt(name string, sc Scale, sinks RunSinks) error {
+// RunAt executes one registered experiment end to end at scale sc: run,
+// render, emit to the sinks, summary line. An interrupted or failed sweep
+// still emits the completed prefix of its tables and figures (partial
+// flush) before the error is returned; the telemetry summary is printed
+// only on success. `wlsim <name>` and every wlsim serve run come through
+// here. All mutable run state lives on the call, so concurrent RunAt calls
+// are safe provided each gets its own Scale sinks (Logf, Context, Drain)
+// and RunSinks.
+func RunAt(name string, sc Scale, sinks RunSinks) error {
 	e, ok := LookupExperiment(name)
 	if !ok {
 		return fmt.Errorf("nvmwear: unknown experiment %q", name)
 	}
-	return d.runAt(e, sc, sinks)
+	return runAt(e, sc, sinks)
 }
 
-func (d *Driver) run(e *Experiment) error {
-	return d.runAt(e, d.Scale, d.sinks())
-}
-
-func (d *Driver) runAt(e *Experiment, sc Scale, sinks RunSinks) error {
+func runAt(e *Experiment, sc Scale, sinks RunSinks) error {
 	if sinks.Out == nil {
 		sinks.Out = io.Discard
 	}
-	rs := &runState{d: d, sc: sc, sinks: sinks}
+	rs := &runState{sc: sc, sinks: sinks}
 	return rs.run(e)
 }
 
-func (rs *runState) logf(format string, args ...any) {
-	if rs.sc.Logf != nil {
-		rs.sc.Logf(format, args...)
+// logf reports a diagnostic through the scale's Logf, if it has one.
+func (sc Scale) logf(format string, args ...any) {
+	if sc.Logf != nil {
+		sc.Logf(format, args...)
 	}
 }
 
@@ -279,18 +155,19 @@ func (rs *runState) run(e *Experiment) error {
 // written as an SVG file.
 func (rs *runState) emit(tables []Table, svgs []SVG) error {
 	w := rs.sinks.Out
-	text := rs.d.Format == "" || rs.d.Format == "text"
+	format := rs.sinks.Format
+	text := format == "" || format == "text"
 	for _, t := range tables {
 		if !text && t.fromSeries {
 			continue // the series stream below carries this table's data
 		}
-		if err := formatTable(w, rs.d.Format, t); err != nil {
+		if err := formatTable(w, format, t); err != nil {
 			return err
 		}
 	}
 	if !text {
 		for _, g := range svgs {
-			if err := FormatSeries(w, rs.d.Format, g.Title, g.XName, g.Series); err != nil {
+			if err := FormatSeries(w, format, g.Title, g.XName, g.Series); err != nil {
 				return err
 			}
 		}
@@ -309,7 +186,7 @@ func (rs *runState) emit(tables []Table, svgs []SVG) error {
 			if werr != nil {
 				return werr
 			}
-			rs.logf("wrote %s", path)
+			rs.sc.logf("wrote %s", path)
 		}
 	}
 	return nil
@@ -346,69 +223,69 @@ func (rs *runState) removePartials() {
 }
 
 // RunAll executes every experiment registered with InAll, in catalogue
-// order. With a cache open it first logs the per-figure staleness
-// report, then skips — with a notice — each experiment whose entire job
-// plan is already cached (Force re-runs them anyway); emitted output is
-// exactly what running those experiments against the warm cache would have
-// printed, minus the skipped tables.
-func (d *Driver) RunAll() error {
+// order, through RunAt. With a cache open it first logs the per-figure
+// staleness report, then skips — with a notice — each experiment whose
+// entire job plan is already cached (force re-runs them anyway); emitted
+// output is exactly what running those experiments against the warm cache
+// would have printed, minus the skipped tables.
+func RunAll(sc Scale, sinks RunSinks, force bool) error {
 	var list []*Experiment
 	for _, e := range Experiments() {
 		if e.InAll {
 			list = append(list, e)
 		}
 	}
-	return d.runAll(list)
+	return runAll(list, sc, sinks, force)
 }
 
 // runAll is RunAll over an explicit experiment list (tests drive it with a
 // single experiment to exercise the skip path cheaply).
-func (d *Driver) runAll(list []*Experiment) error {
+func runAll(list []*Experiment, sc Scale, sinks RunSinks, force bool) error {
 	fresh := map[string][]FigFreshness{}
 	for _, e := range list {
-		fs := d.Scale.CacheFreshness(e.Name)
+		fs := sc.CacheFreshness(e.Name)
 		fresh[e.Name] = fs
 		for _, f := range fs {
-			d.logf("cache: %-7s %3d/%3d jobs cached, %d stale",
+			sc.logf("cache: %-7s %3d/%3d jobs cached, %d stale",
 				f.Fig, f.Cached, f.Jobs, f.Stale())
 		}
 	}
 	for _, e := range list {
-		if !d.Force {
+		if !force {
 			jobs, cached := 0, 0
 			for _, f := range fresh[e.Name] {
 				jobs += f.Jobs
 				cached += f.Cached
 			}
 			if jobs > 0 && cached == jobs {
-				d.logf("skipped %s (%d/%d cached)", e.Name, cached, jobs)
+				sc.logf("skipped %s (%d/%d cached)", e.Name, cached, jobs)
 				continue
 			}
 		}
-		if err := d.run(e); err != nil {
+		if err := runAt(e, sc, sinks); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// List writes the registered catalogue as a table — name, paper figure,
-// `all` membership, whether the experiment's lifetime runs shard under
-// -shards, job count at the driver's scale, cache freshness (with a cache
-// open), and description — followed by the per-scheme shard
-// analysis, so users can predict which experiments and schemes decompose
-// across banks before launching a large run.
-func (d *Driver) List() error {
+// List writes the registered catalogue to w as a table — name, paper
+// figure, `all` membership, whether the experiment's lifetime runs shard
+// under -shards, job count at scale sc, cache freshness (with a cache
+// open), and description — followed by the per-scheme shard analysis, so
+// users can predict which experiments and schemes decompose across banks
+// before launching a large run.
+func List(sc Scale, w io.Writer) error {
 	tab := Table{
 		Title:   "registered experiments",
 		Columns: []string{"name", "figure", "all", "sharded", "jobs", "cached", "description"},
 	}
 	for _, e := range Experiments() {
-		plan := e.Plan(d.Scale)
+		plan := e.Plan(sc)
 		jobs, cached := "-", "-"
 		if n := len(plan); n > 0 {
 			jobs = fmt.Sprintf("%d", n)
-			if fs := d.Scale.CacheFreshness(e.Name); fs != nil {
+			if fs := sc.CacheFreshness(e.Name); fs != nil {
 				c := 0
 				for _, f := range fs {
 					c += f.Cached
@@ -428,7 +305,7 @@ func (d *Driver) List() error {
 		}
 		tab.Rows = append(tab.Rows, []string{e.Name, e.Figure, inAll, sharded, jobs, cached, e.Description})
 	}
-	if _, err := io.WriteString(d.out(), tab.Render()); err != nil {
+	if _, err := io.WriteString(w, tab.Render()); err != nil {
 		return err
 	}
 
@@ -444,7 +321,7 @@ func (d *Driver) List() error {
 		}
 		schemes.Rows = append(schemes.Rows, []string{string(kind), part, model, reason})
 	}
-	_, err := io.WriteString(d.out(), schemes.Render())
+	_, err := io.WriteString(w, schemes.Render())
 	return err
 }
 

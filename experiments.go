@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -87,20 +86,8 @@ func (t Table) Render() string {
 
 // SeriesTable renders a set of series sharing an X axis as one table.
 func SeriesTable(title, xName string, series []Series, fmtY string) Table {
-	// Collect the union of X values in order.
-	seen := map[float64]bool{}
-	var xs []float64
-	for _, s := range series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	sort.Float64s(xs)
 	tab := Table{Title: title, Columns: append([]string{xName}, labels(series)...)}
-	for _, x := range xs {
+	for _, x := range unionX(series) {
 		row := []string{trimFloat(x)}
 		for _, s := range series {
 			cell := ""

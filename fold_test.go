@@ -121,7 +121,10 @@ func checkFold(t *testing.T, c foldCase) {
 	t.Helper()
 	maxWrites := max(1, uint64(c.budget)%200_001)
 	fold, stream := c.build(t)
-	lifetime.Run(fold.dev, fold.lv, stream, lifetime.Options{MaxWrites: maxWrites})
+	if _, err := lifetime.Run([]lifetime.ShardRun{{Dev: fold.dev, Lv: fold.lv, Stream: stream}},
+		lifetime.Options{MaxWrites: maxWrites}); err != nil {
+		t.Fatal(err)
+	}
 	unfold, stream := c.build(t)
 	reqs := trace.NewCursor(stream, math.MaxUint64)
 	for writes := uint64(0); writes < maxWrites && unfold.dev.Alive(); {

@@ -80,14 +80,13 @@ func Wear(counts []uint32) WearReport {
 	copy(sorted, counts)
 	metrics.SortUint32(sorted)
 
-	var sum, sumSq, cum float64
+	var sum, sumSq float64
 	zero := 0
 	n := float64(len(sorted))
-	for i, c := range sorted {
+	for _, c := range sorted {
 		f := float64(c)
 		sum += f
 		sumSq += f * f
-		cum += f * (n - float64(i))
 		if c == 0 {
 			zero++
 		}
@@ -97,9 +96,7 @@ func Wear(counts []uint32) WearReport {
 	r.Median = sorted[len(sorted)/2]
 	r.P99 = sorted[int(0.99*n)]
 	r.ZeroFrac = float64(zero) / n
-	if sum > 0 {
-		r.Gini = (n + 1 - 2*cum/sum) / n
-	}
+	r.Gini = metrics.GiniSorted(sorted)
 	if r.Mean > 0 {
 		variance := sumSq/n - r.Mean*r.Mean
 		if variance > 0 {

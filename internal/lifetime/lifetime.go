@@ -12,10 +12,12 @@
 package lifetime
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
+	"nvmwear/internal/exec"
 	"nvmwear/internal/metrics"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/trace"
@@ -63,10 +65,14 @@ func (r Result) String() string {
 type Options struct {
 	// MaxWrites bounds the run in demand writes; 0 means 4x the device's
 	// ideal writes (a scheme cannot do better than ideal, so 4x guarantees
-	// termination regardless of the workload's read share).
+	// termination regardless of the workload's read share). A run of
+	// several shards splits it across them with nvm.ShareLines.
 	MaxWrites uint64
 	// Workload label for reporting.
 	Workload string
+	// Context, when non-nil, cancels a run of several shards. A one-shard
+	// run goes to completion.
+	Context context.Context
 }
 
 // writeBudget is the demand-write bound of a run on dev: maxWrites, or 4x
@@ -78,26 +84,89 @@ func writeBudget(dev *nvm.Device, maxWrites uint64) uint64 {
 	return maxWrites
 }
 
-// Run pumps requests from the stream through the scheme until the device
-// dies or the write budget is exhausted.
-func Run(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Result {
-	start := time.Now()
-	Serve(dev, lv, stream, writeBudget(dev, opts.MaxWrites), math.MaxUint64)
-	elapsed := time.Since(start)
-	return newResult(lv.Name(), opts.Workload, lv.Stats(), dev.Stats(), metrics.GiniUint32(dev.WearCounts()), dev.IdealWrites(), elapsed)
+// ShardRun is one shard of a run: a device (the whole device, or one
+// bank's slice of its geometry), the scheme instance leveling it, and the
+// shard's own trace stream (for one of several shards, a rng.SeedStream
+// substream, so shards never share randomness).
+type ShardRun struct {
+	Dev    *nvm.Device
+	Lv     wl.Leveler
+	Stream trace.Stream
 }
 
-// newResult assembles a run's Result from the scheme's and the device's
-// accounting, the Gini coefficient of the device's per-line wear and its
-// ideal writes.
-func newResult(scheme, workload string, st wl.Stats, ds nvm.Stats, gini float64, ideal uint64, elapsed time.Duration) Result {
+// Run drives each shard's stream through its scheme until the shard's
+// device dies or its share of the write budget is spent, then merges the
+// shards into one Result. A whole-device run is one shard, served on the
+// caller's goroutine; several shards run on the exec pool, each a closed
+// system. Which decompositions are exact (the union of the shard
+// trajectories is a trajectory of the whole device under a bank-interleaved
+// request order) is the caller's gating (the root package's scheme
+// catalogue); Run executes whatever shard list it is handed.
+//
+// The merge is the same for one shard or many:
+//
+//   - Served and Ideal writes are sums, so Normalized stays ΣServed/ΣIdeal.
+//   - WriteOverhead and HitRate are recomputed from summed wl.Stats, not
+//     averaged ratios, so shards with more traffic weigh more, as in a
+//     whole-device run.
+//   - WearGini is computed over the concatenated per-shard wear vectors,
+//     identical to the whole-device Gini when the decomposition is exact.
+//   - Death is latest-death (nvm.MergeStats): the merged device is dead
+//     only when every shard has exhausted its spares, as a bank-partitioned
+//     device keeps serving while any bank lives.
+func Run(shards []ShardRun, opts Options) (Result, error) {
+	if len(shards) == 0 {
+		return Result{}, fmt.Errorf("lifetime: Run with no shards")
+	}
+	start := time.Now()
+	n := uint64(len(shards))
+	serve := func(i int) {
+		sh := shards[i]
+		Serve(sh.Dev, sh.Lv, sh.Stream, writeBudget(sh.Dev, nvm.ShareLines(opts.MaxWrites, uint64(i), n)), math.MaxUint64)
+	}
+	if n == 1 {
+		serve(0)
+	} else {
+		pool := &exec.Pool{Context: opts.Context}
+		if _, err := exec.Map(pool, len(shards), func(i int, _ uint64) (struct{}, error) {
+			serve(i)
+			return struct{}{}, nil
+		}); err != nil {
+			return Result{}, err
+		}
+	}
+	elapsed := time.Since(start)
+	return merge(shards, opts.Workload, elapsed), nil
+}
+
+// merge assembles a run's Result from its shards' scheme and device
+// accounting and the Gini coefficient of their concatenated wear.
+func merge(shards []ShardRun, workload string, elapsed time.Duration) Result {
+	var st wl.Stats
+	parts := make([]nvm.Stats, len(shards))
+	var lines, ideal uint64
+	for i, sh := range shards {
+		st.Add(sh.Lv.Stats())
+		parts[i] = sh.Dev.Stats()
+		lines += sh.Dev.Lines()
+		ideal += sh.Dev.IdealWrites()
+	}
+	// One buffer of every shard's counters, sorted in place for the Gini:
+	// the devices' own counters stay in line order.
+	wear := make([]uint32, 0, lines)
+	for _, sh := range shards {
+		wear = append(wear, sh.Dev.WearCounts()...)
+	}
+	metrics.SortUint32(wear)
+
+	ds := nvm.MergeStats(parts...)
 	res := Result{
-		Scheme:        scheme,
+		Scheme:        shards[0].Lv.Name(),
 		Workload:      workload,
 		Served:        st.DataWrites,
 		Ideal:         ideal,
 		WriteOverhead: st.WriteOverhead(),
-		WearGini:      gini,
+		WearGini:      metrics.GiniSorted(wear),
 		HitRate:       st.HitRate(),
 		Elapsed:       elapsed,
 		TimedOut:      !ds.Dead,

@@ -16,10 +16,20 @@ import (
 	"nvmwear/internal/workload"
 )
 
+// runOne is a whole-device run: Run over one shard.
+func runOne(t *testing.T, dev *nvm.Device, lv wl.Leveler, stream trace.Stream, opts Options) Result {
+	t.Helper()
+	res, err := Run([]ShardRun{{Dev: dev, Lv: lv, Stream: stream}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestBaselineUnderRAADiesFast(t *testing.T) {
 	dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 16, Endurance: 100})
 	lv := wl.NewIdentity(dev)
-	res := Run(dev, lv, workload.NewRAA(5), Options{Workload: "RAA"})
+	res := runOne(t, dev, lv, workload.NewRAA(5), Options{Workload: "RAA"})
 	if res.TimedOut {
 		t.Fatal("RAA run timed out")
 	}
@@ -39,7 +49,7 @@ func TestBaselineUniformApproachesIdeal(t *testing.T) {
 	dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 32, Endurance: 100})
 	lv := wl.NewIdentity(dev)
 	seq := workload.NewSequential(1, 1024, 1.0)
-	res := Run(dev, lv, seq, Options{Workload: "seq"})
+	res := runOne(t, dev, lv, seq, Options{Workload: "seq"})
 	if res.Normalized < 0.95 {
 		t.Fatalf("sequential lifetime %.3f, want ~1", res.Normalized)
 	}
@@ -54,7 +64,7 @@ func TestHybridLifetimeTracksEnduranceBudget(t *testing.T) {
 		dev := nvm.New(nvm.Config{Lines: 4096, SpareLines: 64, Endurance: endurance})
 		lv := pcms.New(dev, pcms.Config{Lines: 4096, RegionLines: 4, Period: 4, Seed: 1})
 		bpa := workload.NewBPA(3, 4096, 64)
-		return Run(dev, lv, bpa, Options{Workload: "BPA"}).Normalized
+		return runOne(t, dev, lv, bpa, Options{Workload: "BPA"}).Normalized
 	}
 	slc := run(4000)
 	mlc := run(200)
@@ -68,10 +78,10 @@ func TestHybridLifetimeTracksEnduranceBudget(t *testing.T) {
 
 func TestRAABaselineVsHybrid(t *testing.T) {
 	devB := nvm.New(nvm.Config{Lines: 4096, SpareLines: 64, Endurance: 500})
-	base := Run(devB, wl.NewIdentity(devB), workload.NewRAA(5), Options{Workload: "RAA"})
+	base := runOne(t, devB, wl.NewIdentity(devB), workload.NewRAA(5), Options{Workload: "RAA"})
 	devP := nvm.New(nvm.Config{Lines: 4096, SpareLines: 64, Endurance: 500})
 	lv := pcms.New(devP, pcms.Config{Lines: 4096, RegionLines: 4, Period: 4, Seed: 1})
-	hybrid := Run(devP, lv, workload.NewRAA(5), Options{Workload: "RAA"})
+	hybrid := runOne(t, devP, lv, workload.NewRAA(5), Options{Workload: "RAA"})
 	if hybrid.Normalized < 20*base.Normalized {
 		t.Fatalf("hybrid RAA lifetime %.4f vs baseline %.4f: dispersion failed",
 			hybrid.Normalized, base.Normalized)
@@ -104,7 +114,7 @@ func TestMaxRequestsBudget(t *testing.T) {
 				}
 			}
 			dev := nvm.New(nvm.Config{Lines: 1024, SpareLines: 1 << 30, Endurance: 1 << 30})
-			res := Run(dev, wl.NewIdentity(dev), c.stream(), Options{MaxWrites: c.budget})
+			res := runOne(t, dev, wl.NewIdentity(dev), c.stream(), Options{MaxWrites: c.budget})
 			if !res.TimedOut || res.Served != c.budget || res.Reads != reads ||
 				res.DeviceStats.TotalWrites != c.budget {
 				t.Fatalf("budget %d, %d reads before its last write: %+v", c.budget, reads, res)
@@ -331,7 +341,7 @@ func TestReadAheadPanics(t *testing.T) {
 func TestNormalizedNeverExceedsOne(t *testing.T) {
 	dev := nvm.New(nvm.Config{Lines: 256, SpareLines: 4, Endurance: 50})
 	lv := wl.NewIdentity(dev)
-	res := Run(dev, lv, workload.NewUniform(9, 256, 1.0), Options{})
+	res := runOne(t, dev, lv, workload.NewUniform(9, 256, 1.0), Options{})
 	if res.Normalized > 1.0 {
 		t.Fatalf("normalized %.3f > 1", res.Normalized)
 	}

@@ -1,6 +1,9 @@
 package lifetime
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -8,6 +11,8 @@ import (
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
 	"nvmwear/internal/wl"
+	"nvmwear/internal/wl/pcms"
+	"nvmwear/internal/wl/startgap"
 	"nvmwear/internal/workload"
 )
 
@@ -26,29 +31,38 @@ func buildShards(n int, linesPerShard, spares uint64, endurance uint32, seed uin
 	return shards
 }
 
+// withProcs runs f with GOMAXPROCS, the exec pool's worker count, set to
+// procs, and restores it after.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
 // The merged result must equal what a by-hand serial merge of the same
 // shard runs produces: summed Served/Ideal, Gini over the concatenated
 // wear vector, recomputed overhead/hit-rate ratios, latest-death.
 func TestRunShardedMergeMatchesSerialMerge(t *testing.T) {
 	const n, lines = 4, 256
-	run := func(parallelism int) Result {
-		res, err := RunSharded(buildShards(n, lines, 8, 100, 7),
-			ShardedOptions{Options: Options{Workload: "BPA"}, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(procs int) (res Result) {
+		withProcs(procs, func() {
+			var err error
+			if res, err = Run(buildShards(n, lines, 8, 100, 7), Options{Workload: "BPA"}); err != nil {
+				t.Fatal(err)
+			}
+		})
 		return res
 	}
 	merged := run(4)
 
-	// Serial reference: identical shards, one at a time, merged by hand.
+	// Serial reference: identical shards, each a one-shard run, merged by
+	// hand.
 	shards := buildShards(n, lines, 8, 100, 7)
 	var served, ideal uint64
 	var st wl.Stats
 	var wear []uint32
 	dead := true
 	for _, sh := range shards {
-		r := Run(sh.Dev, sh.Lv, sh.Stream, Options{Workload: "BPA"})
+		r := runOne(t, sh.Dev, sh.Lv, sh.Stream, Options{Workload: "BPA"})
 		served += r.Served
 		ideal += r.Ideal
 		st.Add(sh.Lv.Stats())
@@ -72,28 +86,54 @@ func TestRunShardedMergeMatchesSerialMerge(t *testing.T) {
 		t.Fatalf("normalized %v", merged.Normalized)
 	}
 
-	// Scheduling must not affect the merge: serial pool, same answer.
+	// Scheduling must not affect the merge: one P, same answer.
 	if again := run(1); again.Served != merged.Served || again.WearGini != merged.WearGini {
-		t.Fatalf("parallelism changed result: %+v vs %+v", again, merged)
+		t.Fatalf("GOMAXPROCS changed result: %+v vs %+v", again, merged)
 	}
 }
 
-// A single-shard list is the exact serial path.
+// A whole-device run is Run over one shard, and its Result is the run's
+// own view: the device's and the scheme's statistics and the Gini of the
+// device's wear. The Gini sorts a private copy, so the run leaves the
+// device's counters in line order, as the request loop alone leaves them.
+// RBSG's device has Lines + Regions lines, not a power of two, so the
+// merge's line-weighted MeanWear must come back bit-equal.
 func TestRunShardedSingleShardIsSerial(t *testing.T) {
-	sharded, err := RunSharded(buildShards(1, 512, 8, 100, 7), ShardedOptions{Options: Options{Workload: "BPA"}})
+	const lines, regions = 1024, 8
+	shard := func() ShardRun {
+		dev := nvm.New(nvm.Config{Lines: lines + regions, SpareLines: 8, Endurance: 100, Variation: 0.1, Seed: 3})
+		lv := startgap.New(dev, startgap.Config{Lines: lines, Regions: regions, Period: 4})
+		return ShardRun{Dev: dev, Lv: lv, Stream: workload.NewBPA(7, lines, 8)}
+	}
+	sh := shard()
+	res, err := Run([]ShardRun{sh}, Options{Workload: "BPA"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := buildShards(1, 512, 8, 100, 7)
-	serial := Run(shards[0].Dev, shards[0].Lv, shards[0].Stream, Options{Workload: "BPA"})
-	if sharded.Served != serial.Served || sharded.WearGini != serial.WearGini ||
-		sharded.Normalized != serial.Normalized {
-		t.Fatalf("single-shard run diverged: %+v vs %+v", sharded, serial)
+	if res.TimedOut {
+		t.Fatal("the run did not wear the device out")
+	}
+	ds := sh.Dev.Stats()
+	if res.DeviceStats != ds || math.Float64bits(res.DeviceStats.MeanWear) != math.Float64bits(ds.MeanWear) {
+		t.Fatalf("device stats %+v, want the device's own %+v", res.DeviceStats, ds)
+	}
+	if st := sh.Lv.Stats(); res.SchemeStats != st {
+		t.Fatalf("scheme stats %+v, want the scheme's own %+v", res.SchemeStats, st)
+	}
+	if want := metrics.GiniUint32(sh.Dev.WearCounts()); res.WearGini != want {
+		t.Fatalf("gini %v, want %v of the device's wear", res.WearGini, want)
+	}
+
+	// The reference: the same shard through the request loop alone.
+	ref := shard()
+	Serve(ref.Dev, ref.Lv, ref.Stream, writeBudget(ref.Dev, 0), math.MaxUint64)
+	if !slices.Equal(sh.Dev.WearCounts(), ref.Dev.WearCounts()) {
+		t.Fatal("the run left the device's wear counters out of line order")
 	}
 }
 
 func TestRunShardedNoShards(t *testing.T) {
-	if _, err := RunSharded(nil, ShardedOptions{}); err == nil {
+	if _, err := Run(nil, Options{}); err == nil {
 		t.Fatal("want error for empty shard list")
 	}
 }
@@ -102,8 +142,7 @@ func TestRunShardedNoShards(t *testing.T) {
 // exactly the budget when no shard dies first.
 func TestRunShardedSplitsWriteBudget(t *testing.T) {
 	const budget = 1000 // not divisible by 3: ShareLines must still sum exactly
-	res, err := RunSharded(buildShards(3, 256, 64, 1<<30, 7),
-		ShardedOptions{Options: Options{MaxWrites: budget, Workload: "BPA"}})
+	res, err := Run(buildShards(3, 256, 64, 1<<30, 7), Options{MaxWrites: budget, Workload: "BPA"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,29 +154,62 @@ func TestRunShardedSplitsWriteBudget(t *testing.T) {
 	}
 }
 
-// Race hammer: many concurrent sharded runs, each fanning out on its own
-// pool, all snapshotting wear and merging concurrently. Run under -race
-// (CI does) this guards the merge path against shared-state regressions.
-func TestRunShardedConcurrentMergeRace(t *testing.T) {
-	var wg sync.WaitGroup
+// runConcurrently starts 8 runs of the shards build returns at once, at 4
+// Ps, each fanning its shards out on its own pool, and requires every
+// Result equal but for Elapsed. Under -race (CI runs it) this guards the
+// pool, the serve loops and the merge against shared state.
+func runConcurrently(t *testing.T, build func() []ShardRun) {
+	t.Helper()
 	results := make([]Result, 8)
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			res, err := RunSharded(buildShards(4, 128, 4, 50, 7),
-				ShardedOptions{Options: Options{Workload: "BPA"}, Parallelism: 4})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[g] = res
-		}(g)
-	}
-	wg.Wait()
+	withProcs(4, func() {
+		var wg sync.WaitGroup
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				res, err := Run(build(), Options{Workload: "w"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res.Elapsed = 0
+				results[g] = res
+			}(g)
+		}
+		wg.Wait()
+	})
 	for g := 1; g < len(results); g++ {
-		if results[g].Served != results[0].Served || results[g].WearGini != results[0].WearGini {
+		if results[g] != results[0] {
 			t.Fatalf("concurrent run %d diverged: %+v vs %+v", g, results[g], results[0])
 		}
 	}
+}
+
+// Race hammer: many concurrent sharded runs of BPA shards, refilled in
+// place.
+func TestRunShardedConcurrentMergeRace(t *testing.T) {
+	runConcurrently(t, func() []ShardRun { return buildShards(4, 128, 4, 50, 7) })
+}
+
+// The same hammer on SPEC gcc shards, each read ahead by a fill goroutine
+// of its own: 8 runs of 4 pool shards put 32 read-ahead handoffs in
+// flight at once.
+func TestRunShardedReadAheadRace(t *testing.T) {
+	const n, lines = 4, 128
+	gcc, ok := workload.ProfileByName("gcc")
+	if !ok {
+		t.Fatal("no gcc profile")
+	}
+	runConcurrently(t, func() []ShardRun {
+		shards := make([]ShardRun, n)
+		for b := range shards {
+			dev := nvm.New(nvm.Config{Lines: lines, SpareLines: 4, Endurance: 60})
+			shards[b] = ShardRun{
+				Dev:    dev,
+				Lv:     pcms.New(dev, pcms.Config{Lines: lines, RegionLines: 4, Period: 8, Seed: uint64(b)}),
+				Stream: gcc.New(rng.SeedStream(7, uint64(b)), lines),
+			}
+		}
+		return shards
+	})
 }

@@ -1,39 +1,26 @@
 // Package metrics provides the statistics used throughout the evaluation:
 // the wear-distribution Gini coefficient, harmonic means for
 // cross-benchmark aggregation (the paper reports Hmean in Fig 16 and 17),
-// histograms, and the sliding windows that SAWL uses to observe the runtime
-// cache hit rate (Sec 4.2).
+// quantiles and the population statistics of fleet sweeps, and the sliding
+// windows that SAWL uses to observe the runtime cache hit rate (Sec 4.2).
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs by linear
-// interpolation between order statistics, without mutating xs. The exact
-// sample counterpart of Histogram.Quantile — used for the per-job wall-time
-// p50/p99 the CLI reports per sweep. An empty sample yields 0.
+// interpolation between order statistics, without mutating xs — used for
+// the per-job wall-time p50/p99 the CLI reports per sweep. An empty sample
+// yields 0.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return quantileSorted(sorted, q)
 }
 
 // HarmonicMean returns the harmonic mean of xs, the aggregation the paper
@@ -154,57 +141,4 @@ func SortUint32(a []uint32) {
 	if &src[0] != &a[0] {
 		copy(a, src)
 	}
-}
-
-// Histogram is a fixed-width histogram over [0, max).
-type Histogram struct {
-	Width   float64
-	Buckets []uint64
-	Over    uint64 // samples >= Width*len(Buckets)
-	Count   uint64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic("metrics: NewHistogram with nonpositive size")
-	}
-	return &Histogram{Width: width, Buckets: make([]uint64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.Count++
-	if x < 0 {
-		x = 0
-	}
-	i := int(x / h.Width)
-	if i >= len(h.Buckets) {
-		h.Over++
-		return
-	}
-	h.Buckets[i]++
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1) using
-// bucket boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.Count))
-	var cum uint64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum > target {
-			return float64(i+1) * h.Width
-		}
-	}
-	return float64(len(h.Buckets)) * h.Width
-}
-
-// String renders a compact summary.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("hist{n=%d, p50=%.3g, p99=%.3g, over=%d}",
-		h.Count, h.Quantile(0.5), h.Quantile(0.99), h.Over)
 }

@@ -111,55 +111,6 @@ func TestQuantile(t *testing.T) {
 	if xs[0] != 4 || xs[3] != 2 {
 		t.Error("Quantile mutated its input")
 	}
-	// Agrees with the histogram's p50 upper bound on a dense sample.
-	dense := make([]float64, 1000)
-	h := NewHistogram(100, 0.1)
-	for i := range dense {
-		dense[i] = float64(i) / 100
-		h.Add(dense[i])
-	}
-	exact, bound := Quantile(dense, 0.5), h.Quantile(0.5)
-	if exact > bound || bound-exact > 0.2 {
-		t.Errorf("exact p50 %v vs histogram bound %v", exact, bound)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	if h.Count != 100 || h.Over != 0 {
-		t.Fatalf("count=%d over=%d", h.Count, h.Over)
-	}
-	for i, b := range h.Buckets {
-		if b != 10 {
-			t.Fatalf("bucket %d = %d", i, b)
-		}
-	}
-	h.Add(1e9)
-	if h.Over != 1 {
-		t.Fatal("overflow not recorded")
-	}
-	h.Add(-5)
-	if h.Buckets[0] != 11 {
-		t.Fatal("negative sample not clamped to bucket 0")
-	}
-	if q := h.Quantile(0.5); q < 4 || q > 7 {
-		t.Fatalf("median = %v", q)
-	}
-	if h.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewHistogram(0, 1)
 }
 
 // record is the per-event reference RecordRun is checked against: one

@@ -168,9 +168,9 @@ func (s *Server) execute(r *run) {
 	sc.Drain = s.softCtx
 	sc.Logf = r.logf
 	sc.Cache = s.st
-	d := &nvmwear.Driver{Format: r.spec.Format}
 	sinks := nvmwear.RunSinks{
-		Out: r.outWriter(),
+		Out:    r.outWriter(),
+		Format: r.spec.Format,
 		Progress: func(name string, done, total int) {
 			r.setProgress(done, total)
 		},
@@ -179,5 +179,5 @@ func (s *Server) execute(r *run) {
 		},
 		Rendered: r.setRendered,
 	}
-	r.finish(d.RunAt(r.spec.Experiment, sc, sinks))
+	r.finish(nvmwear.RunAt(r.spec.Experiment, sc, sinks))
 }

@@ -226,7 +226,7 @@ func (r *run) requestCancel() bool {
 	return true
 }
 
-// finish records the run's terminal state from the driver's error and ends
+// finish records the run's terminal state from RunAt's error and ends
 // the event stream. An interrupted sweep (drain, deadline, DELETE) counts
 // as canceled — its partial artifacts remain downloadable; any other error
 // is a failure.

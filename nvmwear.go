@@ -395,13 +395,18 @@ type LifetimeResult = lifetime.Result
 // RunLifetime drives the workload until device failure (or maxWrites
 // demand writes; 0 = 4x ideal writes) and reports the normalized lifetime.
 func (s *System) RunLifetime(w WorkloadSpec, maxWrites uint64) (LifetimeResult, error) {
-	stream, name, err := w.Build(s.cfg.Lines)
+	sh, name, err := s.shard(w)
 	if err != nil {
 		return LifetimeResult{}, err
 	}
-	return lifetime.Run(s.dev, s.lv, stream, lifetime.Options{
-		MaxWrites: maxWrites, Workload: name,
-	}), nil
+	return lifetime.Run([]lifetime.ShardRun{sh}, lifetime.Options{MaxWrites: maxWrites, Workload: name})
+}
+
+// shard is the system fed by w as one shard of a lifetime run, with the
+// workload's name.
+func (s *System) shard(w WorkloadSpec) (lifetime.ShardRun, string, error) {
+	stream, name, err := w.Build(s.cfg.Lines)
+	return lifetime.ShardRun{Dev: s.dev, Lv: s.lv, Stream: stream}, name, err
 }
 
 // TimingResult re-exports the timing simulator's result.

@@ -32,7 +32,7 @@ type Result struct {
 
 // SVG is one renderable figure of an experiment: a labeled series bundle
 // plus the axis metadata the exporters need (text table, CSV/JSON stream,
-// SVG file — see Driver and SVG.WriteSVG).
+// SVG file — see RunAt and SVG.WriteSVG).
 type SVG struct {
 	Name   string // file stem for -svg output ("fig3", "fault-loss")
 	Title  string
@@ -45,7 +45,7 @@ type SVG struct {
 // Experiment declares one catalogue entry. Run must tolerate interruption
 // (return the completed prefix of its payload alongside an error wrapping
 // ErrInterrupted) and Render must tolerate such partial payloads — the
-// contract that lets the driver flush partial tables on SIGINT.
+// contract that lets RunAt flush partial tables on SIGINT.
 type Experiment struct {
 	Name        string
 	Description string

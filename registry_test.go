@@ -162,14 +162,14 @@ func twoSweeps(job func(i int, seed uint64) (int, error)) *Experiment {
 	}
 }
 
-// The driver counts every job of a multi-sweep experiment against its
+// RunAt counts every job of a multi-sweep experiment against its
 // whole plan: progress runs 1..5 once, and the summary reports 5 jobs, not
 // the last sweep's 3.
 func TestDriverCountsEveryJobAcrossSweeps(t *testing.T) {
 	e := twoSweeps(func(i int, _ uint64) (int, error) { return i, nil })
 	var dones []int
 	var out bytes.Buffer
-	err := (&Driver{}).runAt(e, tinyScale(), RunSinks{
+	err := runAt(e, tinyScale(), RunSinks{
 		Out: &out,
 		Progress: func(_ string, done, total int) {
 			if total != 5 {
@@ -220,7 +220,7 @@ func TestPlanRecordsDispatchWithoutRunning(t *testing.T) {
 
 // TestRunAllSkipsFreshExperiments exercises the whole-experiment skip at
 // the library level: a fully cached experiment is skipped with a notice and
-// prints nothing; Force re-runs it from cache hits, byte-identically.
+// prints nothing; force re-runs it from cache hits, byte-identically.
 func TestRunAllSkipsFreshExperiments(t *testing.T) {
 	sc := tinyScale()
 	st := openCache(t, t.TempDir())
@@ -234,7 +234,7 @@ func TestRunAllSkipsFreshExperiments(t *testing.T) {
 	n := len(e.Plan(sc))
 
 	var cold bytes.Buffer
-	if err := (&Driver{Scale: sc, Out: &cold}).runAll([]*Experiment{e}); err != nil {
+	if err := runAll([]*Experiment{e}, sc, RunSinks{Out: &cold}, false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(logs.String(), "skipped") {
@@ -246,7 +246,7 @@ func TestRunAllSkipsFreshExperiments(t *testing.T) {
 
 	logs.Reset()
 	var warm bytes.Buffer
-	if err := (&Driver{Scale: sc, Out: &warm}).runAll([]*Experiment{e}); err != nil {
+	if err := runAll([]*Experiment{e}, sc, RunSinks{Out: &warm}, false); err != nil {
 		t.Fatal(err)
 	}
 	if want := fmt.Sprintf("skipped sweep (%d/%d cached)", n, n); !strings.Contains(logs.String(), want) {
@@ -259,11 +259,11 @@ func TestRunAllSkipsFreshExperiments(t *testing.T) {
 	logs.Reset()
 	hitsBefore := st.Stats().Hits
 	var forced bytes.Buffer
-	if err := (&Driver{Scale: sc, Out: &forced, Force: true}).runAll([]*Experiment{e}); err != nil {
+	if err := runAll([]*Experiment{e}, sc, RunSinks{Out: &forced}, true); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(logs.String(), "skipped") {
-		t.Fatalf("Force still skipped the experiment:\n%s", logs.String())
+		t.Fatalf("force still skipped the experiment:\n%s", logs.String())
 	}
 	if st.Stats().Hits == hitsBefore {
 		t.Fatal("forced re-run served no cache hits")

@@ -143,17 +143,17 @@ type ShardedRunOptions struct {
 	// MaxShards are capped. The plan may still fall back to 1 (see
 	// PlanShards).
 	Shards int
-	// Parallelism bounds concurrently running shards; <= 0 uses GOMAXPROCS.
-	Parallelism int
-	// Context, when non-nil, cancels the run.
+	// Context, when non-nil, cancels a sharded run.
 	Context context.Context
 }
 
 // RunShardedLifetime is RunLifetime decomposed across the bank geometry:
 // it gates the run with PlanShards, builds one System and workload
-// substream per shard, runs them on the exec pool, and merges the results
-// (lifetime.RunSharded). The returned plan tells the caller what actually
-// ran — callers surface plan.Reason so a serial fallback is never silent.
+// substream per shard and hands them to lifetime.Run, which runs several
+// shards on the exec pool and merges the results. A serial plan is the one
+// shard RunLifetime runs: cfg and w unchanged, seeds included. The returned plan
+// tells the caller what actually ran — callers surface plan.Reason so a
+// serial fallback is never silent.
 //
 // A fixed (cfg, w, shards) triple is fully deterministic: shard b's device,
 // scheme, fault and workload streams are all derived with
@@ -161,39 +161,28 @@ type ShardedRunOptions struct {
 // affects the merged result.
 func RunShardedLifetime(cfg SystemConfig, w WorkloadSpec, maxWrites uint64, opts ShardedRunOptions) (LifetimeResult, ShardPlan, error) {
 	plan := PlanShards(cfg, w, opts.Shards)
-	if plan.Shards <= 1 {
-		sys, err := NewSystem(cfg)
+	banks := uint64(plan.Shards)
+	dcfg := cfg.withDefaults()
+	shards := make([]lifetime.ShardRun, banks)
+	wname := ""
+	for b := range banks {
+		scfg, wb := cfg, w
+		if banks > 1 {
+			scfg = shardSystemConfig(dcfg, b, banks)
+			wb.Seed = rng.SeedStream(w.Seed, b)
+		}
+		sys, err := NewSystem(scfg)
+		if err == nil {
+			shards[b], wname, err = sys.shard(wb)
+		}
 		if err != nil {
+			if banks > 1 {
+				err = fmt.Errorf("shard %d/%d: %w", b, banks, err)
+			}
 			return LifetimeResult{}, plan, err
 		}
-		res, err := sys.RunLifetime(w, maxWrites)
-		return res, plan, err
 	}
-
-	dcfg := cfg.withDefaults()
-	banks := uint64(plan.Shards)
-	shards := make([]lifetime.ShardRun, plan.Shards)
-	wname := ""
-	for b := uint64(0); b < banks; b++ {
-		scfg := shardSystemConfig(dcfg, b, banks)
-		sys, err := NewSystem(scfg)
-		if err != nil {
-			return LifetimeResult{}, plan, fmt.Errorf("shard %d/%d: %w", b, banks, err)
-		}
-		wb := w
-		wb.Seed = rng.SeedStream(w.Seed, b)
-		stream, name, err := wb.Build(scfg.Lines)
-		if err != nil {
-			return LifetimeResult{}, plan, fmt.Errorf("shard %d/%d: %w", b, banks, err)
-		}
-		wname = name
-		shards[b] = lifetime.ShardRun{Dev: sys.dev, Lv: sys.lv, Stream: stream}
-	}
-	res, err := lifetime.RunSharded(shards, lifetime.ShardedOptions{
-		Options:     lifetime.Options{MaxWrites: maxWrites, Workload: wname},
-		Parallelism: opts.Parallelism,
-		Context:     opts.Context,
-	})
+	res, err := lifetime.Run(shards, lifetime.Options{MaxWrites: maxWrites, Workload: wname, Context: opts.Context})
 	return res, plan, err
 }
 

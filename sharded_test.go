@@ -3,6 +3,7 @@ package nvmwear
 import (
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestFixedShardsDeterministicAcrossWorkerCounts(t *testing.T) {
 // replay. Bank-local schemes additionally confine their global state to
 // each bank (DESIGN.md Sec 15), which shifts leveling quality a little
 // more; both models must stay inside the same 30% band. Each scheme's
-// sharded result is also replayed at a different parallelism to pin
+// sharded result is also replayed at a different GOMAXPROCS to pin
 // scheduling-free determinism.
 func TestShardedLifetimeWithinToleranceOfSerial(t *testing.T) {
 	w := bpaSpec()
@@ -223,7 +224,7 @@ func TestShardedLifetimeWithinToleranceOfSerial(t *testing.T) {
 			if plan.Shards != 1 {
 				t.Fatalf("serial plan = %+v", plan)
 			}
-			sharded, plan, err := RunShardedLifetime(cfg, w, 0, ShardedRunOptions{Shards: 4, Parallelism: 4})
+			sharded, plan, err := shardedAtProcs(4, cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,13 +240,53 @@ func TestShardedLifetimeWithinToleranceOfSerial(t *testing.T) {
 			}
 
 			// The sharded result itself is deterministic: scheduling-free replay.
-			again, _, err := RunShardedLifetime(cfg, w, 0, ShardedRunOptions{Shards: 4, Parallelism: 1})
+			again, _, err := shardedAtProcs(1, cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if again.Served != sharded.Served || again.WearGini != sharded.WearGini ||
 				again.Normalized != sharded.Normalized {
 				t.Fatalf("sharded run not deterministic: %+v vs %+v", again, sharded)
+			}
+		})
+	}
+}
+
+// shardedAtProcs runs (cfg, w) at 4 shards with GOMAXPROCS, the shard
+// pool's worker count, set to procs, and restores it after.
+func shardedAtProcs(procs int, cfg SystemConfig, w WorkloadSpec) (LifetimeResult, ShardPlan, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return RunShardedLifetime(cfg, w, 0, ShardedRunOptions{Shards: 4})
+}
+
+// A serial plan is the one-shard run RunLifetime makes: the same config
+// and workload, seeds unchanged, so the CLI's serial path and the
+// library's entry point give one Result (Elapsed aside), for a kernel
+// scheme and for the tiered engine alike.
+func TestSerialPlanIsRunLifetime(t *testing.T) {
+	for _, scheme := range []SchemeKind{PCMS, SAWL} {
+		t.Run(string(scheme), func(t *testing.T) {
+			cfg := attackConfig(scheme)
+			cfg.Variation = 0.1
+			w := WorkloadSpec{Kind: WorkloadSPEC, Name: "gcc", Seed: 7}
+			got, plan, err := RunShardedLifetime(cfg, w, 0, ShardedRunOptions{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Shards != 1 {
+				t.Fatalf("plan = %+v, want serial", plan)
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sys.RunLifetime(w, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Elapsed, want.Elapsed = 0, 0
+			if got != want {
+				t.Fatalf("serial plan's result differs from RunLifetime's:\n got: %+v\nwant: %+v", got, want)
 			}
 		})
 	}
