@@ -86,22 +86,11 @@ func (t Table) Render() string {
 
 // SeriesTable renders a set of series sharing an X axis as one table.
 func SeriesTable(title, xName string, series []Series, fmtY string) Table {
-	tab := Table{Title: title, Columns: append([]string{xName}, labels(series)...)}
-	for _, x := range unionX(series) {
-		row := []string{trimFloat(x)}
-		for _, s := range series {
-			cell := ""
-			for i, sx := range s.X {
-				if sx == x {
-					cell = fmt.Sprintf(fmtY, s.Y[i])
-					break
-				}
-			}
-			row = append(row, cell)
-		}
-		tab.Rows = append(tab.Rows, row)
+	return Table{
+		Title:   title,
+		Columns: append([]string{xName}, labels(series)...),
+		Rows:    seriesGrid(series, trimFloat, func(y float64) string { return fmt.Sprintf(fmtY, y) }),
 	}
-	return tab
 }
 
 func labels(series []Series) []string {

@@ -22,18 +22,8 @@ func WriteSeriesCSV(w io.Writer, xName string, series []Series) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, x := range unionX(series) {
-		row := []string{strconv.FormatFloat(x, 'g', -1, 64)}
-		for _, s := range series {
-			cell := ""
-			for i, sx := range s.X {
-				if sx == x {
-					cell = strconv.FormatFloat(s.Y[i], 'g', -1, 64)
-					break
-				}
-			}
-			row = append(row, cell)
-		}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, row := range seriesGrid(series, g, g) {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -91,6 +81,29 @@ func unionX(series []Series) []float64 {
 	}
 	sort.Float64s(xs)
 	return xs
+}
+
+// seriesGrid lays series out as rows, one per x in the union of their X
+// values, ascending: the row is fmtX(x), then each series' fmtY(y) at that
+// x (its first point there, if its X repeats x), or "" where it has none.
+// Each series is indexed once through a map from x to row.
+func seriesGrid(series []Series, fmtX, fmtY func(float64) string) [][]string {
+	xs := unionX(series)
+	row := make(map[float64]int, len(xs))
+	var rows [][]string
+	for r, x := range xs {
+		row[x] = r
+		rows = append(rows, append([]string{fmtX(x)}, make([]string, len(series))...))
+	}
+	for j, s := range series {
+		// Backwards, so that the first point at an x is the one kept.
+		for i := len(s.X) - 1; i >= 0; i-- {
+			if r, ok := row[s.X[i]]; ok {
+				rows[r][1+j] = fmtY(s.Y[i])
+			}
+		}
+	}
+	return rows
 }
 
 // CheckFormat validates an output format name before a run starts (wlsim

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"nvmwear/internal/fault"
@@ -38,6 +41,37 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 	if rows[2][1] != "20" || rows[2][2] != "99" {
 		t.Fatalf("row 2: %v", rows[2])
+	}
+}
+
+// TestSeriesGridMatchesScan compares seriesGrid with the per-cell scan it
+// replaced, which looked each cell up by scanning the series' X for the
+// first point at the row's x: on missing points, a repeated x, a negative
+// zero and a NaN, which no row can match.
+func TestSeriesGridMatchesScan(t *testing.T) {
+	series := demoSeries()
+	series = append(series,
+		Series{Label: "C", X: []float64{3, 1, 3, math.Copysign(0, -1)}, Y: []float64{1, 2, 3, 4}},
+		Series{Label: "D", X: []float64{0, math.NaN(), 2.5}, Y: []float64{5, 6, 7}},
+		Series{Label: "E"})
+	format := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var want [][]string
+	for _, x := range unionX(series) {
+		row := []string{format(x)}
+		for _, s := range series {
+			cell := ""
+			for i, sx := range s.X {
+				if sx == x {
+					cell = format(s.Y[i])
+					break
+				}
+			}
+			row = append(row, cell)
+		}
+		want = append(want, row)
+	}
+	if got := seriesGrid(series, format, format); !reflect.DeepEqual(got, want) {
+		t.Fatalf("grid %q, the scan gives %q", got, want)
 	}
 }
 

@@ -165,15 +165,15 @@ func (c foldCase) build(t *testing.T) (*System, trace.Stream) {
 		t.Fatalf("Build workload: %v", err)
 	}
 	if len(c.runs) > 0 {
-		stream = &runStream{base: trace.NewCursor(stream, math.MaxUint64), runs: c.runs}
+		stream = trace.ReadAhead(&runStream{base: trace.NewCursor(stream, math.MaxUint64), runs: c.runs})
 	}
 	return sys, stream
 }
 
 // runStream stretches a base stream into long repeated runs: the i-th base
-// request is issued 1+4*runs[i%len(runs)] times in a row. It is a
-// trace.Generator, as its fill touches only its own state, so the fold
-// path reads it ahead whatever its base.
+// request is issued 1+4*runs[i%len(runs)] times in a row. Its fill
+// touches only its own state, so the case reads it ahead (trace.ReadAhead)
+// whatever its base.
 type runStream struct {
 	base *trace.Cursor
 	runs []byte
@@ -195,9 +195,6 @@ func (s *runStream) NextBatch(ops []trace.Op, addrs []uint64) int {
 	}
 	return len(ops)
 }
-
-// Generator implements trace.Generator.
-func (s *runStream) Generator() {}
 
 // TestAccessBatchAllocatesNothing pins every scheme's steady-state access
 // path to zero heap allocations: after warm-up, one 4096-request

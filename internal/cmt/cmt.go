@@ -196,7 +196,9 @@ func (c *Cache) Insert(e Entry) (evicted Entry, wasEvicted bool) {
 		i = int32(len(c.nodes))
 		c.nodes = append(c.nodes, node{})
 	}
-	c.nodes[i] = node{Entry: e, firstHalf: true}
+	// Written field by field: pushFront sets the links.
+	n := &c.nodes[i]
+	n.Entry, n.firstHalf = e, true
 	for k := range span {
 		span[k] = i
 	}

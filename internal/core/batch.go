@@ -90,8 +90,8 @@ func (s *Scheme) repeatAccess(op trace.Op, lma uint64, k int) int {
 		pma := e.Prn*q + ((lma & (q - 1)) ^ e.Key)
 
 		c := uint64(k - done)
-		if d := s.cfg.CheckEvery - s.requests%s.cfg.CheckEvery; d < c {
-			c = d
+		if s.nextCheck < c {
+			c = s.nextCheck
 		}
 		if op == trace.Write {
 			if d := s.cfg.Period*q - uint64(s.ctr[e.Base]); d < c {
@@ -116,8 +116,7 @@ func (s *Scheme) repeatAccess(op trace.Op, lma uint64, k int) int {
 			s.commit(e.Base, q, applied)
 		}
 		s.window.RecordRun(true, applied)
-		s.requests += applied
-		if s.requests%s.cfg.CheckEvery == 0 {
+		if s.count(applied) {
 			if s.cfg.Adaptive {
 				s.check()
 				// The boundary access's own post-check mode action. The

@@ -70,7 +70,6 @@ func (m Mode) String() string {
 const (
 	lowThreshold   = 0.90 // hit rate below which regions merge
 	highThreshold  = 0.95 // hit rate above which regions split
-	entriesPerLine = 6    // K: IMT entries per translation line
 	gtdGranularity = 32   // Kt: translation lines per GTD region
 )
 
@@ -151,7 +150,7 @@ func (c Config) withDefaults() Config {
 // they occupy once rounded to GTD regions.
 func (c Config) TranslationArea() (transLines, physLines uint64) {
 	c = c.withDefaults()
-	tl := imt.TranslationLines(c.Lines, c.InitGran, entriesPerLine)
+	tl := imt.TranslationLines(c.Lines, c.InitGran)
 	g := gtd.Config{Lines: tl, Granularity: gtdGranularity}
 	return tl, g.PhysLines()
 }
@@ -188,6 +187,9 @@ type Scheme struct {
 	lowRun   uint64
 	highRun  uint64
 	requests uint64
+	// nextCheck counts down the requests to the next CheckEvery boundary,
+	// CheckEvery - requests%CheckEvery, in [1, CheckEvery].
+	nextCheck uint64
 
 	// metaFaults records whether the IMT runs with fault injection armed;
 	// the batch path may only fold split-mode accesses when it is off
@@ -250,7 +252,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		pShift:   uint(addr.Log2(cfg.InitGran)),
 		nRegions: nRegions,
 		maxLevel: maxLevel,
-		table:    imt.New(dir, cfg.Lines, cfg.InitGran, entriesPerLine),
+		table:    imt.New(dir, cfg.Lines, cfg.InitGran),
 		dir:      dir,
 		cache:    cmt.New(cfg.CMTEntries, nRegions),
 		rev:      make([]uint32, nRegions),
@@ -261,6 +263,7 @@ func New(dev *nvm.Device, cfg Config) *Scheme {
 		revBuf:   make([]uint32, cfg.MaxGranLines),
 		window:   metrics.NewHitWindow(cfg.ObservationWindow, 64),
 	}
+	s.nextCheck = cfg.CheckEvery
 	for i := uint64(0); i < nRegions; i++ {
 		s.rev[i] = uint32(i)
 	}
@@ -361,14 +364,14 @@ func (s *Scheme) commit(base, q, n uint64) {
 // lazy merge/split application (Sec 3.2 item 3).
 func (s *Scheme) adapt(hit bool, lrn0 uint64) {
 	s.window.RecordRun(hit, 1)
-	s.requests++
+	boundary := s.count(1)
 	if !s.cfg.Adaptive {
-		if s.requests%s.cfg.CheckEvery == 0 {
+		if boundary {
 			s.emitSample()
 		}
 		return
 	}
-	if s.requests%s.cfg.CheckEvery == 0 {
+	if boundary {
 		s.check()
 	}
 	// Region merges apply lazily: on the miss that faulted the region in
@@ -387,6 +390,17 @@ func (s *Scheme) adapt(hit bool, lrn0 uint64) {
 	case ModeSplit:
 		s.trySplit(lrn0)
 	}
+}
+
+// count adds n requests, at most nextCheck, and reports whether they
+// reach a CheckEvery boundary.
+func (s *Scheme) count(n uint64) bool {
+	s.requests += n
+	if s.nextCheck -= n; s.nextCheck > 0 {
+		return false
+	}
+	s.nextCheck = s.cfg.CheckEvery
+	return true
 }
 
 // check samples the runtime hit rate and updates the adaptation mode.

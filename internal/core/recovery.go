@@ -100,6 +100,7 @@ func Recover(dev *nvm.Device, cfg Config, checkpoint []byte) (*Scheme, error) {
 			return nil, err
 		}
 	}
+	s.nextCheck = s.cfg.CheckEvery - s.requests%s.cfg.CheckEvery
 	entries := make([]uint64, regions)
 	levels := make([]uint8, regions)
 	if err := read(entries); err != nil {

@@ -18,6 +18,7 @@ package gtd
 import (
 	"fmt"
 
+	"nvmwear/internal/addr"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
 )
@@ -26,7 +27,7 @@ import (
 type Config struct {
 	Base        uint64 // first physical device line of the reserved area
 	Lines       uint64 // translation lines to manage (rounded up to Granularity)
-	Granularity uint64 // Kt: translation lines per wear-leveling region
+	Granularity uint64 // Kt: translation lines per wear-leveling region, a power of two
 	Period      uint64 // writes to a region between exchanges
 	Seed        uint64
 }
@@ -36,6 +37,7 @@ type Directory struct {
 	cfg     Config
 	dev     *nvm.Device
 	regions uint64
+	shift   uint // log2(Granularity): a line's region is tlma >> shift
 	table   []uint32
 	counter []uint32
 	src     *rng.Source
@@ -51,8 +53,8 @@ func New(dev *nvm.Device, cfg Config) *Directory {
 	if cfg.Lines == 0 {
 		panic("gtd: zero translation lines")
 	}
-	if cfg.Granularity == 0 {
-		panic("gtd: zero granularity")
+	if !addr.IsPow2(cfg.Granularity) {
+		panic("gtd: granularity must be a power of two")
 	}
 	if cfg.Period == 0 {
 		panic("gtd: zero period")
@@ -62,6 +64,7 @@ func New(dev *nvm.Device, cfg Config) *Directory {
 		cfg:     cfg,
 		dev:     dev,
 		regions: regions,
+		shift:   addr.Log2(cfg.Granularity),
 		table:   make([]uint32, regions),
 		counter: make([]uint32, regions),
 		src:     rng.New(cfg.Seed ^ 0x67d467d467d467d4),
@@ -88,8 +91,8 @@ func (c Config) PhysLines() uint64 {
 // Translate maps a logical translation-line address to a physical device
 // line.
 func (d *Directory) Translate(tlma uint64) uint64 {
-	r := tlma / d.cfg.Granularity
-	return d.cfg.Base + uint64(d.table[r])*d.cfg.Granularity + tlma%d.cfg.Granularity
+	r := tlma >> d.shift
+	return d.cfg.Base + uint64(d.table[r])<<d.shift + tlma&(d.cfg.Granularity-1)
 }
 
 // Write records one write to a translation line, wearing the device and
@@ -97,7 +100,7 @@ func (d *Directory) Translate(tlma uint64) uint64 {
 func (d *Directory) Write(tlma uint64) {
 	d.writes++
 	d.dev.Write(d.Translate(tlma))
-	r := tlma / d.cfg.Granularity
+	r := tlma >> d.shift
 	d.counter[r]++
 	if uint64(d.counter[r]) >= d.cfg.Period {
 		d.counter[r] = 0

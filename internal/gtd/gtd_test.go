@@ -103,6 +103,7 @@ func TestConstructorPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Lines: 0, Granularity: 8, Period: 1},
 		{Lines: 64, Granularity: 0, Period: 1},
+		{Lines: 64, Granularity: 6, Period: 1},
 		{Lines: 64, Granularity: 8, Period: 0},
 		{Base: 32, Lines: 64, Granularity: 8, Period: 1},
 	} {

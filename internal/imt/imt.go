@@ -12,7 +12,7 @@
 // explicitly for O(1) access; VerifyLevels cross-checks the explicit levels
 // against the adjacency encoding, and tests rely on it.
 //
-// Entries are packed K per translation line (K = 6 in the paper's design).
+// Entries are packed K = 6 per translation line, the paper's design.
 // The table lives in a reserved area of the NVM device, so every entry
 // update wears a translation line; reads and writes are routed through the
 // GTD, which wear-levels the reserved area itself.
@@ -26,6 +26,10 @@ import (
 	"nvmwear/internal/gtd"
 )
 
+// entriesPerLine is K, the IMT entries packed into one translation line. A
+// constant, so that finding an entry's line is a multiply, not a divide.
+const entriesPerLine = 6
+
 // Entry is one region mapping at its current granularity.
 type Entry struct {
 	D     uint64 // packed prn*Q + key (Q = P << Level lines)
@@ -34,10 +38,9 @@ type Entry struct {
 
 // Table is an IMT instance.
 type Table struct {
-	dir            *gtd.Directory
-	initGran       uint64 // P
-	dataLines      uint64 // M
-	entriesPerLine uint64 // K
+	dir       *gtd.Directory
+	initGran  uint64 // P
+	dataLines uint64 // M
 
 	entries []uint64
 	levels  []uint8
@@ -134,8 +137,8 @@ func (t *Table) verify(idx uint64) {
 // corruptLine flips one random bit of one random entry stored on
 // translation line l — the injected fault a later fetch must detect.
 func (t *Table) corruptLine(l uint64) {
-	lo := l * t.entriesPerLine
-	hi := lo + t.entriesPerLine
+	lo := l * entriesPerLine
+	hi := lo + entriesPerLine
 	if n := uint64(len(t.entries)); hi > n {
 		hi = n
 	}
@@ -145,25 +148,21 @@ func (t *Table) corruptLine(l uint64) {
 }
 
 // New creates the table with the identity mapping at level 0. dir handles
-// translation-line wear; entriesPerLine is K (the paper uses 6).
-func New(dir *gtd.Directory, dataLines, initGran, entriesPerLine uint64) *Table {
+// translation-line wear.
+func New(dir *gtd.Directory, dataLines, initGran uint64) *Table {
 	if !addr.IsPow2(dataLines) || !addr.IsPow2(initGran) {
 		panic("imt: dataLines and initGran must be powers of two")
 	}
 	if initGran > dataLines {
 		panic("imt: granularity exceeds memory")
 	}
-	if entriesPerLine == 0 {
-		panic("imt: zero entries per line")
-	}
 	n := dataLines / initGran
 	t := &Table{
-		dir:            dir,
-		initGran:       initGran,
-		dataLines:      dataLines,
-		entriesPerLine: entriesPerLine,
-		entries:        make([]uint64, n),
-		levels:         make([]uint8, n),
+		dir:       dir,
+		initGran:  initGran,
+		dataLines: dataLines,
+		entries:   make([]uint64, n),
+		levels:    make([]uint8, n),
 	}
 	for i := uint64(0); i < n; i++ {
 		t.entries[i] = addr.Pack(i, 0, addr.Log2(initGran))
@@ -173,7 +172,7 @@ func New(dir *gtd.Directory, dataLines, initGran, entriesPerLine uint64) *Table 
 
 // TranslationLines returns the number of translation lines the table packs
 // into — the size the GTD must manage.
-func TranslationLines(dataLines, initGran, entriesPerLine uint64) uint64 {
+func TranslationLines(dataLines, initGran uint64) uint64 {
 	n := dataLines / initGran
 	return (n + entriesPerLine - 1) / entriesPerLine
 }
@@ -182,7 +181,7 @@ func TranslationLines(dataLines, initGran, entriesPerLine uint64) uint64 {
 func (t *Table) NumEntries() uint64 { return uint64(len(t.entries)) }
 
 // lineOf returns the translation line holding entry idx.
-func (t *Table) lineOf(idx uint64) uint64 { return idx / t.entriesPerLine }
+func (t *Table) lineOf(idx uint64) uint64 { return idx / entriesPerLine }
 
 // Get returns entry idx without touching the device (used when the entry
 // is already cached on chip). With metadata faults enabled every fetch
@@ -206,7 +205,7 @@ func (t *Table) Read(idx uint64) Entry {
 // one region at granularity span*P. It writes each affected translation
 // line once through the GTD.
 func (t *Table) SetRange(base, span uint64, d uint64, level uint8) {
-	if base%span != 0 || span != uint64(1)<<level {
+	if base&(span-1) != 0 || span != uint64(1)<<level {
 		panic(fmt.Sprintf("imt: SetRange base %d span %d level %d misaligned", base, span, level))
 	}
 	for i := base; i < base+span; i++ {

@@ -9,13 +9,13 @@ import (
 
 // harness builds a device + GTD + IMT for M data lines at granularity P.
 func harness(dataLines, initGran uint64) (*nvm.Device, *gtd.Directory, *Table) {
-	tl := TranslationLines(dataLines, initGran, 6)
+	tl := TranslationLines(dataLines, initGran)
 	gcfg := gtd.Config{Base: dataLines, Lines: tl, Granularity: 4, Period: 128, Seed: 3}
 	dev := nvm.New(nvm.Config{
 		Lines: dataLines + gcfg.PhysLines(), SpareLines: 0, Endurance: 1 << 30,
 	})
 	dir := gtd.New(dev, gcfg)
-	return dev, dir, New(dir, dataLines, initGran, 6)
+	return dev, dir, New(dir, dataLines, initGran)
 }
 
 func TestInitialIdentity(t *testing.T) {
@@ -118,10 +118,10 @@ func TestVerifyLevelsCatchesUnmergedTwins(t *testing.T) {
 }
 
 func TestTranslationLinesFormula(t *testing.T) {
-	if TranslationLines(4096, 4, 6) != 171 {
-		t.Fatalf("TranslationLines = %d", TranslationLines(4096, 4, 6))
+	if TranslationLines(4096, 4) != 171 {
+		t.Fatalf("TranslationLines = %d", TranslationLines(4096, 4))
 	}
-	if TranslationLines(24, 4, 6) != 1 {
+	if TranslationLines(24, 4) != 1 {
 		t.Fatal("small table")
 	}
 }
@@ -154,10 +154,9 @@ func TestSetRangePanicsOnMisalignment(t *testing.T) {
 func TestConstructorPanics(t *testing.T) {
 	_, dir, _ := harness(256, 4)
 	for _, f := range []func(){
-		func() { New(dir, 255, 4, 6) },
-		func() { New(dir, 256, 3, 6) },
-		func() { New(dir, 4, 8, 6) },
-		func() { New(dir, 256, 4, 0) },
+		func() { New(dir, 255, 4) },
+		func() { New(dir, 256, 3) },
+		func() { New(dir, 4, 8) },
 	} {
 		func() {
 			defer func() {

@@ -188,18 +188,16 @@ func merge(shards []ShardRun, workload string, elapsed time.Duration) Result {
 // scheme per AccessBatch call.
 const refill = 4096
 
-// readAhead is how many refills a generator's fill goroutine may draw
-// beyond the one the scheme is applying.
-const readAhead = 3
-
 // Serve drives requests from stream through the scheme until the device
 // dies, maxWrites demand writes have been served, or maxReqs requests have
 // been drawn, whichever comes first; math.MaxUint64 sets no bound. It is
 // the one request loop of budgeted lifetime runs and of fixed-length runs
 // on devices that cannot die within them.
 //
-// Serve applies the stream's requests in refills of up to 4096, each of
-// which goes whole to AccessBatch, which is observably the per-request
+// Serve fills refills of up to 4096 requests into one buffer with
+// trace.FillBatch, never drawing past maxReqs, so a fixed-length run leaves
+// the stream at request maxReqs and a caller may go on reading it. Each
+// refill goes whole to AccessBatch, which is observably the per-request
 // Access loop with a liveness check before every request. The refill
 // holding the write that exhausts the write budget is cut right after that
 // write, so requests past it are never applied; only a refill with more
@@ -207,156 +205,29 @@ const readAhead = 3
 // other refill is scanned. The writes a refill applied are the delta of
 // the scheme's DataWrites: a live device serves every write handed to it,
 // and the Leveler contract counts each one. A short AccessBatch means the
-// device died, which ends the loop.
-//
-// Only the source of the refills depends on the stream. A trace.Generator
-// is read ahead: a second goroutine fills its refills, up to readAhead
-// beyond the one the scheme is applying, and hands them over in stream
-// order, so generation overlaps the scheme. Any other stream is refilled
-// in place with trace.FillBatch. Either way the stream is never drawn past
-// maxReqs, so a fixed-length run leaves it where its last request put it
-// and a caller may go on reading it. A run that ends on its write budget
-// or on device death may have drawn requests it never applied (up to
-// readAhead refills beyond the rest of the last one when read ahead); its
-// stream is its own, and no Result depends on where it stopped. Serve
-// returns only after the fill goroutine has. A panic in a read-ahead fill
-// is raised again in Serve's goroutine where an in-place fill would have
-// raised it, after the refills drawn before it are applied; a run that
-// ends before that point never draws that refill in place, and drops it.
+// device died, which ends the loop; a run that ends on its write budget or
+// on device death leaves the rest of its last refill unapplied. A stream
+// that reads itself ahead (trace.ReadAhead) overlaps its generation with
+// this loop.
 func Serve(dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites, maxReqs uint64) {
-	src := newSource(stream, maxReqs)
-	defer src.close()
+	ops := make([]trace.Op, refill)
+	addrs := make([]uint64, refill)
 	start := lv.Stats().DataWrites
 	var writes uint64
-	for writes < maxWrites && dev.Alive() {
-		b := src.next()
-		if len(b.ops) == 0 {
+	for writes < maxWrites && maxReqs > 0 && dev.Alive() {
+		k := min(maxReqs, refill)
+		n := trace.FillBatch(stream, ops[:k], addrs[:k])
+		if n == 0 {
 			return
 		}
-		o, a := b.ops, b.addrs
-		if writes+uint64(len(o)) > maxWrites {
+		maxReqs -= uint64(n)
+		o, a := ops[:n], addrs[:n]
+		if writes+uint64(n) > maxWrites {
 			cut := cutAfterWrites(o, maxWrites-writes)
 			o, a = o[:cut], a[:cut]
 		}
 		lv.AccessBatch(o, a)
 		writes = lv.Stats().DataWrites - start
-	}
-}
-
-// batch is one refill: parallel op and address slices.
-type batch struct {
-	ops   []trace.Op
-	addrs []uint64
-}
-
-// drawer draws a stream's refills, never past a request bound.
-type drawer struct {
-	stream trace.Stream
-	left   uint64 // requests that may still be drawn
-}
-
-// draw fills b's buffers (of capacity refill) with the stream's next
-// refill and returns the part filled: empty once the bound is reached.
-func (d *drawer) draw(b batch) batch {
-	k := min(d.left, refill)
-	if k == 0 {
-		return batch{}
-	}
-	n := trace.FillBatch(d.stream, b.ops[:k], b.addrs[:k])
-	d.left -= uint64(n)
-	return batch{b.ops[:n], b.addrs[:n]}
-}
-
-// source hands Serve its refills in stream order: next returns the next
-// one, empty at the end of the stream's bound, and close releases the
-// source.
-type source interface {
-	next() batch
-	close()
-}
-
-// newSource returns the refill source of a Serve call: read ahead for a
-// trace.Generator, in place for any other stream.
-func newSource(stream trace.Stream, maxReqs uint64) source {
-	d := drawer{stream, maxReqs}
-	if _, ok := stream.(trace.Generator); ok {
-		return newAhead(d)
-	}
-	return &inPlace{d, newBatch()}
-}
-
-func newBatch() batch {
-	return batch{make([]trace.Op, refill), make([]uint64, refill)}
-}
-
-// inPlace draws each refill on Serve's goroutine, into one buffer.
-type inPlace struct {
-	drawer
-	buf batch
-}
-
-func (s *inPlace) next() batch { return s.draw(s.buf) }
-func (s *inPlace) close()      {}
-
-// ahead draws a generator's refills on a goroutine of its own, into
-// readAhead+1 buffers that cycle between it and Serve: Serve applies one
-// while the others are filled or wait in full.
-type ahead struct {
-	// full holds the drawn refills in stream order, up to readAhead of
-	// them, the read-ahead depth; the fill goroutine closes it on return.
-	full chan batch
-	// free holds the buffers Serve has applied, and has room for all of
-	// them, so handing one back never blocks; close closes it.
-	free     chan batch
-	cur      batch // the refill Serve is applying
-	panicked any   // what the stream's fill panicked with, set before full is closed
-}
-
-func newAhead(d drawer) *ahead {
-	r := &ahead{full: make(chan batch, readAhead), free: make(chan batch, readAhead+1)}
-	for range readAhead + 1 {
-		r.free <- newBatch()
-	}
-	go r.fill(d)
-	return r
-}
-
-// fill is the fill goroutine. It draws a refill into each free buffer until
-// the bound ends the stream or close ends the free buffers. A panic in the
-// stream's fill ends it too; next raises it again once the refills drawn
-// before it are taken.
-func (r *ahead) fill(d drawer) {
-	defer close(r.full)
-	defer func() { r.panicked = recover() }()
-	for b := range r.free {
-		b = d.draw(b)
-		r.full <- b
-		if len(b.ops) == 0 {
-			return
-		}
-	}
-}
-
-func (r *ahead) next() batch {
-	if r.cur.ops != nil {
-		r.free <- r.cur
-	}
-	b, ok := <-r.full
-	if !ok && r.panicked != nil {
-		panic(r.panicked)
-	}
-	r.cur = b
-	return b
-}
-
-// close ends the fill goroutine and waits for it: it takes back the free
-// buffers the goroutine has not, so at most the refill being drawn is
-// drawn after close, then drains full until the goroutine closes it.
-func (r *ahead) close() {
-	close(r.free)
-	for range r.free {
-	}
-	for range r.full {
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,8 +123,8 @@ func TestMaxRequestsBudget(t *testing.T) {
 }
 
 // TestServeStopsAtRequestBound checks a fixed-length Serve, on a stream
-// refilled in place and on a generator read ahead: it applies exactly
-// maxReqs requests and leaves the stream at the next one.
+// filled in place and on a generator that reads itself ahead: it applies
+// exactly maxReqs requests and leaves the stream at the next one.
 func TestServeStopsAtRequestBound(t *testing.T) {
 	const n = 2*refill + 5
 	gcc, _ := workload.ProfileByName("gcc")
@@ -134,7 +133,7 @@ func TestServeStopsAtRequestBound(t *testing.T) {
 		stream func() trace.Stream
 	}{
 		{"uniform", func() trace.Stream { return workload.NewUniform(4, 1024, 0.5) }},
-		{"gcc", func() trace.Stream { return gcc.New(4, 1024) }},
+		{"gcc", func() trace.Stream { return trace.ReadAhead(gcc.New(4, 1024)) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := trace.NewCursor(c.stream(), n+1)
@@ -157,49 +156,23 @@ func TestServeStopsAtRequestBound(t *testing.T) {
 	}
 }
 
-// watched is a generator that counts its fills in progress. Each fill
-// sleeps a little, so the fill goroutine is the slower side and is in the
-// middle of a fill whenever Serve stops.
-type watched struct {
-	trace.Stream
-	filling atomic.Int32
-}
-
-func (w *watched) NextBatch(ops []trace.Op, addrs []uint64) int {
-	w.filling.Add(1)
-	defer w.filling.Add(-1)
-	time.Sleep(50 * time.Microsecond)
-	return w.Stream.NextBatch(ops, addrs)
-}
-
-func (w *watched) Generator() {}
-
-// serveWatched runs Serve on w and checks that the fill goroutine is gone
-// when it returns: no fill of w is in progress, and the goroutine count
-// falls back to its value before the call.
-func serveWatched(t *testing.T, dev *nvm.Device, lv wl.Leveler, w *watched, maxWrites, maxReqs uint64) {
+// serveSettled runs Serve on stream and checks that the goroutine count
+// falls back to its value before the call: a read-ahead producer returns
+// once its ring is full, whoever stopped reading it.
+func serveSettled(t *testing.T, dev *nvm.Device, lv wl.Leveler, stream trace.Stream, maxWrites, maxReqs uint64) {
 	t.Helper()
 	before := runtime.NumGoroutine()
-	defer func() {
-		if n := w.filling.Load(); n != 0 {
-			t.Errorf("%d fills in progress after Serve returned", n)
-		}
-		waitGoroutines(t, before)
-	}()
-	Serve(dev, lv, w, maxWrites, maxReqs)
+	defer waitGoroutines(t, before)
+	Serve(dev, lv, stream, maxWrites, maxReqs)
 }
 
-// hideGenerator hides a stream's trace.Generator marker, so Serve refills
-// it in place instead of reading it ahead.
-func hideGenerator(s trace.Stream) trace.Stream { return struct{ trace.Stream }{s} }
-
 // TestReadAheadMatchesInPlace runs every SPEC profile, and a rate-mode
-// interleave, through Serve read ahead and refilled in place, and requires
-// the same wl.Stats, nvm.Stats and wear vector whichever way the run ends:
-// a write budget cut mid-refill, device death, or a request bound, after
-// which both streams must also stand at the same next request. The
-// read-ahead stream is watched: each way, its fill goroutine must be gone
-// when Serve returns.
+// interleave, through Serve read ahead (trace.ReadAhead) and filled in
+// place, and requires the same wl.Stats, nvm.Stats and wear vector
+// whichever way the run ends: a write budget cut mid-refill, device death,
+// or a request bound, after which both streams must also stand at the same
+// next request. Each way, the read-ahead producer must be gone once its
+// ring is full.
 func TestReadAheadMatchesInPlace(t *testing.T) {
 	const lines = 1024
 	type stream struct {
@@ -228,14 +201,11 @@ func TestReadAheadMatchesInPlace(t *testing.T) {
 					dev := nvm.New(nvm.Config{Lines: lines, SpareLines: 8, Endurance: end.endurance})
 					return dev, pcms.New(dev, pcms.Config{Lines: lines, RegionLines: 4, Period: 8, Seed: 5})
 				}
-				aheadStream, inPlaceStream := s.new(), s.new()
-				if _, ok := aheadStream.(trace.Generator); !ok {
-					t.Fatalf("%T is not a trace.Generator", aheadStream)
-				}
+				aheadStream, inPlaceStream := trace.ReadAhead(s.new()), s.new()
 				aDev, aLv := system()
-				serveWatched(t, aDev, aLv, &watched{Stream: aheadStream}, end.maxWrites, end.maxReqs)
+				serveSettled(t, aDev, aLv, aheadStream, end.maxWrites, end.maxReqs)
 				iDev, iLv := system()
-				Serve(iDev, iLv, hideGenerator(inPlaceStream), end.maxWrites, end.maxReqs)
+				Serve(iDev, iLv, inPlaceStream, end.maxWrites, end.maxReqs)
 				if end.name == "death" && aDev.Alive() {
 					t.Fatal("the device outlived the run")
 				}
@@ -275,7 +245,7 @@ func waitGoroutines(t *testing.T, n int) {
 	}
 }
 
-// thirdPanics is a generator whose third refill panics.
+// thirdPanics is a stream whose third refill panics.
 type thirdPanics struct{ fills int }
 
 func (g *thirdPanics) NextBatch(ops []trace.Op, addrs []uint64) int {
@@ -287,8 +257,6 @@ func (g *thirdPanics) NextBatch(ops []trace.Op, addrs []uint64) int {
 	}
 	return len(ops)
 }
-
-func (g *thirdPanics) Generator() {}
 
 // secondPanics is a scheme whose second AccessBatch call panics.
 type secondPanics struct {
@@ -303,11 +271,11 @@ func (s *secondPanics) AccessBatch(ops []trace.Op, addrs []uint64) int {
 	return s.Leveler.AccessBatch(ops, addrs)
 }
 
-// TestReadAheadPanics checks both panics a read-ahead Serve can meet. A
-// panic in the generator's fill reaches Serve's caller once the scheme has
-// applied the refills drawn before it, as it would in place; a panic in
-// the scheme leaves Serve the same way. Either way the fill goroutine is
-// gone when Serve has left.
+// TestReadAheadPanics checks both panics a Serve over a read-ahead stream
+// can meet. A panic in the stream's fill reaches Serve's caller once the
+// scheme has applied the refills drawn before it, as it would filled in
+// place; a panic in the scheme leaves Serve the same way. Either way the
+// producer is gone once its ring is full.
 func TestReadAheadPanics(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -324,7 +292,7 @@ func TestReadAheadPanics(t *testing.T) {
 			id := wl.NewIdentity(dev)
 			got := func() (p any) {
 				defer func() { p = recover() }()
-				serveWatched(t, dev, c.scheme(id), &watched{Stream: c.stream}, math.MaxUint64, math.MaxUint64)
+				serveSettled(t, dev, c.scheme(id), trace.ReadAhead(c.stream), math.MaxUint64, math.MaxUint64)
 				return nil
 			}()
 			if got != c.want {

@@ -10,6 +10,7 @@ import (
 	"nvmwear/internal/metrics"
 	"nvmwear/internal/nvm"
 	"nvmwear/internal/rng"
+	"nvmwear/internal/trace"
 	"nvmwear/internal/wl"
 	"nvmwear/internal/wl/pcms"
 	"nvmwear/internal/wl/startgap"
@@ -191,9 +192,9 @@ func TestRunShardedConcurrentMergeRace(t *testing.T) {
 	runConcurrently(t, func() []ShardRun { return buildShards(4, 128, 4, 50, 7) })
 }
 
-// The same hammer on SPEC gcc shards, each read ahead by a fill goroutine
-// of its own: 8 runs of 4 pool shards put 32 read-ahead handoffs in
-// flight at once.
+// The same hammer on SPEC gcc shards that read themselves ahead, each with
+// a producer of its own: 8 runs of 4 pool shards put 32 read-ahead rings
+// in flight at once.
 func TestRunShardedReadAheadRace(t *testing.T) {
 	const n, lines = 4, 128
 	gcc, ok := workload.ProfileByName("gcc")
@@ -207,7 +208,7 @@ func TestRunShardedReadAheadRace(t *testing.T) {
 			shards[b] = ShardRun{
 				Dev:    dev,
 				Lv:     pcms.New(dev, pcms.Config{Lines: lines, RegionLines: 4, Period: 8, Seed: uint64(b)}),
-				Stream: gcc.New(rng.SeedStream(7, uint64(b)), lines),
+				Stream: trace.ReadAhead(gcc.New(rng.SeedStream(7, uint64(b)), lines)),
 			}
 		}
 		return shards

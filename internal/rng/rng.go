@@ -8,7 +8,10 @@
 // Bernoulli trials, and Fisher-Yates shuffles.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
@@ -42,17 +45,14 @@ func New(seed uint64) *Source {
 	return &s
 }
 
-// Uint64 returns the next 64 uniformly distributed random bits.
+// Uint64 returns the next 64 uniformly distributed random bits. It works
+// on locals, so it stays within the inliner's budget and a caller's draw
+// costs no call.
 func (r *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
-	return result
+	s0, s1 := r.s[0], r.s[1]
+	s2, s3 := r.s[2]^s0, r.s[3]^s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ (s1 << 17), bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
@@ -93,6 +93,40 @@ func (r *Source) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// Bernoulli is a trial of fixed probability p that decides exactly as
+// Source.Bool(p) does, draw for draw, with an integer compare: for
+// 0 < p < 1, Float64() < p holds exactly when the draw's top 53 bits lie
+// below ceil(p·2^53), as p·2^53 is exact and the bits are an integer; p <= 0
+// and p >= 1 draw nothing.
+type Bernoulli struct {
+	below uint64 // a drawn value succeeds below it: ceil(p·2^53), or 1 (always) or 0 (never) undrawn
+	draws bool
+}
+
+// NewBernoulli returns the trial of probability p.
+func NewBernoulli(p float64) Bernoulli {
+	switch {
+	case p <= 0:
+		return Bernoulli{}
+	case p >= 1:
+		return Bernoulli{below: 1}
+	case p > 0:
+		return Bernoulli{below: uint64(math.Ceil(p * (1 << 53))), draws: true}
+	}
+	return Bernoulli{draws: true} // NaN: Bool draws and fails
+}
+
+// Of runs the trial on r. It fits the inliner, so a caller's trial costs
+// no call, and a caller that selects on its outcome compiles to a
+// conditional set rather than a branch.
+func (b Bernoulli) Of(r *Source) bool {
+	var x uint64
+	if b.draws {
+		x = r.Uint64() >> 11
+	}
+	return x < b.below
 }
 
 // Fork derives a new independent Source from this one. Forking is used to

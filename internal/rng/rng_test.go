@@ -103,6 +103,63 @@ func TestBoolExtremes(t *testing.T) {
 	}
 }
 
+// TestUint64KnownAnswers pins the generator to its recorded outputs, so a
+// rewrite of Uint64 cannot change one draw of any experiment.
+func TestUint64KnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want [6]uint64
+	}{
+		{0x0, [6]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c, 0xbba5ad4a1f842e59, 0xffef8375d9ebcaca}},
+		{0x1, [6]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7, 0xb27a48e29a233673, 0x24c123126ffda722}},
+		{0xdeadbeefcafef00d, [6]uint64{0x9e32cfb5bb93eebb, 0x16006bd9d4ac0014, 0x8ada5d6d34b6538e, 0x7c327ca32346a238, 0xc43a6d6a3492ced2, 0xdb639ecb036a9c04}},
+	} {
+		r := New(c.seed)
+		for i, want := range c.want {
+			if got := r.Uint64(); got != want {
+				t.Fatalf("seed %#x: draw %d is %#x, want %#x", c.seed, i, got, want)
+			}
+		}
+	}
+}
+
+// bernoulliProbs are the probabilities TestBernoulliMatchesBool covers:
+// both no-draw sides, the extremes of the open interval, probabilities on,
+// next to and between multiples of 2^-53, and the SPEC profiles' values.
+var bernoulliProbs = []float64{
+	-1, 0, math.Copysign(0, -1), 1, 2, math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, 1e-300, 1.0 / (1 << 53), 1.5 / (1 << 53), 3.0 / (1 << 53),
+	math.Nextafter(1, 0), 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+	0.01, 0.04, 0.05, 0.1, 0.15, 0.25, 0.3, 0.35, 0.45, 0.55, 0.6, 0.96, 0.97,
+	1.0 / 3, 2.0 / 3,
+}
+
+// TestBernoulliMatchesBool checks NewBernoulli(p) against Bool(p): on the
+// integers around p·2^53 the compare must give Float64's answer, and on
+// one seed both must draw the same values and decide alike.
+func TestBernoulliMatchesBool(t *testing.T) {
+	for _, p := range bernoulliProbs {
+		b := NewBernoulli(p)
+		if p > 0 && p < 1 {
+			m := uint64(p * (1 << 53))
+			for x := m - min(m, 2); x <= m+2 && x < 1<<53; x++ {
+				if want, got := float64(x)/(1<<53) < p, x < b.below; got != want {
+					t.Fatalf("p=%v: top bits %d decide %v, Float64 decides %v", p, x, got, want)
+				}
+			}
+		}
+		ref, src := New(3), New(3)
+		for i := 0; i < 1000; i++ {
+			if want, got := ref.Bool(p), b.Of(src); got != want {
+				t.Fatalf("p=%v: trial %d is %v, Bool gives %v", p, i, got, want)
+			}
+		}
+		if ref.Uint64() != src.Uint64() {
+			t.Fatalf("p=%v: the trial and Bool drew differently", p)
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	r := New(9)
 	const draws = 100000

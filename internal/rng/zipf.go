@@ -213,10 +213,23 @@ func helper2(x float64) float64 {
 }
 
 // Next returns the next Zipf-distributed rank in [0, n). Rank 0 is the most
-// popular.
+// popular. A draw whose guide bucket accepts a rank outright costs one load
+// and one compare; settle decides every other draw.
 func (z *Zipf) Next() uint64 {
-	for {
-		f := z.src.Float64()
+	f := z.src.Float64()
+	if f >= z.headF {
+		if g := z.guide[int(f*z.guideScale)]; g < guideReject {
+			return uint64(g)
+		}
+	}
+	return z.settle(f)
+}
+
+// settle finishes Next from its draw f: a mixed bucket asks decide, a
+// rejecting bucket or verdict draws again, and the closed form decides an
+// undecided u and every draw past the head.
+func (z *Zipf) settle(f float64) uint64 {
+	for ; ; f = z.src.Float64() {
 		if f >= z.headF {
 			g := z.guide[int(f*z.guideScale)]
 			if g < guideReject {

@@ -56,18 +56,6 @@ type Stream interface {
 	NextBatch(ops []Op, addrs []uint64) int
 }
 
-// Generator is a Stream that computes its requests from its own state
-// alone, so a reader may fill its refills ahead on another goroutine while
-// it applies earlier ones (lifetime.Serve does). Generator does nothing; it
-// marks the streams whose fills cost enough to be worth overlapping: the
-// synthetic SPEC generators. A stream whose fill is a copy or a few draws
-// (the attacks, uniform, a replayed trace) gains nothing from it and stays
-// unmarked.
-type Generator interface {
-	Stream
-	Generator()
-}
-
 // FillBatch fills ops/addrs (equal lengths) with the next requests of s and
 // returns the number of requests filled.
 func FillBatch(s Stream, ops []Op, addrs []uint64) int {

@@ -25,11 +25,22 @@ var phased = Profile{Name: "phased", Pages: 256, ZipfAlpha: 1.1, HotPages: 4, Ho
 const rateCopies, rateLines = 4, 1 << 14
 
 // streamKind is one kind of stream the oracle covers. bpaRepeats is set for
-// the BPA kinds, which are also checked against a reference.
+// the BPA kinds, which are also checked against a reference; bare is set
+// for the read-ahead kinds, which must yield the bare stream's requests.
 type streamKind struct {
 	name       string
 	new        func(seed uint64) trace.Stream
 	bpaRepeats uint64
+	bare       func(seed uint64) trace.Stream
+}
+
+// aheadKind is a kind read ahead (trace.ReadAhead) over the bare stream.
+func aheadKind(name string, bare func(seed uint64) trace.Stream) streamKind {
+	return streamKind{
+		name: "ahead/" + name,
+		new:  func(seed uint64) trace.Stream { return trace.ReadAhead(bare(seed)) },
+		bare: bare,
+	}
 }
 
 func bpaKind(repeats uint64) streamKind {
@@ -56,6 +67,9 @@ var streamKinds = []streamKind{
 	{name: "spec/phased", new: func(seed uint64) trace.Stream { return phased.New(seed, 1<<14) }},
 	{name: "ratemode", new: func(seed uint64) trace.Stream { return NewRateMode(gromacs, seed, rateLines, rateCopies) }},
 	{name: "loop", new: func(seed uint64) trace.Stream { return trace.NewLoop(take(NewUniform(seed, 1<<10, 0.5), 37)) }},
+	aheadKind("spec/gcc", func(seed uint64) trace.Stream { return gcc.New(seed, 1<<12) }),
+	aheadKind("spec/phased", func(seed uint64) trace.Stream { return phased.New(seed, 1<<14) }),
+	aheadKind("ratemode", func(seed uint64) trace.Stream { return NewRateMode(gromacs, seed, rateLines, rateCopies) }),
 }
 
 // streamChunks is the chunk pattern TestStreamFill and FuzzStreamFill's
@@ -84,7 +98,9 @@ func chunkLen(b byte) int { return 1 + int(b>>3)<<(b&7) }
 // writes it exactly repeats times, and RateMode interleaves its separately
 // built copies round-robin, each in its own partition. The phased profile
 // covers the SPEC generator's phases, scans and runs; the Loop replays a
-// captured trace.
+// captured trace. The read-ahead kinds must also yield exactly their bare
+// stream's requests, as chunk-invariance alone would pass a stream that
+// reorders its refills the same way however it is cut.
 func FuzzStreamFill(f *testing.F) {
 	for k := range streamKinds {
 		f.Add(uint8(k), uint64(3), streamChunks)
@@ -117,6 +133,13 @@ func checkStreamFill(t *testing.T, kind uint8, seed uint64, chunks []byte) {
 		}
 	}
 
+	if k.bare != nil {
+		for i, want := range take(k.bare(seed), oracleReqs) {
+			if got := whole[i]; got != want {
+				t.Fatalf("%s: request %d read ahead is %+v, the bare stream's %+v", k.name, i, got, want)
+			}
+		}
+	}
 	switch {
 	case k.bpaRepeats > 0:
 		checkBPA(t, whole, seed, k.bpaRepeats)

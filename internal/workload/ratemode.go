@@ -14,6 +14,9 @@ type RateMode struct {
 	gens []*Gen
 	next int
 	base []uint64
+	// ops and addrs hold one copy's share of a fill.
+	ops   []trace.Op
+	addrs []uint64
 }
 
 // NewRateMode instantiates `copies` independent instances of the profile
@@ -40,19 +43,22 @@ func NewRateMode(p Profile, seed, lines uint64, copies int) *RateMode {
 	return r
 }
 
-// NextBatch implements trace.Stream.
+// NextBatch implements trace.Stream. Request i of the fill is the next
+// request of copy (next+i) mod copies, so each copy's share of the fill is
+// one NextBatch of that copy, spread over every copies-th slot.
 func (r *RateMode) NextBatch(ops []trace.Op, addrs []uint64) int {
-	for i := range ops {
-		c := r.next
-		r.next++
-		if r.next == len(r.gens) {
-			r.next = 0
-		}
-		req := r.gens[c].step()
-		ops[i], addrs[i] = req.Op, req.Addr+r.base[c]
+	c := len(r.gens)
+	if share := (len(ops) + c - 1) / c; cap(r.ops) < share {
+		r.ops, r.addrs = make([]trace.Op, share), make([]uint64, share)
 	}
+	for d := 0; d < min(c, len(ops)); d++ {
+		q := (r.next + d) % c
+		k := (len(ops) - d + c - 1) / c
+		r.gens[q].NextBatch(r.ops[:k], r.addrs[:k])
+		for j := range k {
+			ops[d+j*c], addrs[d+j*c] = r.ops[j], r.addrs[j]+r.base[q]
+		}
+	}
+	r.next = (r.next + len(ops)) % c
 	return len(ops)
 }
-
-// Generator implements trace.Generator, as its copies do.
-func (r *RateMode) Generator() {}

@@ -55,19 +55,25 @@ type Profile struct {
 
 // Gen is an instantiated Profile: a deterministic trace.Stream.
 type Gen struct {
-	p         Profile
-	src       *rng.Source
-	zipf      *rng.Zipf
-	hotZipf   *rng.Zipf
-	pages     uint64 // power of two
-	pageMask  uint64
-	permMul   uint64
-	permAdd   uint64
-	lines     uint64
+	p        Profile
+	src      *rng.Source
+	zipf     *rng.Zipf
+	hotZipf  *rng.Zipf
+	pages    uint64 // power of two
+	pageMask uint64
+	permMul  uint64
+	permAdd  uint64
+
+	// The profile's trials, drawn as rng.Source.Bool draws them; seq never
+	// succeeds, and draws nothing, unless SeqRun > 1.
+	write, scan, hot, seq rng.Bernoulli
+	// jump is the page rotation of a phase change.
+	jump uint64
+
 	scanCur   uint64
 	runLeft   int
 	runCur    uint64
-	count     uint64
+	phaseLeft uint64 // requests up to and including the next phase change
 	phaseBase uint64
 }
 
@@ -91,12 +97,19 @@ func (p Profile) New(seed, lines uint64) *Gen {
 		src:      src,
 		pages:    pages,
 		pageMask: pages - 1,
-		lines:    lines,
 		// Odd multiplier => bijection on the power-of-two page space; it
 		// scatters Zipf-popular ranks across the footprint so hot pages are
 		// not artificially contiguous.
-		permMul: src.Uint64() | 1,
-		permAdd: src.Uint64(),
+		permMul:   src.Uint64() | 1,
+		permAdd:   src.Uint64(),
+		write:     rng.NewBernoulli(p.WriteRatio),
+		scan:      rng.NewBernoulli(p.ScanProb),
+		hot:       rng.NewBernoulli(p.HotProb),
+		jump:      max(uint64(float64(pages)*p.PhaseJump), 1),
+		phaseLeft: p.PhaseEvery,
+	}
+	if p.SeqRun > 1 {
+		g.seq = rng.NewBernoulli(p.SeqProb)
 	}
 	g.zipf = rng.NewZipf(src.Fork(), pages, p.ZipfAlpha)
 	hot := p.HotPages
@@ -151,74 +164,62 @@ func (g *Gen) permPage(rank uint64) uint64 {
 	return (rank*g.permMul + g.permAdd + g.phaseBase) & g.pageMask
 }
 
-// step produces the generator's next request.
-func (g *Gen) step() trace.Request {
-	g.count++
-	if g.p.PhaseEvery != 0 && g.count%g.p.PhaseEvery == 0 {
-		jump := uint64(float64(g.pages) * g.p.PhaseJump)
-		if jump == 0 {
-			jump = 1
-		}
-		g.phaseBase = (g.phaseBase + jump) & g.pageMask
-		g.runLeft = 0
-	}
-
-	op := trace.Read
-	if g.src.Bool(g.p.WriteRatio) {
-		op = trace.Write
-	}
-
-	// Continue an in-progress sequential run.
-	if g.runLeft > 0 {
-		g.runLeft--
-		g.runCur++
-		if g.runCur >= g.Footprint() {
-			g.runCur = 0
-		}
-		return trace.Request{Op: op, Addr: g.runCur}
-	}
-
-	// Global streaming scan.
-	if g.p.ScanProb > 0 && g.src.Bool(g.p.ScanProb) {
-		a := g.scanCur
-		g.scanCur++
-		if g.scanCur >= g.Footprint() {
-			g.scanCur = 0
-		}
-		return trace.Request{Op: op, Addr: a}
-	}
-
-	// Locality-driven page pick.
-	var page uint64
-	if g.p.HotProb > 0 && g.src.Bool(g.p.HotProb) {
-		page = g.permPage(g.hotZipf.Next())
-	} else {
-		page = g.permPage(g.zipf.Next())
-	}
-	addr := page*PageLines + g.src.Uint64n(PageLines)
-
-	if g.p.SeqProb > 0 && g.p.SeqRun > 1 && g.src.Bool(g.p.SeqProb) {
-		g.runLeft = g.p.SeqRun - 1
-		g.runCur = addr
-	}
-	return trace.Request{Op: op, Addr: addr}
-}
-
-// NextBatch implements trace.Stream. The generator's per-request state
-// machine (phases, runs, scans) does not vectorize, but one call per batch
-// spares each request an interface dispatch.
+// NextBatch implements trace.Stream. Each request:
+//
+//   - counts down to the next phase change, which rotates the page
+//     permutation by jump and ends any sequential run (PhaseEvery 0 starts
+//     the countdown at 0, so the first change would come after 2^64
+//     requests);
+//   - is a write when the write trial succeeds;
+//   - continues a sequential run in progress, else takes the scan cursor
+//     when the scan trial succeeds, else picks a page from the hot set's
+//     Zipf when the hot trial succeeds and from the footprint's otherwise,
+//     and a line in it, where the seq trial may start a run of SeqRun-1
+//     more lines.
+//
+// Runs and the scan wrap at the footprint, a power of two. Draw for draw
+// this is the per-request generator the package's tests keep as the
+// reference: a trial compares the draw's top 53 bits with a threshold
+// (rng.Bernoulli), the write choice compiles to a conditional set, not a
+// branch, and the line offset Uint64()>>58 is exactly Uint64n(PageLines).
 func (g *Gen) NextBatch(ops []trace.Op, addrs []uint64) int {
+	src, footMask := g.src, g.Footprint()-1
 	for i := range ops {
-		r := g.step()
-		ops[i] = r.Op
-		addrs[i] = r.Addr
+		if g.phaseLeft--; g.phaseLeft == 0 {
+			g.phaseLeft = g.p.PhaseEvery
+			g.phaseBase = (g.phaseBase + g.jump) & g.pageMask
+			g.runLeft = 0
+		}
+		op := trace.Read
+		if g.write.Of(src) {
+			op = trace.Write
+		}
+		ops[i] = op
+
+		if g.runLeft > 0 {
+			g.runLeft--
+			g.runCur = (g.runCur + 1) & footMask
+			addrs[i] = g.runCur
+			continue
+		}
+		if g.scan.Of(src) {
+			addrs[i] = g.scanCur
+			g.scanCur = (g.scanCur + 1) & footMask
+			continue
+		}
+		z := g.zipf
+		if g.hot.Of(src) {
+			z = g.hotZipf
+		}
+		a := g.permPage(z.Next())*PageLines + src.Uint64()>>58
+		addrs[i] = a
+		if g.seq.Of(src) {
+			g.runLeft = g.p.SeqRun - 1
+			g.runCur = a
+		}
 	}
 	return len(ops)
 }
-
-// Generator implements trace.Generator: a lifetime run fills g's refills
-// ahead of the scheme.
-func (g *Gen) Generator() {}
 
 // SpecProfiles are the 14 SPEC CPU2006 applications the paper evaluates
 // (Sec 4.1), modeled by locality class:

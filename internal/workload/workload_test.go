@@ -245,11 +245,9 @@ func TestPow2Helpers(t *testing.T) {
 	}
 }
 
-var reqSink trace.Request
-
-// BenchmarkSpecGen draws round-robin from all 14 profiles at the line counts
-// of the spec-lifetime (2^10) and trace-ipc (2^16) benchmark workloads and
-// of Fig 17 at -scale small (2^22).
+// BenchmarkSpecGen fills 4096-request batches round-robin from all 14
+// profiles at the line counts of the spec-lifetime (2^10) and trace-ipc
+// (2^16) benchmark workloads and of Fig 17 at -scale small (2^22).
 func BenchmarkSpecGen(b *testing.B) {
 	for _, lines := range []uint64{1 << 10, 1 << 16, 1 << 22} {
 		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
@@ -257,10 +255,13 @@ func BenchmarkSpecGen(b *testing.B) {
 			for i, p := range SpecProfiles {
 				gens[i] = p.New(1, lines)
 			}
+			ops := make([]trace.Op, 4096)
+			addrs := make([]uint64, len(ops))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reqSink = gens[i%len(gens)].step()
+				gens[i%len(gens)].NextBatch(ops, addrs)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/req")
 		})
 	}
 }

@@ -324,7 +324,9 @@ type WorkloadSpec struct {
 	Seed uint64
 }
 
-// Build instantiates the workload over an address space of `lines`.
+// Build instantiates the workload over an address space of `lines`. A
+// SPEC profile, in rate mode or not, reads itself ahead (trace.ReadAhead):
+// its generation overlaps whatever reads it.
 func (w WorkloadSpec) Build(lines uint64) (trace.Stream, string, error) {
 	if lines == 0 {
 		return nil, "", fmt.Errorf("nvmwear: workload %q over zero lines", w.Kind)
@@ -363,10 +365,12 @@ func (w WorkloadSpec) Build(lines uint64) (trace.Stream, string, error) {
 			return nil, "", fmt.Errorf("nvmwear: SPEC profile %q: %d lines per copy, fewer than one %d-line page",
 				p.Name, space, workload.PageLines)
 		}
+		// The attacks', uniform's and a replayed trace's fills cost too
+		// little to gain from a second thread; BPA read ahead ran slower.
 		if w.RateCopies > 0 {
-			return workload.NewRateMode(p, w.Seed, lines, w.RateCopies), p.Name, nil
+			return trace.ReadAhead(workload.NewRateMode(p, w.Seed, lines, w.RateCopies)), p.Name, nil
 		}
-		return p.New(w.Seed, lines), p.Name, nil
+		return trace.ReadAhead(p.New(w.Seed, lines)), p.Name, nil
 	case WorkloadFile:
 		f, err := os.Open(w.Path)
 		if err != nil {
