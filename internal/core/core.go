@@ -461,19 +461,29 @@ func (s *Scheme) Name() string {
 	return fmt.Sprintf("NWL-%d", s.p)
 }
 
-// Stats implements wl.Leveler, folding GTD traffic into the table counters.
+// Stats implements wl.Leveler: the engine's own counters with its parts'
+// counters folded in.
 func (s *Scheme) Stats() wl.Stats {
 	st := s.stats
-	g := s.dir.Stats()
-	st.TableWrites = g.Writes
-	st.SwapWrites += g.SwapWrites // GTD exchanges are demand-blocking table maintenance
-	cs := s.cache.Stats()
-	st.CMTHits = cs.Hits
-	st.CMTMisses = cs.Misses
-	fs := s.table.FaultStats()
-	st.MetaFaults = fs.Corruptions
-	st.MetaRebuilds = fs.Rebuilds
+	st.SwapWrites, st.TableWrites, st.CMTHits, st.CMTMisses, st.MetaRebuilds = s.folds()
+	st.MetaFaults = s.table.FaultStats().Corruptions
 	return st
+}
+
+// Counters implements wl.Leveler from the same folds as Stats.
+func (s *Scheme) Counters() (hits, misses, rebuilds, blocking, background uint64) {
+	swap, table, hits, misses, rebuilds := s.folds()
+	return hits, misses, rebuilds, swap + table, s.stats.MergeWrites
+}
+
+// folds returns the counters the engine's parts keep, in wl.Stats's
+// terms: every GTD write is a table write, GTD exchange writes are swap
+// writes on top of the engine's own (demand-blocking table maintenance),
+// the CMT counts hits and misses, and the IMT counts rebuilds.
+func (s *Scheme) folds() (swap, table, hits, misses, rebuilds uint64) {
+	g := s.dir.Stats()
+	cs := s.cache.Stats()
+	return s.stats.SwapWrites + g.SwapWrites, g.Writes, cs.Hits, cs.Misses, s.table.FaultStats().Rebuilds
 }
 
 // InverseTranslate maps a physical data line back to the logical line

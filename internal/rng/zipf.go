@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // zipfHead is the number of head ranks a Zipf sampler tabulates. It covers
 // the page footprints of the SPEC lifetime and IPC benchmark workloads (at
@@ -48,7 +51,16 @@ const (
 // than 10^5 times wider than any rounding that could flip floor(x+0.5) or
 // k-x <= s at a tabulated rank.
 type Zipf struct {
-	src           *Source
+	src *Source
+	// The sampler's own copy of its table's slice headers and scalars, so
+	// Next loads them as directly as its own fields; only the backing
+	// arrays are shared with every other sampler of the same (n, alpha).
+	zipfTable
+}
+
+// zipfTable is everything a Zipf sampler knows besides its Source: a pure
+// function of (n, alpha), read-only once built.
+type zipfTable struct {
 	n             float64
 	alpha         float64
 	oneMinusAlpha float64
@@ -73,9 +85,28 @@ type zipfRank struct {
 	edge, early, squeeze float64
 }
 
+// zipfMemoCap bounds the tables the memo keeps, about 3.6 MB at zipfHead
+// ranks each, so a caller drawing over many sizes cannot grow it without
+// bound; a table built past the cap serves its sampler and is not kept.
+const zipfMemoCap = 64
+
+// zipfKey identifies a table: n and the bits of alpha after NewZipf's
+// alpha = 1 adjustment.
+type zipfKey struct{ n, alpha uint64 }
+
+// zipfMemo holds the tables built so far, so the samplers of every stream
+// over one (n, alpha) share one table. Its values never change once
+// stored, and a table depends only on its key, so a sampler draws the
+// same whether its table came from here or from a fresh build.
+var zipfMemo = struct {
+	sync.Mutex
+	tables map[zipfKey]zipfTable
+}{tables: map[zipfKey]zipfTable{}}
+
 // NewZipf returns a Zipf sampler over [0, n) with exponent alpha > 0,
 // alpha != 1 handled exactly and alpha == 1 handled via a small epsilon
-// offset. It panics if n == 0 or alpha <= 0.
+// offset. It panics if n == 0 or alpha <= 0. The sampler draws from src;
+// its table is built once per (n, alpha) in a process and shared.
 func NewZipf(src *Source, n uint64, alpha float64) *Zipf {
 	if n == 0 {
 		panic("rng: NewZipf with n == 0")
@@ -87,8 +118,29 @@ func NewZipf(src *Source, n uint64, alpha float64) *Zipf {
 		// The rejection-inversion transform divides by (1 - alpha).
 		alpha = 1 + 1e-9
 	}
-	z := &Zipf{
-		src:           src,
+	key := zipfKey{n, math.Float64bits(alpha)}
+	zipfMemo.Lock()
+	t, ok := zipfMemo.tables[key]
+	zipfMemo.Unlock()
+	if !ok {
+		// Build outside the lock: concurrent builders of one key make
+		// identical tables, and the first stored is the one kept.
+		t = newZipfTable(n, alpha)
+		zipfMemo.Lock()
+		if kept, ok := zipfMemo.tables[key]; ok {
+			t = kept
+		} else if len(zipfMemo.tables) < zipfMemoCap {
+			zipfMemo.tables[key] = t
+		}
+		zipfMemo.Unlock()
+	}
+	return &Zipf{src: src, zipfTable: t}
+}
+
+// newZipfTable builds the table of (n, alpha), alpha already adjusted away
+// from 1.
+func newZipfTable(n uint64, alpha float64) zipfTable {
+	z := zipfTable{
 		n:             float64(n),
 		alpha:         alpha,
 		oneMinusAlpha: 1 - alpha,
@@ -104,7 +156,7 @@ func NewZipf(src *Source, n uint64, alpha float64) *Zipf {
 // deciding the ends of its u interval, widened by guard on both sides:
 // decide's verdict for one rank index holds on an interval of u, so equal
 // verdicts at both ends hold for every u in the bucket.
-func (z *Zipf) buildTable(m uint64) {
+func (z *zipfTable) buildTable(m uint64) {
 	z.head = make([]zipfRank, m)
 	for i := range z.head {
 		k := float64(i + 1)
@@ -158,7 +210,7 @@ const (
 // i, which must not lie above u's cell. It returns accept with u's rank
 // index, reject, or undecided when u is within guard of a cell or
 // early-accept edge or lies past the last tabulated cell.
-func (z *Zipf) decide(u float64, i uint16) (uint16, int) {
+func (z *zipfTable) decide(u float64, i uint16) (uint16, int) {
 	t := z.head
 	for int(i) < len(t)-1 && u >= t[i].edge {
 		i++
@@ -177,18 +229,18 @@ func (z *Zipf) decide(u float64, i uint16) (uint16, int) {
 }
 
 // h is the (unnormalized) density x^-alpha.
-func (z *Zipf) h(x float64) float64 {
+func (z *zipfTable) h(x float64) float64 {
 	return math.Exp(-z.alpha * math.Log(x))
 }
 
 // hIntegral is the antiderivative of h.
-func (z *Zipf) hIntegral(x float64) float64 {
+func (z *zipfTable) hIntegral(x float64) float64 {
 	logX := math.Log(x)
 	return helper2(z.oneMinusAlpha*logX) * logX
 }
 
 // hIntegralInverse inverts hIntegral.
-func (z *Zipf) hIntegralInverse(x float64) float64 {
+func (z *zipfTable) hIntegralInverse(x float64) float64 {
 	t := x * z.oneMinusAlpha
 	if t < -1 {
 		t = -1
@@ -253,13 +305,13 @@ func (z *Zipf) settle(f float64) uint64 {
 }
 
 // u maps a Float64 draw f to u-space; u falls as f rises.
-func (z *Zipf) u(f float64) float64 {
+func (z *zipfTable) u(f float64) float64 {
 	return z.hIntegralNum + f*(z.hIntegralX1-z.hIntegralNum)
 }
 
 // closedForm is the rejection-inversion step for u: the rank index and
 // whether it is accepted. It is the reference the table must match.
-func (z *Zipf) closedForm(u float64) (uint64, bool) {
+func (z *zipfTable) closedForm(u float64) (uint64, bool) {
 	x := z.hIntegralInverse(u)
 	k := math.Floor(x + 0.5)
 	if k < 1 {

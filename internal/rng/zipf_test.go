@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -185,4 +187,136 @@ func FuzzZipfDecision(f *testing.F) {
 			t.Fatalf("u=%v: table (%d, verdict %d) disagrees", u, k, v)
 		}
 	})
+}
+
+// freshMemo gives the test an empty table memo and restores the process's
+// memo when it ends, so the test sees its own builds and stores whatever
+// the package's other tests left in the memo.
+func freshMemo(t *testing.T) {
+	zipfMemo.Lock()
+	saved := zipfMemo.tables
+	zipfMemo.tables = map[zipfKey]zipfTable{}
+	zipfMemo.Unlock()
+	t.Cleanup(func() {
+		zipfMemo.Lock()
+		zipfMemo.tables = saved
+		zipfMemo.Unlock()
+	})
+}
+
+// freshZipf is a sampler over a table built for it alone, bypassing the
+// memo: the reference a memo sampler must match.
+func freshZipf(src *Source, n uint64, alpha float64) *Zipf {
+	if alpha == 1 {
+		alpha = 1 + 1e-9 // NewZipf's adjustment
+	}
+	return &Zipf{src: src, zipfTable: newZipfTable(n, alpha)}
+}
+
+// sameDraws fails t unless a and b draw the same count ranks.
+func sameDraws(t *testing.T, a, b *Zipf, count int) {
+	t.Helper()
+	for i := 0; i < count; i++ {
+		if x, y := a.Next(), b.Next(); x != y {
+			t.Fatalf("n=%v alpha=%v: draw %d is %d, a fresh table draws %d", b.n, b.alpha, i, x, y)
+		}
+	}
+}
+
+// TestZipfMemoDrawsAsFreshBuild: a sampler whose table came from the memo
+// draws exactly what a sampler over a fresh build draws, on every size
+// class (one rank, a head shorter and longer than a guide power, the full
+// head, past the head) and on both sides of alpha = 1. Each n meets every
+// alpha after the memo already holds another alpha of that n.
+func TestZipfMemoDrawsAsFreshBuild(t *testing.T) {
+	freshMemo(t)
+	for _, n := range []uint64{1, 12, 16, 1024, 1 << 20} {
+		for _, alpha := range []float64{0.7, 1.0, 1.3} {
+			seed := n*31 + uint64(alpha*10)
+			sameDraws(t, NewZipf(New(seed), n, alpha), freshZipf(New(seed), n, alpha), 1_000_000)
+		}
+	}
+}
+
+// TestZipfMemoShares: two samplers of one (n, alpha) share their table's
+// backing arrays and keep their own sources.
+func TestZipfMemoShares(t *testing.T) {
+	freshMemo(t)
+	a := NewZipf(New(1), 1024, 1.05)
+	b := NewZipf(New(2), 1024, 1.05)
+	if &a.head[0] != &b.head[0] || &a.guide[0] != &b.guide[0] {
+		t.Fatal("two samplers of one key built two tables")
+	}
+	if c := NewZipf(New(1), 1024, 1.1); &c.head[0] == &a.head[0] {
+		t.Fatal("samplers of two alphas share a table")
+	}
+	if a.src == b.src {
+		t.Fatal("two samplers share a source")
+	}
+}
+
+// TestZipfMemoConcurrent: 8 goroutines build samplers over overlapping
+// keys at once, as an exec pool's jobs do, and each draws what a fresh
+// build draws. Run it under -race.
+func TestZipfMemoConcurrent(t *testing.T) {
+	freshMemo(t)
+	type key struct {
+		n     uint64
+		alpha float64
+	}
+	keys := []key{{16, 0.7}, {1024, 1.05}, {12, 1.0}, {1 << 20, 0.9}, {1024, 1.1}}
+	const draws = 10_000
+	want := make([][]uint64, len(keys))
+	for i, k := range keys {
+		z := freshZipf(New(uint64(i)), k.n, k.alpha)
+		for j := 0; j < draws; j++ {
+			want[i] = append(want[i], z.Next())
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range keys {
+				i := (g + r) % len(keys)
+				z := NewZipf(New(uint64(i)), keys[i].n, keys[i].alpha)
+				for j, w := range want[i] {
+					if got := z.Next(); got != w {
+						errs <- fmt.Sprintf("goroutine %d, key %v: draw %d is %d, want %d", g, keys[i], j, got, w)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if got := len(zipfMemo.tables); got != len(keys) {
+		t.Fatalf("memo holds %d tables, want %d", got, len(keys))
+	}
+}
+
+// TestZipfMemoPastCap: once the memo holds zipfMemoCap tables, a new key
+// still gets a correct sampler, built for it and not kept.
+func TestZipfMemoPastCap(t *testing.T) {
+	freshMemo(t)
+	for n := uint64(1); n <= zipfMemoCap; n++ {
+		NewZipf(New(n), n, 1.1)
+	}
+	a := NewZipf(New(5), 1000, 0.8)
+	sameDraws(t, a, freshZipf(New(5), 1000, 0.8), 1_000_000)
+	if b := NewZipf(New(6), 1000, 0.8); &a.head[0] == &b.head[0] {
+		t.Fatal("a table built past the cap was kept")
+	}
+	if got := len(zipfMemo.tables); got != zipfMemoCap {
+		t.Fatalf("memo holds %d tables, want its cap %d", got, zipfMemoCap)
+	}
+	if a, b := NewZipf(New(1), 7, 1.1), NewZipf(New(2), 7, 1.1); &a.head[0] != &b.head[0] {
+		t.Fatal("a table kept before the cap is no longer shared")
+	}
 }

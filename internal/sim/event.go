@@ -94,8 +94,14 @@ func (b *bankState) next() (bankOp, bool) {
 // engine. Demand writes wait in a buffer of QueueDepth entries; a core that
 // finds it full retries one write latency later.
 func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	m := newMeter(lv)
+	return runEvent(m, m.step, stream, cfg)
+}
+
+// runEvent is RunEvent with step serving and pricing each request into m's
+// totals.
+func runEvent(m *meter, step func(trace.Op, uint64) access, stream trace.Stream, cfg Config) Result {
+	cfg = cfg.withDefaults()
 	computeNs := cfg.InstrPerMemReq / FreqGHz
 	var banks [Banks]bankState
 
@@ -146,7 +152,7 @@ func RunEvent(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 	// wear-leveling writes it caused. It reports whether the core now
 	// waits for a read.
 	send := func(op trace.Op, addr uint64, core int, now float64) bool {
-		a := m.step(op, addr)
+		a := step(op, addr)
 		b := a.bank
 		t := now + a.transNs
 		entry := bankOp{write: op == trace.Write, core: -1, issue: t}

@@ -88,18 +88,24 @@ func (r Result) Degradation(baseline Result) float64 {
 }
 
 // meter serves requests through the scheme and prices each one from the
-// scheme's counter deltas. It also keeps the totals a Result reports.
+// deltas of the scheme's Counters. It also keeps the totals a Result
+// reports.
 type meter struct {
 	lv       wl.Leveler
 	baseline bool // the no-wear-leveling scheme translates for free
-	prev     wl.Stats
+	// The scheme's Counters after the previous request, one field each:
+	// the compiler keeps a struct of five words in memory, and storing
+	// and reloading one whole stalls every request.
+	hits, misses, rebuilds, blocking, background uint64
 
 	reqs, reads     uint64
 	readNs, transNs float64 // totals over reads and over requests
 }
 
 func newMeter(lv wl.Leveler) *meter {
-	return &meter{lv: lv, baseline: lv.Name() == "Baseline", prev: lv.Stats()}
+	m := &meter{lv: lv, baseline: lv.Name() == "Baseline"}
+	m.hits, m.misses, m.rebuilds, m.blocking, m.background = lv.Counters()
+	return m
 }
 
 // access is what one served request costs the memory system.
@@ -115,23 +121,23 @@ type access struct {
 // caused.
 func (m *meter) step(op trace.Op, addr uint64) access {
 	pma := m.lv.Access(op, addr)
-	st := m.lv.Stats()
+	hits, misses, rebuilds, blocking, background := m.lv.Counters()
 	a := access{bank: int(pma % Banks)}
 	switch {
 	case m.baseline:
-	case st.CMTHits != m.prev.CMTHits:
+	case hits != m.hits:
 		a.transNs = TransHitNs
-	case st.CMTMisses != m.prev.CMTMisses:
+	case misses != m.misses:
 		a.transNs = TransMissNs
 	default:
 		a.transNs = OnChipTransNs
 	}
 	// Metadata rebuilds stall the translation path itself: the request
 	// cannot proceed until the entry is reconstructed.
-	a.transNs += float64(st.MetaRebuilds-m.prev.MetaRebuilds) * RebuildLatNs
-	a.swaps = st.SwapWrites - m.prev.SwapWrites + st.TableWrites - m.prev.TableWrites
-	a.merges = st.MergeWrites - m.prev.MergeWrites
-	m.prev = st
+	a.transNs += float64(rebuilds-m.rebuilds) * RebuildLatNs
+	a.swaps = blocking - m.blocking
+	a.merges = background - m.background
+	m.hits, m.misses, m.rebuilds, m.blocking, m.background = hits, misses, rebuilds, blocking, background
 	m.reqs++
 	m.transNs += a.transNs
 	return a
@@ -159,12 +165,25 @@ func (m *meter) result(cfg Config, elapsedNs float64) Result {
 	return res
 }
 
+// devLatNs is a request's device latency, by its op.
+var devLatNs = [2]float64{trace.Read: ReadLatNs, trace.Write: WriteLatNs}
+
 // Run simulates cfg.Requests memory requests from the stream through the
 // scheme. The scheme performs its normal wear-leveling work; its swap and
 // table writes are charged to the issuing bank.
 func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
-	cfg = cfg.withDefaults()
 	m := newMeter(lv)
+	return run(m, m.step, stream, cfg)
+}
+
+// run is Run with step serving and pricing each request into m's totals.
+// Its per-request choices are selects, not branches: the bank wait is a
+// max, the device latency and the core's next issue time are indexed by
+// the op, and a write joins the read totals with a weight of 0, adding +0
+// to readNs, which starts at +0 and only grows, so its bits stay as a
+// branch would leave them.
+func run(m *meter, step func(trace.Op, uint64) access, stream trace.Stream, cfg Config) Result {
+	cfg = cfg.withDefaults()
 	computeNs := cfg.InstrPerMemReq / FreqGHz
 	var coreTime [Cores]float64
 	var bankBusy [Banks]float64
@@ -173,17 +192,11 @@ func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 		c := i % Cores
 		r, _ := reqs.Next()
 		issue := coreTime[c] + computeNs
-		a := m.step(r.Op, r.Addr)
+		a := step(r.Op, r.Addr)
 
-		start := issue + a.transNs
-		if bankBusy[a.bank] > start {
-			start = bankBusy[a.bank]
-		}
-		dur := WriteLatNs
-		if r.Op == trace.Read {
-			dur = ReadLatNs
-		}
-		finish := start + dur
+		posted := issue + a.transNs
+		start := max(posted, bankBusy[a.bank])
+		finish := start + devLatNs[r.Op]
 		// The access's swap and table writes then hold its bank.
 		busy := finish + float64(a.swaps)*WriteLatNs
 		bankBusy[a.bank] = busy
@@ -206,12 +219,15 @@ func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 			}
 			bankBusy[idle] += float64(a.merges) * WriteLatNs
 		}
+		// A read blocks its core until it finishes and joins the read
+		// totals; a write is posted.
+		var read int64
 		if r.Op == trace.Read {
-			m.read(finish - issue)
-			coreTime[c] = finish
-		} else {
-			coreTime[c] = issue + a.transNs
+			read = 1
 		}
+		coreTime[c] = [2]float64{posted, finish}[read]
+		m.reads += uint64(read)
+		m.readNs += float64(read) * (finish - issue)
 	}
 	return m.result(cfg, slices.Max(coreTime[:]))
 }

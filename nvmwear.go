@@ -418,6 +418,14 @@ type TimingResult = sim.Result
 
 // RunTiming simulates `requests` memory requests through the timing model
 // and reports IPC. instrPerMemReq <= 0 selects the per-benchmark default.
+//
+// A data exchange blocks only the bank that issued it, for every scheme
+// (sim.Config.GlobalSwapBlocking off). Fig 17's PCM-S runs instead stall
+// every bank for a non-tiered exchange (the paper's BWL), so RunTiming
+// times PCM-S more kindly than Fig 17 does. The two are not aligned
+// because that would change the results of the benchmark's trace-ipc
+// PCM-S jobs, which call RunTiming, and their recorded digests
+// (nvmbench/digests.json) move only with a change to the benchmark.
 func (s *System) RunTiming(w WorkloadSpec, requests uint64, instrPerMemReq float64) (TimingResult, error) {
 	stream, name, err := w.Build(s.cfg.Lines)
 	if err != nil {
