@@ -462,28 +462,23 @@ func (s *Scheme) Name() string {
 }
 
 // Stats implements wl.Leveler: the engine's own counters with its parts'
-// counters folded in.
+// counters folded in by Counters.
 func (s *Scheme) Stats() wl.Stats {
 	st := s.stats
-	st.SwapWrites, st.TableWrites, st.CMTHits, st.CMTMisses, st.MetaRebuilds = s.folds()
+	st.CMTHits, st.CMTMisses, st.MetaRebuilds, st.SwapWrites, st.TableWrites, st.MergeWrites = s.Counters()
 	st.MetaFaults = s.table.FaultStats().Corruptions
 	return st
 }
 
-// Counters implements wl.Leveler from the same folds as Stats.
-func (s *Scheme) Counters() (hits, misses, rebuilds, blocking, background uint64) {
-	swap, table, hits, misses, rebuilds := s.folds()
-	return hits, misses, rebuilds, swap + table, s.stats.MergeWrites
-}
-
-// folds returns the counters the engine's parts keep, in wl.Stats's
-// terms: every GTD write is a table write, GTD exchange writes are swap
-// writes on top of the engine's own (demand-blocking table maintenance),
-// the CMT counts hits and misses, and the IMT counts rebuilds.
-func (s *Scheme) folds() (swap, table, hits, misses, rebuilds uint64) {
-	g := s.dir.Stats()
+// Counters implements wl.Leveler, folding in the counters the engine's
+// parts keep: the CMT counts hits and misses, the IMT counts rebuilds,
+// GTD exchange writes are swap writes on top of the engine's own
+// (demand-blocking table maintenance), and every GTD write is a table
+// write.
+func (s *Scheme) Counters() (hits, misses, rebuilds, swap, table, merge uint64) {
 	cs := s.cache.Stats()
-	return s.stats.SwapWrites + g.SwapWrites, g.Writes, cs.Hits, cs.Misses, s.table.FaultStats().Rebuilds
+	g := s.dir.Stats()
+	return cs.Hits, cs.Misses, s.table.FaultStats().Rebuilds, s.stats.SwapWrites + g.SwapWrites, g.Writes, s.stats.MergeWrites
 }
 
 // InverseTranslate maps a physical data line back to the logical line

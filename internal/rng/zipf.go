@@ -85,19 +85,21 @@ type zipfRank struct {
 	edge, early, squeeze float64
 }
 
-// zipfMemoCap bounds the tables the memo keeps, about 3.6 MB at zipfHead
-// ranks each, so a caller drawing over many sizes cannot grow it without
-// bound; a table built past the cap serves its sampler and is not kept.
-const zipfMemoCap = 64
-
 // zipfKey identifies a table: n and the bits of alpha after NewZipf's
 // alpha = 1 adjustment.
 type zipfKey struct{ n, alpha uint64 }
 
-// zipfMemo holds the tables built so far, so the samplers of every stream
-// over one (n, alpha) share one table. Its values never change once
+// zipfMemo holds every table built so far, so the samplers of every
+// stream over one (n, alpha) share one table. Its values never change once
 // stored, and a table depends only on its key, so a sampler draws the
 // same whether its table came from here or from a fresh build.
+//
+// internal/workload's profile table bounds it. A SPEC generator's page
+// sampler has a power-of-two n of at most 2^17 and one of the profiles'
+// ten alphas, and its hot-page sampler one of five sizes at alpha 1.1:
+// 163 keys, 58 of them with a full head, about 3.9 MB if one process
+// built them all. A process keeps the keys of its device sizes only
+// (trace-ipc's jobs keep 13 tables, 561 KB).
 var zipfMemo = struct {
 	sync.Mutex
 	tables map[zipfKey]zipfTable
@@ -129,7 +131,7 @@ func NewZipf(src *Source, n uint64, alpha float64) *Zipf {
 		zipfMemo.Lock()
 		if kept, ok := zipfMemo.tables[key]; ok {
 			t = kept
-		} else if len(zipfMemo.tables) < zipfMemoCap {
+		} else {
 			zipfMemo.tables[key] = t
 		}
 		zipfMemo.Unlock()

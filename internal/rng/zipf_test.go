@@ -300,23 +300,3 @@ func TestZipfMemoConcurrent(t *testing.T) {
 		t.Fatalf("memo holds %d tables, want %d", got, len(keys))
 	}
 }
-
-// TestZipfMemoPastCap: once the memo holds zipfMemoCap tables, a new key
-// still gets a correct sampler, built for it and not kept.
-func TestZipfMemoPastCap(t *testing.T) {
-	freshMemo(t)
-	for n := uint64(1); n <= zipfMemoCap; n++ {
-		NewZipf(New(n), n, 1.1)
-	}
-	a := NewZipf(New(5), 1000, 0.8)
-	sameDraws(t, a, freshZipf(New(5), 1000, 0.8), 1_000_000)
-	if b := NewZipf(New(6), 1000, 0.8); &a.head[0] == &b.head[0] {
-		t.Fatal("a table built past the cap was kept")
-	}
-	if got := len(zipfMemo.tables); got != zipfMemoCap {
-		t.Fatalf("memo holds %d tables, want its cap %d", got, zipfMemoCap)
-	}
-	if a, b := NewZipf(New(1), 7, 1.1), NewZipf(New(2), 7, 1.1); &a.head[0] != &b.head[0] {
-		t.Fatal("a table kept before the cap is no longer shared")
-	}
-}

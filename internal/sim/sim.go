@@ -94,9 +94,9 @@ type meter struct {
 	lv       wl.Leveler
 	baseline bool // the no-wear-leveling scheme translates for free
 	// The scheme's Counters after the previous request, one field each:
-	// the compiler keeps a struct of five words in memory, and storing
+	// the compiler keeps a struct of six words in memory, and storing
 	// and reloading one whole stalls every request.
-	hits, misses, rebuilds, blocking, background uint64
+	hits, misses, rebuilds, swap, table, merge uint64
 
 	reqs, reads     uint64
 	readNs, transNs float64 // totals over reads and over requests
@@ -104,7 +104,7 @@ type meter struct {
 
 func newMeter(lv wl.Leveler) *meter {
 	m := &meter{lv: lv, baseline: lv.Name() == "Baseline"}
-	m.hits, m.misses, m.rebuilds, m.blocking, m.background = lv.Counters()
+	m.hits, m.misses, m.rebuilds, m.swap, m.table, m.merge = lv.Counters()
 	return m
 }
 
@@ -121,7 +121,7 @@ type access struct {
 // caused.
 func (m *meter) step(op trace.Op, addr uint64) access {
 	pma := m.lv.Access(op, addr)
-	hits, misses, rebuilds, blocking, background := m.lv.Counters()
+	hits, misses, rebuilds, swap, table, merge := m.lv.Counters()
 	a := access{bank: int(pma % Banks)}
 	switch {
 	case m.baseline:
@@ -135,9 +135,9 @@ func (m *meter) step(op trace.Op, addr uint64) access {
 	// Metadata rebuilds stall the translation path itself: the request
 	// cannot proceed until the entry is reconstructed.
 	a.transNs += float64(rebuilds-m.rebuilds) * RebuildLatNs
-	a.swaps = blocking - m.blocking
-	a.merges = background - m.background
-	m.hits, m.misses, m.rebuilds, m.blocking, m.background = hits, misses, rebuilds, blocking, background
+	a.swaps = swap - m.swap + table - m.table
+	a.merges = merge - m.merge
+	m.hits, m.misses, m.rebuilds, m.swap, m.table, m.merge = hits, misses, rebuilds, swap, table, merge
 	m.reqs++
 	m.transNs += a.transNs
 	return a
@@ -177,11 +177,6 @@ func Run(lv wl.Leveler, stream trace.Stream, cfg Config) Result {
 }
 
 // run is Run with step serving and pricing each request into m's totals.
-// Its per-request choices are selects, not branches: the bank wait is a
-// max, the device latency and the core's next issue time are indexed by
-// the op, and a write joins the read totals with a weight of 0, adding +0
-// to readNs, which starts at +0 and only grows, so its bits stay as a
-// branch would leave them.
 func run(m *meter, step func(trace.Op, uint64) access, stream trace.Stream, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	computeNs := cfg.InstrPerMemReq / FreqGHz
@@ -219,15 +214,12 @@ func run(m *meter, step func(trace.Op, uint64) access, stream trace.Stream, cfg 
 			}
 			bankBusy[idle] += float64(a.merges) * WriteLatNs
 		}
-		// A read blocks its core until it finishes and joins the read
-		// totals; a write is posted.
-		var read int64
 		if r.Op == trace.Read {
-			read = 1
+			m.read(finish - issue)
+			coreTime[c] = finish
+		} else {
+			coreTime[c] = posted
 		}
-		coreTime[c] = [2]float64{posted, finish}[read]
-		m.reads += uint64(read)
-		m.readNs += float64(read) * (finish - issue)
 	}
 	return m.result(cfg, slices.Max(coreTime[:]))
 }

@@ -117,9 +117,9 @@ func (m maskRebuilds) Stats() wl.Stats {
 	return st
 }
 
-func (m maskRebuilds) Counters() (hits, misses, rebuilds, blocking, background uint64) {
-	hits, misses, _, blocking, background = m.Leveler.Counters()
-	return hits, misses, 0, blocking, background
+func (m maskRebuilds) Counters() (hits, misses, rebuilds, swap, table, merge uint64) {
+	hits, misses, _, swap, table, merge = m.Leveler.Counters()
+	return hits, misses, 0, swap, table, merge
 }
 
 // TestModelsChargeRebuildLatency: both models stall the translation path

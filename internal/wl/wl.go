@@ -52,15 +52,11 @@ type Leveler interface {
 	// Stats returns accounting counters.
 	Stats() Stats
 
-	// Counters returns the cumulative counters of Stats a timing model
-	// (internal/sim) prices each request by: CMT hits and misses (the
-	// translation class), metadata rebuilds (stalls on the translation
-	// path), blocking writes (SwapWrites + TableWrites, which hold the
-	// issuing bank) and background writes (MergeWrites). Five results
-	// stay in registers where a Stats, or any struct over four words, is
-	// copied through memory, and the timing model reads them after every
-	// request.
-	Counters() (hits, misses, rebuilds, blocking, background uint64)
+	// Counters returns the Stats counters a timing model (internal/sim)
+	// reads after every request: CMTHits, CMTMisses, MetaRebuilds,
+	// SwapWrites, TableWrites and MergeWrites, as Stats reports them. Six
+	// results stay in registers, where a Stats is copied through memory.
+	Counters() (hits, misses, rebuilds, swap, table, merge uint64)
 
 	// OverheadBits returns the scheme's on-chip (SRAM) storage requirement
 	// in bits — the quantity Sec 4.5 and Fig 5 reason about.
@@ -159,9 +155,9 @@ func (d *Driver) AccessBatch(ops []trace.Op, addrs []uint64) int {
 func (d *Driver) Stats() Stats { return *d.stats }
 
 // Counters implements Leveler from the same struct.
-func (d *Driver) Counters() (hits, misses, rebuilds, blocking, background uint64) {
+func (d *Driver) Counters() (hits, misses, rebuilds, swap, table, merge uint64) {
 	s := d.stats
-	return s.CMTHits, s.CMTMisses, s.MetaRebuilds, s.SwapWrites + s.TableWrites, s.MergeWrites
+	return s.CMTHits, s.CMTMisses, s.MetaRebuilds, s.SwapWrites, s.TableWrites, s.MergeWrites
 }
 
 // Stats is the shared accounting every scheme reports.
